@@ -16,10 +16,12 @@ from .curves import (
 from .lattice import (
     ApproxParams,
     LatticeBasis,
+    LatticeReduction,
     SuccessiveMinima,
     build_G,
     build_h,
     build_scaling,
+    reduce_at,
     reduced_basis,
     set_precision,
     shortest_sup,
@@ -71,7 +73,7 @@ __all__ = [
     "__version__",
     "ApproxParams", "CheckFailure", "ConfigError", "CountResult", "Curve",
     "DerivedConstants", "DimResult", "DivergenceSum", "GoodnessReport",
-    "IntegerMultivector", "IntervalUnion", "Jet", "LatticeBasis", "MinorSpec",
+    "IntegerMultivector", "IntervalUnion", "Jet", "LatticeBasis", "LatticeReduction", "MinorSpec",
     "PreconditionError", "RationalWitness", "ScalingFit", "SuccessiveMinima",
     "WitnessReport", "aux_g", "build_G", "build_h", "build_scaling",
     "ca_good_ratio", "corollary_map", "delta_coverage", "derive_constants",
@@ -79,7 +81,7 @@ __all__ = [
     "eval_jet", "goodset_delta", "hodge_dual_basis", "in_good_set",
     "interval_union_measure", "lower_bound_check", "nondegeneracy_order",
     "parabola", "phi_closed_form", "phi_minor", "qnd_bound_check",
-    "reduced_basis", "resolve_curve", "run_experiment", "scale_factor",
+    "reduce_at", "reduced_basis", "resolve_curve", "run_experiment", "scale_factor",
     "scaling_fit", "second_derivative_bound", "set_precision", "shortest_sup",
     "skew_gradient", "successive_minima_sup", "verify_witness", "veronese",
 ]

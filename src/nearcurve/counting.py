@@ -23,6 +23,7 @@ from .detector import RationalWitness
 
 GUARD = 1e-12
 DEFAULT_Q_CAP = 1 << 16
+_CSV_BLOCK = 1 << 16  # rows turned into Python lists at a time; bounds the memory of a write
 
 Shift = tuple[float, tuple[float, ...]]  # (lambda, gamma_1..gamma_m), d = 1
 
@@ -291,7 +292,12 @@ class IntervalUnion:
 def interval_union_measure(intervals: Iterable[tuple[float, float]],
                            clip: Optional[tuple[float, float]] = None) -> float:
     """Length of the union of intervals, optionally clipped; sweep-line exact."""
-    arr = np.asarray([(lo, hi) for lo, hi in intervals], dtype=float)
+    if isinstance(intervals, np.ndarray):
+        if intervals.size and (intervals.ndim != 2 or intervals.shape[1] != 2):
+            raise ValueError("an interval array must have shape (k, 2)")
+        arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    else:
+        arr = np.asarray([(lo, hi) for lo, hi in intervals], dtype=float)
     if arr.size == 0:
         return 0.0
     lo, hi = arr[:, 0], arr[:, 1]
@@ -401,8 +407,8 @@ def write_triples_csv(path, curve: Curve, result: CountResult) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(len(rows)):
-            rec = [int(v) for v in rows[i]]
-            rec.append(repr(float(pts[i])))
-            rec.extend(repr(float(s[i])) for s in slacks)
-            writer.writerow(rec)
+        # csv writes a Python float as its repr, the shortest round-trip form
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            columns = [pts[block].tolist()] + [s[block].tolist() for s in slacks]
+            writer.writerows(row + list(tail) for row, *tail in zip(rows[block].tolist(), *columns))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -95,11 +96,26 @@ def derive_constants(n: int, d: int, m: int, M: float, c: float) -> DerivedConst
     return DerivedConstants(n=n, d=d, m=m, M=float(M), c=float(c), K0=K0, C0=C0)
 
 
+# (curve, x, params, dtype, reduction) of the last point reduced here, so that
+# goodset_delta followed by detect_witness at one point reduces its lattice once
+_last_reduction: Optional[tuple] = None
+
+
+def _reduction_at(curve: Curve, x: float, params: ApproxParams) -> lat.LatticeReduction:
+    """``lattice.reduce_at``, reusing the record of the last point asked for."""
+    global _last_reduction
+    last = _last_reduction
+    if (last is not None and last[0] is curve and last[1] == x and last[2] == params
+            and last[3] is lat.real_dtype()):
+        return last[4]
+    reduction = lat.reduce_at(curve, x, params)
+    _last_reduction = (curve, x, params, lat.real_dtype(), reduction)
+    return reduction
+
+
 def goodset_delta(curve: Curve, x: float, params: ApproxParams) -> float:
     """Shortest sup-norm vector length of the scaled lattice at x."""
-    A = lat.curve_lattice_basis(curve, x, params)
-    delta, _ = lat.shortest_sup(A)
-    return delta
+    return _reduction_at(curve, x, params).delta
 
 
 def in_good_set(curve: Curve, x: float, params: ApproxParams,
@@ -118,13 +134,17 @@ def psi_floor(params: ApproxParams) -> float:
 
 
 def detect_witness(curve: Curve, x: float, params: ApproxParams,
-                   guard: float = GOOD_SET_GUARD) -> RationalWitness:
+                   guard: float = GOOD_SET_GUARD,
+                   reduction: Optional[lat.LatticeReduction] = None) -> RationalWitness:
     """Construct the integer witness (q, a, b) at a good point x.
 
     Preconditions: x lies in the rho-interior of params.B, psi is above its
     admissibility floor, and x belongs to the good set.  The construction
     solves for the real coordinates of a shifted target against a reduced
     lattice basis and rounds them to integers (forcing a nonzero vector).
+    ``reduction``, when given, must be ``lattice.reduce_at(curve, x, params)``;
+    without it the record of a preceding ``goodset_delta`` call at the same
+    point is reused.  Either way the lattice is not reduced again.
 
     Sign convention: the target vector is (-w0, lambda - w0 x, gamma - w0 f(x))
     with w0 = 3(n+1)Q, which lands q inside the stated positive range; the
@@ -137,16 +157,16 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
     lo, hi = params.B
     if not (lo + rho <= x <= hi - rho):
         raise PreconditionError(f"x={x} outside the rho-interior of B={params.B}")
-    A = lat.curve_lattice_basis(curve, x, params)
-    delta, _ = lat.shortest_sup(A)
-    if delta < 1.0 - guard:
-        raise PreconditionError(f"x={x} not in the good set (delta={delta:.6g})")
+    if reduction is None:
+        reduction = _reduction_at(curve, x, params)
+    if reduction.delta < 1.0 - guard:
+        raise PreconditionError(f"x={x} not in the good set (delta={reduction.delta:.6g})")
 
-    basis = lat.reduced_basis(A)
+    reduction.assert_unimodular()
     inv_c = 1.0 / params.c
-    if basis.max_sup > inv_c * (1 + 1e-9):
+    if reduction.max_sup > inv_c * (1 + 1e-9):
         log.debug("reduced basis exceeds 1/c: max sup %.6g > %.6g (witness still attempted)",
-                  basis.max_sup, inv_c)
+                  reduction.max_sup, inv_c)
 
     n = params.n
     jet = eval_jet(curve, x, 0)
@@ -158,13 +178,13 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
         np.asarray(lam) - omega0 * np.asarray([x]),
         np.asarray(gam) - omega0 * f_vals,
     ))
-    rhs = -np.asarray(A, dtype=float) @ target_shift
-    eta = np.linalg.solve(np.asarray(basis.columns, dtype=float), rhs)
+    rhs = -np.asarray(reduction.source, dtype=float) @ target_shift
+    eta = np.linalg.solve(np.asarray(reduction.columns, dtype=float), rhs)
     t = np.rint(eta).astype(np.int64)
     if not t.any():
         i_star = int(np.argmax(np.abs(eta)))
         t[i_star] = 1 if eta[i_star] > 0 else -1
-    p = np.dot(basis.preimage, t.astype(basis.preimage.dtype))
+    p = np.dot(reduction.preimage, t.astype(reduction.preimage.dtype))
     q = int(p[0])
     if q < 0:
         if any(v != 0.0 for v in lam) or any(v != 0.0 for v in gam):

@@ -6,11 +6,14 @@ The scaled lattice attached to a curve point is spanned by the columns of
 (``n + 1 <= 8``), so the shortest sup-norm vector is found exactly by an
 LLL-style reduction followed by exhaustive enumeration inside the Euclidean
 ball of radius ``sqrt(dim)`` times the best known sup-norm; the bound
-``|v|_inf <= |v|_2`` makes that ball exhaustive.
+``|v|_inf <= |v|_2`` makes that ball exhaustive.  ``reduce`` does both steps
+once and returns one record that the shortest-vector and witness callers
+share.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,6 +22,8 @@ import numpy as np
 
 from .curves import Curve, eval_jet
 from .intlinalg import is_unimodular
+
+log = logging.getLogger("nearcurve")
 
 _REAL_DTYPE = np.float64
 
@@ -99,6 +104,23 @@ class LatticeBasis:
     @property
     def max_sup(self) -> float:
         return float(np.max(np.abs(self.columns)))
+
+    def assert_unimodular(self) -> None:
+        """Exact check that ``|det preimage| = 1``."""
+        if not is_unimodular(self.preimage.tolist()):
+            raise AssertionError("LLL transform lost unimodularity")
+
+
+@dataclass(frozen=True)
+class LatticeReduction(LatticeBasis):
+    """One LLL reduction of a lattice basis and the sup-norm shortest vector.
+
+    ``delta = |source @ coords|_inf`` is minimal over nonzero lattice vectors
+    and ``coords`` holds its integer coordinates in the source basis.
+    """
+
+    delta: float
+    coords: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -250,7 +272,10 @@ def lll_reduce(basis, delta: float = 0.99, max_swaps: Optional[int] = None):
             k = max(k - 1, 1)
             swaps += 1
             if swaps > max_swaps:
-                break  # float flip-flop guard; current basis is still valid
+                # float flip-flop guard; the current basis still spans the lattice
+                log.warning("lll_reduce stopped after %d swaps in dimension %d; "
+                            "the basis may not be LLL-reduced", swaps, n)
+                break
     return B, U
 
 
@@ -306,20 +331,27 @@ def _enumerate_ball(W: np.ndarray, norms2, mu, radius2_fn, visit) -> None:
     dfs(n - 1, 0.0)
 
 
-def shortest_sup(basis) -> tuple[float, np.ndarray]:
-    """Exact (to rounding) sup-norm shortest vector of a full-rank lattice.
-
-    Returns ``(delta, p)`` where ``delta = |W p|_inf`` is minimal over nonzero
-    lattice vectors and ``p`` holds the integer coordinates in the input basis.
-    """
+def _lll_prologue(basis, max_dim: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Square and size checks, one LLL run: ``(source, W, U)`` with ``W = source @ U``."""
     B = np.asarray(basis, dtype=_REAL_DTYPE)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("basis must be square")
     dim = B.shape[0]
-    if dim > MAX_SVP_DIM:
-        raise ValueError(f"dimension {dim} exceeds the supported {MAX_SVP_DIM}")
+    if max_dim is not None and dim > max_dim:
+        raise ValueError(f"dimension {dim} exceeds the supported {max_dim}")
     W, Ucols = lll_reduce(B)
-    U = _u_columns_to_array(Ucols)
+    return B, W, _u_columns_to_array(Ucols)
+
+
+def reduce(basis) -> LatticeReduction:
+    """The lattice kernel: one LLL reduction and one ball enumeration.
+
+    The reduced basis, its integer transform and the exact (to rounding)
+    sup-norm shortest vector all come from the same reduction, so callers that
+    need more than one of them never reduce twice.
+    """
+    B, W, U = _lll_prologue(basis, MAX_SVP_DIM)
+    dim = B.shape[0]
     sups = np.max(np.abs(W), axis=0)
     i0 = int(np.argmin(sups))
     state = {"best": float(sups[i0]), "t": tuple(1 if i == i0 else 0 for i in range(dim))}
@@ -338,31 +370,36 @@ def shortest_sup(basis) -> tuple[float, np.ndarray]:
 
     _enumerate_ball(W, norms2, mu, radius2, visit)
     p = np.dot(U, np.array(state["t"], dtype=U.dtype))
-    return state["best"], p
+    return LatticeReduction(dim=dim, columns=W, preimage=U, source=B, delta=state["best"], coords=p)
+
+
+def reduce_at(curve: Curve, x: float, params: ApproxParams) -> LatticeReduction:
+    """``reduce`` of the scaled curve lattice g^{-1} G(x) Z^{n+1}."""
+    return reduce(curve_lattice_basis(curve, x, params))
+
+
+def shortest_sup(basis) -> tuple[float, np.ndarray]:
+    """Exact (to rounding) sup-norm shortest vector of a full-rank lattice.
+
+    Returns ``(delta, p)`` where ``delta = |W p|_inf`` is minimal over nonzero
+    lattice vectors and ``p`` holds the integer coordinates in the input basis.
+    """
+    r = reduce(basis)
+    return r.delta, r.coords
 
 
 def reduced_basis(basis) -> LatticeBasis:
     """LLL-reduced basis of the same lattice with its unimodular preimage."""
-    B = np.asarray(basis, dtype=_REAL_DTYPE)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("basis must be square")
-    W, Ucols = lll_reduce(B)
-    U = _u_columns_to_array(Ucols)
-    if not is_unimodular(U.tolist()):
-        raise AssertionError("LLL transform lost unimodularity")
-    return LatticeBasis(dim=B.shape[0], columns=W, preimage=U, source=B)
+    B, W, U = _lll_prologue(basis)
+    reduced = LatticeBasis(dim=B.shape[0], columns=W, preimage=U, source=B)
+    reduced.assert_unimodular()
+    return reduced
 
 
 def successive_minima_sup(basis) -> SuccessiveMinima:
     """Sup-norm successive minima by exhaustive enumeration (dim <= 6)."""
-    B = np.asarray(basis, dtype=_REAL_DTYPE)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("basis must be square")
+    B, W, U = _lll_prologue(basis, MAX_MINIMA_DIM)
     dim = B.shape[0]
-    if dim > MAX_MINIMA_DIM:
-        raise ValueError(f"dimension {dim} exceeds the supported {MAX_MINIMA_DIM}")
-    W, Ucols = lll_reduce(B)
-    U = _u_columns_to_array(Ucols)
     # every minimum is attained inside the ball that contains the basis itself
     S = float(np.max(np.abs(W)))
     norms2, mu = _triangular_data(W)

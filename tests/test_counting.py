@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
+from nearcurve import counting
 from nearcurve.counting import (
     IntervalUnion,
     count_R_psi_sweep,
@@ -131,6 +132,17 @@ def test_interval_union_examples():
     assert union.clipped((0.5, 3.5)).measure == pytest.approx(2.0)
 
 
+def test_interval_union_array_matches_tuples(rng):
+    lo = rng.uniform(0, 10, size=500)
+    arr = np.stack((lo, lo + rng.uniform(0, 0.3, size=500)), axis=1)
+    tuples = [(float(a), float(b)) for a, b in arr]
+    for clip in (None, (1.0, 9.0)):
+        assert nc.interval_union_measure(arr, clip=clip) == nc.interval_union_measure(tuples, clip=clip)
+    assert nc.interval_union_measure(np.empty((0, 2))) == 0.0
+    with pytest.raises(ValueError):
+        nc.interval_union_measure(np.ones((4, 3)))
+
+
 def test_interval_union_grid_oracle(rng):
     intervals = [(float(a), float(a + w)) for a, w in
                  zip(rng.uniform(0, 10, size=1000), rng.uniform(0, 0.3, size=1000))]
@@ -200,3 +212,21 @@ def test_write_triples_csv(tmp_path, parabola):
         q, a, b, x_point, slack = ln.split(",")
         assert float(slack) > 0
         assert float(x_point) == pytest.approx(int(a) / int(q))
+
+
+def test_write_triples_csv_matches_row_loop(tmp_path, veronese3, monkeypatch):
+    # reference: the per-row repr formatting, across several write blocks
+    monkeypatch.setattr(counting, "_CSV_BLOCK", 7)
+    res = enumerate_R(veronese3, 40, 0.5, (0.0, 1.0), theta=(0.25, (0.5, 0.75)), collect=True)
+    path = tmp_path / "triples.csv"
+    write_triples_csv(path, veronese3, res)
+    rows, pts = res.triples, res.points()
+    slacks = [res.psi - np.abs(rows[:, 0] * np.asarray(veronese3.coord_values(j, pts), dtype=float)
+                               - g - rows[:, 1 + j])
+              for j, g in ((1, 0.5), (2, 0.75))]
+    expected = ["q,a,b1,b2,x_point,slack_f1,slack_f2"]
+    for i in range(len(rows)):
+        rec = [str(int(v)) for v in rows[i]] + [repr(float(pts[i]))]
+        expected.append(",".join(rec + [repr(float(s[i])) for s in slacks]))
+    assert len(rows) > 3 * 7
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"

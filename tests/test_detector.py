@@ -180,6 +180,45 @@ def test_detect_witness_veronese_two_coordinates(veronese3):
         assert len(rep.f_bounds) == 2
 
 
+def test_detect_witness_same_with_passed_reduction(parabola, veronese3):
+    for curve in (parabola, veronese3):
+        p = _params(curve, c=0.01, Q=1000.0, psi=0.3)
+        goods = _good_grid(curve, p, points=60)
+        assert goods
+        for x in goods[::15]:
+            rec = nc.reduce_at(curve, x, p)
+            assert nc.detect_witness(curve, x, p, reduction=rec) == nc.detect_witness(curve, x, p)
+
+
+def test_goodset_delta_then_witness_reduces_once(parabola, monkeypatch):
+    calls = []
+    original = nc.lattice.lll_reduce
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nc.lattice, "lll_reduce", counted)
+    p = _params(parabola, c=0.01, Q=1000.0, psi=0.3)
+    x = _good_grid(parabola, p, points=40)[3]
+    calls.clear()
+    assert nc.goodset_delta(parabola, x, p) >= 1.0
+    w = nc.detect_witness(parabola, x, p)
+    assert len(calls) == 1
+    assert w == nc.detect_witness(parabola, x, p, reduction=nc.reduce_at(parabola, x, p))
+    # another point, other parameters or another precision reduce afresh
+    calls.clear()
+    p2 = _params(parabola, c=0.01, Q=2000.0, psi=0.3)
+    nc.goodset_delta(parabola, x, p2)
+    nc.goodset_delta(parabola, x + 1e-3, p)
+    try:
+        nc.set_precision("extended")
+        nc.goodset_delta(parabola, x + 1e-3, p)
+    finally:
+        nc.set_precision("double")
+    assert len(calls) == 3
+
+
 def test_detect_witness_float_verification_path():
     # the exp coordinate has no exact rational evaluator: float fallback
     mixed = nc.resolve_curve("mixed")

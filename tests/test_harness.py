@@ -145,6 +145,35 @@ def test_run_detect_and_goodset(tmp_path):
     assert out2.summary[key]["fraction_good"] > 0.5
 
 
+def test_run_detect_reduces_once_per_grid_point(tmp_path, monkeypatch):
+    calls = []
+    original = nc.lattice.lll_reduce
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nc.lattice, "lll_reduce", counted)
+    cfg = _cfg(
+        f"""
+        curve = parabola
+        B = 0.1,0.9
+        c = 0.01
+        M = 2
+        psi_list = 0.3
+        Q_list = 500,1000
+        grid.points = 30
+        output_dir = {tmp_path}/d
+        """
+    )
+    outcome = run_experiment(cfg, mode="detect")
+    assert outcome.summary["good_points"] > 0
+    points = sum(len(Path(f).read_text().splitlines()) - 1
+                 for f in outcome.files if Path(f).name.startswith("detect_"))
+    assert points > 0
+    assert len(calls) == points
+
+
 def test_run_coverage_and_rho_scale(tmp_path):
     base = f"""
     curve = parabola

@@ -158,6 +158,39 @@ def test_lll_handles_curve_scale_skew(parabola):
     assert abs(det_int([[int(v) for v in col] for col in zip(*U)])) == 1
 
 
+def test_lll_max_swaps_guard_warns(caplog):
+    skew = np.array([[1.0, 0.0], [1e6, 1.0]])  # needs at least one swap
+    with caplog.at_level("WARNING", logger="nearcurve"):
+        W, U = lll_reduce(skew, max_swaps=0)
+    assert "stopped after 1 swaps in dimension 2" in caplog.text
+    assert abs(det_int([list(col) for col in zip(*U)])) == 1
+
+
+@pytest.mark.parametrize("curve_name", ["parabola", "veronese:3"])
+def test_views_agree_with_reduction_record(curve_name):
+    curve = nc.resolve_curve(curve_name)
+    p = _params(curve, c=0.01, Q=1000.0, psi=0.3, B=(0.1, 0.9))
+    for x in (0.2371, 0.5, 0.7093):
+        rec = nc.reduce_at(curve, x, p)
+        A = curve_lattice_basis(curve, x, p)
+        assert np.array_equal(rec.source, A)
+        delta, coords = nc.shortest_sup(A)
+        assert delta == rec.delta and np.array_equal(coords, rec.coords)
+        assert nc.goodset_delta(curve, x, p) == rec.delta
+        rb = nc.reduced_basis(A)
+        assert np.array_equal(rb.columns, rec.columns)
+        assert np.array_equal(rb.preimage, rec.preimage)
+        assert float(np.max(np.abs(A @ rec.coords))) == pytest.approx(rec.delta, rel=1e-12)
+
+
+def test_reduced_basis_takes_any_dimension():
+    rb = nc.reduced_basis(np.eye(9))
+    assert rb.dim == 9
+    assert np.array_equal(rb.columns, np.eye(9)) and np.array_equal(rb.preimage, np.eye(9))
+    with pytest.raises(ValueError):
+        nc.shortest_sup(np.eye(9))
+
+
 def test_successive_minima_examples():
     sm = nc.successive_minima_sup(np.eye(4))
     assert sm.values.tolist() == pytest.approx([1.0, 1.0, 1.0, 1.0])
