@@ -23,7 +23,6 @@ from .lattice import (
     build_scaling,
     reduce_at,
     reduced_basis,
-    set_precision,
     shortest_sup,
     successive_minima_sup,
 )
@@ -40,7 +39,6 @@ from .detector import (
 )
 from .counting import (
     CountResult,
-    IntervalUnion,
     ScalingFit,
     delta_coverage,
     enumerate_R,
@@ -73,7 +71,7 @@ __all__ = [
     "__version__",
     "ApproxParams", "CheckFailure", "ConfigError", "CountResult", "Curve",
     "DerivedConstants", "DimResult", "DivergenceSum", "GoodnessReport",
-    "IntegerMultivector", "IntervalUnion", "Jet", "LatticeBasis", "LatticeReduction", "MinorSpec",
+    "IntegerMultivector", "Jet", "LatticeBasis", "LatticeReduction", "MinorSpec",
     "PreconditionError", "RationalWitness", "ScalingFit", "SuccessiveMinima",
     "WitnessReport", "aux_g", "build_G", "build_h", "build_scaling",
     "ca_good_ratio", "corollary_map", "delta_coverage", "derive_constants",
@@ -82,6 +80,6 @@ __all__ = [
     "interval_union_measure", "lower_bound_check", "nondegeneracy_order",
     "parabola", "phi_closed_form", "phi_minor", "qnd_bound_check",
     "reduce_at", "reduced_basis", "resolve_curve", "run_experiment", "scale_factor",
-    "scaling_fit", "second_derivative_bound", "set_precision", "shortest_sup",
+    "scaling_fit", "second_derivative_bound", "shortest_sup",
     "skew_gradient", "successive_minima_sup", "verify_witness", "veronese",
 ]

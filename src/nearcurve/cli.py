@@ -13,7 +13,6 @@ from fractions import Fraction
 from .config import MODES, load_config
 from .errors import CheckFailure, ConfigError, PreconditionError
 from .harness import dim_exponent, divergence_partial_sum, run_experiment
-from .lattice import set_precision
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
         p.add_argument("--jobs", type=int, default=1, help="parallel workers over cells")
-        p.add_argument("--precision", choices=("double", "extended"), default="double")
+        p.add_argument("--precision", choices=("double",), default="double",
+                       help="float type of the lattice layer (float64 only)")
 
     p = sub.add_parser("dim", help="dimension lower-bound exponent calculator")
     p.add_argument("n", type=int)
@@ -59,7 +59,6 @@ def main(argv=None) -> int:
                   f"verdict={res.verdict}" + (" (boundary)" if res.boundary else ""))
             return 0
 
-        set_precision(args.precision)
         cfg = load_config(args.config)
         outcome = run_experiment(cfg, mode=args.command, out_dir=args.out,
                                  seed=args.seed, jobs=args.jobs)

@@ -14,32 +14,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .curves import Curve
-from .detector import RationalWitness
+from .detector import RationalWitness, psi_floor
+from .lattice import Shift, normalise_theta
 
 GUARD = 1e-12
 DEFAULT_Q_CAP = 1 << 16
 _CSV_BLOCK = 1 << 16  # rows turned into Python lists at a time; bounds the memory of a write
-
-Shift = tuple[float, tuple[float, ...]]  # (lambda, gamma_1..gamma_m), d = 1
-
-
-def _normalise_theta(theta, m: int) -> Shift:
-    if theta is None or (isinstance(theta, (int, float)) and theta == 0):
-        return 0.0, (0.0,) * m
-    lam, gam = theta
-    if isinstance(lam, (tuple, list)):
-        lam = lam[0]
-    if isinstance(gam, (int, float)):
-        gam = (float(gam),) * m
-    gam = tuple(float(v) for v in gam)
-    if len(gam) != m:
-        raise ValueError(f"gamma must have length {m}")
-    return float(lam), gam
 
 
 @dataclass
@@ -93,6 +78,43 @@ def _strict_counts(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(hi - lo + 1, 0), lo
 
 
+def _q_rows(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float], theta,
+            allow_large: bool) -> tuple[int, tuple[float, float], Shift, Iterator]:
+    """The row kernel of R: validated ``(Q, B, theta)`` and an iterator of q-rows.
+
+    Each row is ``(q, a, ys)`` for one q with 2q > Q, q <= Q and at least one
+    a with (a + lambda)/q in B: ``a`` holds those a ascending and
+    ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j``.  An empty B (lo > hi) has
+    no rows.
+    """
+    Q = int(Q)
+    if Q < 2:
+        raise ValueError("Q must be >= 2")
+    if Q > DEFAULT_Q_CAP and not allow_large:
+        raise ValueError(f"Q={Q} above the default cap {DEFAULT_Q_CAP}; pass allow_large=True")
+    if not all(0 < psi < 1 for psi in psis):
+        raise ValueError("psi must lie in (0, 1)")
+    m = curve.n - 1
+    lam, gam = normalise_theta(theta, m)
+    lo, hi = float(B[0]), float(B[1])
+    if lo <= hi and not (curve.contains(lo) and curve.contains(hi)):
+        raise ValueError(f"B={B} not contained in curve domain {curve.domain}")
+
+    def rows():
+        if lo > hi:
+            return
+        for q in range(Q // 2 + 1, Q + 1):
+            a_lo, a_hi = _a_range(q, (lo, hi), lam)
+            if a_hi < a_lo:
+                continue
+            a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
+            x = (a + lam) / q
+            yield q, a, [q * np.asarray(curve.coord_values(j, x), dtype=float) - gam[j - 1]
+                         for j in range(1, m + 1)]
+
+    return Q, (lo, hi), (lam, gam), rows()
+
+
 def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
                 theta=None, *, guard: float = GUARD, collect: bool = True,
                 allow_large: bool = False) -> CountResult:
@@ -103,39 +125,19 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
     the psi-window.  With ``collect=False`` only the counts are accumulated,
     which keeps Q-sweeps cheap.
     """
-    Q = int(Q)
-    if Q < 2:
-        raise ValueError("Q must be >= 2")
-    if Q > DEFAULT_Q_CAP and not allow_large:
-        raise ValueError(f"Q={Q} above the default cap {DEFAULT_Q_CAP}; pass allow_large=True")
-    if not (0 < psi < 1):
-        raise ValueError("psi must lie in (0, 1)")
+    Q, B, theta, rows = _q_rows(curve, Q, (psi,), B, theta, allow_large)
     m = curve.n - 1
-    lam, gam = _normalise_theta(theta, m)
-    lo, hi = float(B[0]), float(B[1])
-    if lo > hi:
-        return CountResult(Q=Q, psi=psi, B=(lo, hi), theta=(lam, gam), count=0,
-                           boundary=0, triples=np.empty((0, 2 + m), dtype=np.int64) if collect else None)
-    if not (curve.contains(lo) and curve.contains(hi)):
-        raise ValueError(f"B={B} not contained in curve domain {curve.domain}")
-
     s_in = psi - guard
     s_wide = psi + guard
     total = 0
     boundary = 0
     blocks: list[np.ndarray] = []
-    for q in range(Q // 2 + 1, Q + 1):
-        a_lo, a_hi = _a_range(q, (lo, hi), lam)
-        if a_hi < a_lo:
-            continue
-        a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
-        x = (a + lam) / q
+    for q, a, ys in rows:
         counts = np.ones(a.shape, dtype=np.int64)
         wide_counts = np.ones(a.shape, dtype=np.int64)
         first_b = np.empty((len(a), m), dtype=np.int64)
         nb = np.empty((len(a), m), dtype=np.int64)
-        for j in range(1, m + 1):
-            y = q * np.asarray(curve.coord_values(j, x), dtype=float) - gam[j - 1]
+        for j, y in enumerate(ys, start=1):
             nb_j, lo_j = _strict_counts(y, s_in)
             nbw_j, _ = _strict_counts(y, s_wide)
             counts *= nb_j
@@ -147,50 +149,39 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
         if collect and counts.any():
             keep = np.nonzero(counts)[0]
             simple = keep[(nb[keep] == 1).all(axis=1)]
-            rows = []
+            parts = []
             if len(simple):
                 block = np.empty((len(simple), 2 + m), dtype=np.int64)
                 block[:, 0] = q
                 block[:, 1] = a[simple]
                 block[:, 2:] = first_b[simple]
-                rows.append(block)
+                parts.append(block)
             multi = keep[(nb[keep] > 1).any(axis=1)]
             for idx in multi:
                 choices = [range(first_b[idx, j], first_b[idx, j] + nb[idx, j]) for j in range(m)]
                 for combo in iter_product(*choices):
-                    rows.append(np.array([[q, a[idx], *combo]], dtype=np.int64))
-            block = np.concatenate(rows, axis=0)
+                    parts.append(np.array([[q, a[idx], *combo]], dtype=np.int64))
+            block = np.concatenate(parts, axis=0)
             order = np.lexsort(tuple(block[:, k] for k in range(block.shape[1] - 1, 0, -1)))
             blocks.append(block[order])
 
     triples = None
     if collect:
         triples = np.concatenate(blocks, axis=0) if blocks else np.empty((0, 2 + m), dtype=np.int64)
-    return CountResult(Q=Q, psi=psi, B=(lo, hi), theta=(lam, gam), count=total,
+    return CountResult(Q=Q, psi=psi, B=B, theta=theta, count=total,
                        boundary=boundary, triples=triples)
 
 
 def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
                       theta=None, *, guard: float = GUARD,
                       allow_large: bool = False) -> list[int]:
-    """Counts of enumerate_R for several psi at one Q, sharing the curve values."""
-    Q = int(Q)
-    if Q < 2:
-        raise ValueError("Q must be >= 2")
-    if Q > DEFAULT_Q_CAP and not allow_large:
-        raise ValueError(f"Q={Q} above the default cap {DEFAULT_Q_CAP}; pass allow_large=True")
-    m = curve.n - 1
-    lam, gam = _normalise_theta(theta, m)
-    lo, hi = float(B[0]), float(B[1])
+    """Counts of enumerate_R for several psi at one Q, sharing the curve values.
+
+    Raises ValueError wherever enumerate_R would for one of the psi.
+    """
+    _, _, _, rows = _q_rows(curve, Q, psis, B, theta, allow_large)
     totals = [0] * len(psis)
-    for q in range(Q // 2 + 1, Q + 1):
-        a_lo, a_hi = _a_range(q, (lo, hi), lam)
-        if a_hi < a_lo:
-            continue
-        a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
-        x = (a + lam) / q
-        ys = [q * np.asarray(curve.coord_values(j, x), dtype=float) - gam[j - 1]
-              for j in range(1, m + 1)]
+    for q, a, ys in rows:
         for k, psi in enumerate(psis):
             counts = np.ones(a.shape, dtype=np.int64)
             for y in ys:
@@ -198,6 +189,36 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
                 counts *= nb_j
             totals[k] += int(counts.sum())
     return totals
+
+
+def _membership(curve: Curve, Q: float, psi: float, B: tuple[float, float], theta: Shift):
+    """The defining inequalities of R as a test of one triple ``(q, a, bs)``.
+
+    The q-range and the window are decided in exact rationals, and so is
+    every coordinate with an exact rational evaluator (the polynomial
+    catalog); a coordinate without one is evaluated in double precision.
+    """
+    lam, gam = theta
+    lamF, psiF = Fraction(lam), Fraction(psi)
+    loF, hiF = Fraction(B[0]), Fraction(B[1])
+    exact = [curve.exact_coord(j) for j in range(1, curve.n)]
+
+    def member(q: int, a: int, bs: Sequence[int]) -> bool:
+        if not (2 * q > Q and q <= Q):
+            return False
+        ptF = (a + lamF) / q
+        if not (loF <= ptF <= hiF):
+            return False
+        for j, (f, g, b) in enumerate(zip(exact, gam, bs), start=1):
+            if f is None:
+                inside = abs(q * float(curve.coord_values(j, float(ptF))) - g - b) < psi
+            else:
+                inside = abs(q * f(ptF) - Fraction(g) - b) < psiF
+            if not inside:
+                return False
+        return True
+
+    return member
 
 
 def recheck_triples(curve: Curve, result: CountResult, sample: Optional[int] = None,
@@ -213,80 +234,19 @@ def recheck_triples(curve: Curve, result: CountResult, sample: Optional[int] = N
     if sample is not None and len(rows) > sample:
         rng = rng or np.random.default_rng(0)
         rows = rows[rng.choice(len(rows), size=sample, replace=False)]
-    lam, gam = result.theta
-    lamF = Fraction(lam)
-    psiF = Fraction(result.psi)
-    loF, hiF = Fraction(result.B[0]), Fraction(result.B[1])
-    for row in rows:
-        q, a, bs = int(row[0]), int(row[1]), [int(v) for v in row[2:]]
-        if not (2 * q > result.Q and q <= result.Q):
-            return False
-        ptF = (a + lamF) / q
-        if not (loF <= ptF <= hiF):
-            return False
-        for j, b in enumerate(bs, start=1):
-            exact = curve.exact_coord(j)
-            if exact is None:
-                val = abs(q * float(curve.coord_values(j, float(ptF))) - gam[j - 1] - b)
-                if not val < result.psi:
-                    return False
-            else:
-                val = abs(q * exact(ptF) - Fraction(gam[j - 1]) - b)
-                if not val < psiF:
-                    return False
-    return True
+    member = _membership(curve, result.Q, result.psi, result.B, result.theta)
+    return all(member(int(row[0]), int(row[1]), [int(v) for v in row[2:]]) for row in rows)
 
 
 def witness_in_R(w: RationalWitness, curve: Curve, Q: float, psi: float,
                  B: tuple[float, float], theta=None) -> bool:
     """Direct membership test of a witness in the defining inequalities."""
-    m = curve.n - 1
-    lam, gam = _normalise_theta(theta, m)
-    if not (2 * w.q > Q and w.q <= Q):
-        return False
-    pt = (w.a[0] + lam) / w.q
-    if not (B[0] <= pt <= B[1]):
-        return False
-    for j in range(1, m + 1):
-        val = abs(w.q * float(curve.coord_values(j, pt)) - gam[j - 1] - w.b[j - 1])
-        if not val < psi:
-            return False
-    return True
+    member = _membership(curve, Q, psi, B, normalise_theta(theta, curve.n - 1))
+    return member(w.q, w.a[0], w.b)
 
 
 # ---------------------------------------------------------------------------
 # interval unions and coverage
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Sorted disjoint closed intervals; measure is the sum of lengths."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[tuple[float, float]]) -> "IntervalUnion":
-        items = sorted((float(lo), float(hi)) for lo, hi in intervals if hi >= lo)
-        merged: list[list[float]] = []
-        for lo, hi in items:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(intervals=tuple((lo, hi) for lo, hi in merged))
-
-    @property
-    def measure(self) -> float:
-        return math.fsum(hi - lo for lo, hi in self.intervals)
-
-    def clipped(self, clip: tuple[float, float]) -> "IntervalUnion":
-        lo_c, hi_c = clip
-        out = []
-        for lo, hi in self.intervals:
-            lo2, hi2 = max(lo, lo_c), min(hi, hi_c)
-            if hi2 >= lo2:
-                out.append((lo2, hi2))
-        return IntervalUnion(intervals=tuple(out))
 
 
 def interval_union_measure(intervals: Iterable[tuple[float, float]],
@@ -374,7 +334,7 @@ class LowerBoundCheck:
 def lower_bound_check(count: int, B: tuple[float, float], C0: float, psi: float,
                       Q: float, n: int, K0: float) -> LowerBoundCheck:
     """count >= |B|/(4 C0) psi^{n-1} Q^2, guarded by the admissibility window."""
-    floor = K0 * Q ** (-3.0 / (2 * n - 1))
+    floor = psi_floor(Q, 1, n - 1, K0)
     in_regime = floor <= psi < 1
     size = max(0.0, B[1] - B[0])
     bound = size / (4.0 * C0) * psi ** (n - 1) * Q**2

@@ -62,7 +62,7 @@ class DerivedConstants:
 
     def interior_rho(self, Q: float, psi: float) -> float:
         """Interior margin required of x by the witness construction (inner scale)."""
-        return (psi**self.m * Q ** (self.d + 1)) ** (-1.0 / self.d) / (2.0 * self.c)
+        return _interior_rho(Q, psi, self.d, self.m, self.c)
 
     def taming_factor(self) -> float:
         """(1 + M d^2 / 2c)(n+1)/c, the psi-rescaling between the two scales."""
@@ -82,6 +82,23 @@ class WitnessReport:
     point: tuple[float, ...]
 
 
+def _floor_exponent(d: int, m: int) -> float:
+    return (d + 2) / (2 * m + d)
+
+
+def psi_floor(Q: float, d: int, m: int, K0: float = 1.0) -> float:
+    """The admissibility floor K0 Q^{-(d+2)/(2m+d)} of psi.
+
+    K0 = 1 at the inner scale of the witness construction; the derived K0 at
+    the outer scale of the counting statements.
+    """
+    return K0 * Q ** -_floor_exponent(d, m)
+
+
+def _interior_rho(Q: float, psi: float, d: int, m: int, c: float) -> float:
+    return (psi**m * Q ** (d + 1)) ** (-1.0 / d) / (2.0 * c)
+
+
 def derive_constants(n: int, d: int, m: int, M: float, c: float) -> DerivedConstants:
     """K0 at its minimal allowed value and C0 exactly per its defining formula."""
     if n != d + m:
@@ -91,12 +108,12 @@ def derive_constants(n: int, d: int, m: int, M: float, c: float) -> DerivedConst
     if M < 0:
         raise ValueError("M must be nonnegative")
     fac = (1.0 + M * d * d / (2.0 * c)) * (n + 1) / c
-    K0 = (4.0 * (n + 1)) ** ((d + 2) / (2 * m + d)) * fac
+    K0 = (4.0 * (n + 1)) ** _floor_exponent(d, m) * fac
     C0 = ((4.0 * (n + 1)) ** (d + 1) * fac**m) ** (1.0 / d) / (2.0 * c)
     return DerivedConstants(n=n, d=d, m=m, M=float(M), c=float(c), K0=K0, C0=C0)
 
 
-# (curve, x, params, dtype, reduction) of the last point reduced here, so that
+# (curve, x, params, reduction) of the last point reduced here, so that
 # goodset_delta followed by detect_witness at one point reduces its lattice once
 _last_reduction: Optional[tuple] = None
 
@@ -105,11 +122,10 @@ def _reduction_at(curve: Curve, x: float, params: ApproxParams) -> lat.LatticeRe
     """``lattice.reduce_at``, reusing the record of the last point asked for."""
     global _last_reduction
     last = _last_reduction
-    if (last is not None and last[0] is curve and last[1] == x and last[2] == params
-            and last[3] is lat.real_dtype()):
-        return last[4]
+    if last is not None and last[0] is curve and last[1] == x and last[2] == params:
+        return last[3]
     reduction = lat.reduce_at(curve, x, params)
-    _last_reduction = (curve, x, params, lat.real_dtype(), reduction)
+    _last_reduction = (curve, x, params, reduction)
     return reduction
 
 
@@ -126,11 +142,6 @@ def in_good_set(curve: Curve, x: float, params: ApproxParams,
     that count good-set measure should treat them separately.
     """
     return goodset_delta(curve, x, params) >= 1.0 - guard
-
-
-def psi_floor(params: ApproxParams) -> float:
-    """The admissibility floor Q^{-(d+2)/(2m+d)} for psi."""
-    return params.Q ** (-(params.d + 2) / (2 * params.m + params.d))
 
 
 def detect_witness(curve: Curve, x: float, params: ApproxParams,
@@ -150,10 +161,10 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
     with w0 = 3(n+1)Q, which lands q inside the stated positive range; the
     plus-sign variant would produce q near -3(n+1)Q instead.
     """
-    if params.psi < psi_floor(params) * (1 - 1e-12):
-        raise PreconditionError(
-            f"psi={params.psi} below the admissibility floor {psi_floor(params):.3g}")
-    rho = (params.psi**params.m * params.Q ** (params.d + 1)) ** (-1.0 / params.d) / (2 * params.c)
+    floor = psi_floor(params.Q, params.d, params.m)
+    if params.psi < floor * (1 - 1e-12):
+        raise PreconditionError(f"psi={params.psi} below the admissibility floor {floor:.3g}")
+    rho = _interior_rho(params.Q, params.psi, params.d, params.m, params.c)
     lo, hi = params.B
     if not (lo + rho <= x <= hi - rho):
         raise PreconditionError(f"x={x} outside the rho-interior of B={params.B}")
@@ -252,11 +263,10 @@ def corollary_map(params: ApproxParams, consts: DerivedConstants) -> tuple[float
     rho = (1/2c)(psi^m Q^{d+1})^{-1/d} = C0 (psi~^m Q~^{d+1})^{-1/d}.
     """
     n = params.n
-    floor = consts.K0 * params.Q ** (-(params.d + 2) / (2 * params.m + params.d))
+    floor = psi_floor(params.Q, params.d, params.m, consts.K0)
     if params.psi < floor * (1 - 1e-12):
         raise PreconditionError(
             f"psi~={params.psi} below K0 * Q~^(-(d+2)/(2m+d)) = {floor:.3g}")
     Q = params.Q / (4.0 * (n + 1))
     psi = params.psi / consts.taming_factor()
-    rho = (psi**params.m * Q ** (params.d + 1)) ** (-1.0 / params.d) / (2.0 * consts.c)
-    return Q, psi, rho
+    return Q, psi, _interior_rho(Q, psi, params.d, params.m, consts.c)

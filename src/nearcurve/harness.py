@@ -28,11 +28,11 @@ from .counting import (
     write_triples_csv,
 )
 from .curves import Curve, resolve_curve, second_derivative_bound
-from .detector import derive_constants, detect_witness, goodset_delta, verify_witness
+from .detector import derive_constants, detect_witness, goodset_delta, psi_floor, verify_witness
 from .errors import ConfigError, PreconditionError
 from .goodness import MinorSpec, hodge_dual_basis, phi_closed_form, phi_minor, qnd_bound_check, scale_factor
 from .intlinalg import rank_int
-from .lattice import ApproxParams, build_G, build_h
+from .lattice import ApproxParams, Shift, build_G, build_h, normalise_theta
 from .plots import svg_loglog
 
 
@@ -125,19 +125,8 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
             writer.writerow([v if isinstance(v, (str, int)) else _fmt(v) for v in row])
 
 
-def _theta(cfg: ExperimentConfig, m: int) -> tuple[float, tuple[float, ...]]:
-    gam = cfg.theta_gamma
-    if not gam:
-        gam = (0.0,) * m
-    elif len(gam) == 1 and m > 1:
-        gam = gam * m
-    elif len(gam) != m:
-        raise ConfigError(f"theta.gamma must have length {m} for this curve")
-    return cfg.theta_lambda, gam
-
-
-def _params(cfg: ExperimentConfig, curve: Curve, Q: float, psi: float) -> ApproxParams:
-    lam, gam = _theta(cfg, curve.n - 1)
+def _params(cfg: ExperimentConfig, curve: Curve, theta: Shift, Q: float, psi: float) -> ApproxParams:
+    lam, gam = theta
     return ApproxParams.for_curve(curve, c=cfg.c, Q=Q, psi=psi, B=cfg.B, lam=lam, gamma=gam)
 
 
@@ -180,6 +169,10 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     m = curve.n - 1
+    try:
+        theta = normalise_theta((cfg.theta_lambda, cfg.theta_gamma), m)
+    except ValueError as exc:
+        raise ConfigError(f"theta.gamma must have length {m} for this curve") from exc
     M = cfg.M if cfg.M is not None else second_derivative_bound(curve, cfg.B)
     consts = derive_constants(curve.n, 1, m, M, cfg.c)
 
@@ -192,7 +185,7 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
         "identities": _run_identities,
         "scaling": _run_scaling,
     }[mode]
-    files, checks, summary = runner(cfg, curve, consts, out, seed, jobs)
+    files, checks, summary = runner(cfg, curve, consts, theta, out, seed, jobs)
 
     manifest = {
         "package": f"nearcurve {__version__}",
@@ -219,12 +212,10 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
                              checks_passed=checks, summary=summary)
 
 
-def _run_count(cfg, curve, consts, out, seed, jobs):
-    lam, gam = _theta(cfg, curve.n - 1)
-
+def _run_count(cfg, curve, consts, theta, out, seed, jobs):
     def work(cell):
         Q, psi = cell
-        res = enumerate_R(curve, Q, psi, cfg.B, (lam, gam), collect=cfg.count_write_triples)
+        res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=cfg.count_write_triples)
         lb = lower_bound_check(res.count, cfg.B, consts.C0, psi, Q, curve.n, consts.K0)
         return res, lb
 
@@ -249,14 +240,13 @@ def _run_count(cfg, curve, consts, out, seed, jobs):
     return files, checks, {"cells": len(rows), "total_count": total}
 
 
-def _run_detect(cfg, curve, consts, out, seed, jobs):
-    lam, gam = _theta(cfg, curve.n - 1)
+def _run_detect(cfg, curve, consts, theta, out, seed, jobs):
     m = curve.n - 1
     files = []
     n_good = 0
     n_fail = 0
     for Q, psi in _cells(cfg):
-        params = _params(cfg, curve, Q, psi)
+        params = _params(cfg, curve, theta, Q, psi)
         rho = consts.interior_rho(Q, psi)
         xs = [x for x in _grid(cfg.B, cfg.grid_points)
               if cfg.B[0] + rho <= x <= cfg.B[1] - rho]
@@ -288,17 +278,15 @@ def _run_detect(cfg, curve, consts, out, seed, jobs):
     return files, checks, {"good_points": n_good, "failures": n_fail}
 
 
-def _run_coverage(cfg, curve, consts, out, seed, jobs):
-    lam, gam = _theta(cfg, curve.n - 1)
+def _run_coverage(cfg, curve, consts, theta, out, seed, jobs):
     size = cfg.B[1] - cfg.B[0]
 
     def work(cell):
         Q, psi = cell
         rho = consts.rho(Q, psi) * cfg.coverage_rho_scale
-        res = enumerate_R(curve, Q, psi, cfg.B, (lam, gam), collect=True)
-        cov = delta_coverage(res, rho, cfg.B, lam)
-        floor = consts.K0 * Q ** (-(1 + 2) / (2 * (curve.n - 1) + 1))
-        return rho, res.count, cov, psi >= floor
+        res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=True)
+        cov = delta_coverage(res, rho, cfg.B, theta[0])
+        return rho, res.count, cov, psi >= psi_floor(Q, consts.d, consts.m, consts.K0)
 
     results = _map_cells(work, _cells(cfg), jobs)
     rows = []
@@ -314,11 +302,11 @@ def _run_coverage(cfg, curve, consts, out, seed, jobs):
     return [path], checks, {"cells": len(rows)}
 
 
-def _run_goodset(cfg, curve, consts, out, seed, jobs):
+def _run_goodset(cfg, curve, consts, theta, out, seed, jobs):
     files = []
     summary = {}
     for Q, psi in _cells(cfg):
-        params = _params(cfg, curve, Q, psi)
+        params = _params(cfg, curve, theta, Q, psi)
         xs = _grid(cfg.B, cfg.grid_points)
         rows = []
         n_good = 0
@@ -340,9 +328,9 @@ def _run_goodset(cfg, curve, consts, out, seed, jobs):
     return files, None, summary
 
 
-def _run_qnd(cfg, curve, consts, out, seed, jobs):
+def _run_qnd(cfg, curve, consts, theta, out, seed, jobs):
     Q, psi = cfg.Q_list[0], cfg.psi_list[0]
-    params = _params(cfg, curve, Q, psi)
+    params = _params(cfg, curve, theta, Q, psi)
     report = qnd_bound_check(curve, cfg.B, params, cfg.qnd_alpha, cfg.qnd_eps,
                              samples=cfg.qnd_samples)
     path = os.path.join(out, "qnd.csv")
@@ -362,11 +350,11 @@ def _draw_full_rank(rng, shape) -> np.ndarray:
             return G.astype(np.int64)
 
 
-def _run_identities(cfg, curve, consts, out, seed, jobs):
+def _run_identities(cfg, curve, consts, theta, out, seed, jobs):
     rng = np.random.default_rng(seed)
     n = curve.n
     Q, psi = cfg.Q_list[0], cfg.psi_list[0]
-    params = _params(cfg, curve, Q, psi)
+    params = _params(cfg, curve, theta, Q, psi)
     rows = []
     worst = 0.0
 
@@ -409,10 +397,7 @@ def _run_identities(cfg, curve, consts, out, seed, jobs):
                                          "worst_rel_err": float(worst)}
 
 
-def _run_scaling(cfg, curve, consts, out, seed, jobs):
-    lam, gam = _theta(cfg, curve.n - 1)
-    theta = (lam, gam)
-
+def _run_scaling(cfg, curve, consts, theta, out, seed, jobs):
     def work(Q):
         return count_R_psi_sweep(curve, Q, cfg.psi_list, cfg.B, theta)
 

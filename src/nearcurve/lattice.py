@@ -25,23 +25,30 @@ from .intlinalg import is_unimodular
 
 log = logging.getLogger("nearcurve")
 
-_REAL_DTYPE = np.float64
-
 MAX_SVP_DIM = 8
 MAX_MINIMA_DIM = 6
 
-
-def set_precision(name: str) -> None:
-    """Select the float type for lattice matrices: 'double' or 'extended'."""
-    global _REAL_DTYPE
-    table = {"double": np.float64, "extended": np.longdouble}
-    if name not in table:
-        raise ValueError(f"unknown precision {name!r}")
-    _REAL_DTYPE = table[name]
+Shift = tuple[float, tuple[float, ...]]  # (lambda, gamma_1..gamma_m), d = 1
 
 
-def real_dtype():
-    return _REAL_DTYPE
+def normalise_theta(theta, m: int) -> Shift:
+    """The shift theta = (lambda, gamma) of a curve with m coordinates, as floats.
+
+    ``None`` or ``0`` is the zero shift.  lambda may be a number or a 1-tuple;
+    gamma may be a number, empty (all zero), one value (repeated m times) or
+    m values.  Any other gamma length raises ValueError.
+    """
+    if theta is None or (isinstance(theta, (int, float)) and theta == 0):
+        return 0.0, (0.0,) * m
+    lam, gam = theta
+    if isinstance(lam, (tuple, list)):
+        lam = lam[0]
+    gam = tuple(float(v) for v in ((gam,) if isinstance(gam, (int, float)) else gam))
+    if len(gam) <= 1:  # no gamma, or one value for every coordinate
+        gam = (gam or (0.0,)) * m
+    if len(gam) != m:
+        raise ValueError(f"gamma must have length {m}")
+    return float(lam), gam
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,9 @@ class ApproxParams:
                   B: tuple[float, float], lam: float = 0.0,
                   gamma: Optional[Sequence[float]] = None) -> "ApproxParams":
         m = curve.n - 1
-        gam = tuple(gamma) if gamma is not None else (0.0,) * m
-        if len(gam) == 1 and m > 1:
-            gam = gam * m
+        lam, gam = normalise_theta((lam, () if gamma is None else gamma), m)
         return cls(c=c, Q=Q, psi=psi, d=1, m=m, B=(float(B[0]), float(B[1])),
-                   theta=((float(lam),), gam))
+                   theta=((lam,), gam))
 
 
 @dataclass(frozen=True)
@@ -152,15 +157,15 @@ def monge_frame_matrix(x_vec: Sequence[float], f_vals: Sequence[float],
 
     The determinant is +-1 by cofactor expansion along the unit structure.
     """
-    x_vec = np.asarray(x_vec, dtype=_REAL_DTYPE)
-    f_vals = np.asarray(f_vals, dtype=_REAL_DTYPE)
-    jac = np.asarray(jac, dtype=_REAL_DTYPE)
+    x_vec = np.asarray(x_vec, dtype=float)
+    f_vals = np.asarray(f_vals, dtype=float)
+    jac = np.asarray(jac, dtype=float)
     d = x_vec.shape[0]
     m = f_vals.shape[0]
     if jac.shape != (m, d):
         raise ValueError("jacobian must have shape (m, d)")
     n = d + m
-    G = np.zeros((n + 1, n + 1), dtype=_REAL_DTYPE)
+    G = np.zeros((n + 1, n + 1), dtype=float)
     g_vals = f_vals - jac @ x_vec
     for j in range(m):
         G[j, 0] = g_vals[j]
@@ -185,7 +190,7 @@ def scaling_diagonal(params: ApproxParams) -> np.ndarray:
     """Diagonal of g(c, Q, psi): m copies of psi, d copies of (psi^m Q)^(-1/d), then cQ."""
     mid = (params.psi ** params.m * params.Q) ** (-1.0 / params.d)
     diag = [params.psi] * params.m + [mid] * params.d + [params.c * params.Q]
-    return np.asarray(diag, dtype=_REAL_DTYPE)
+    return np.asarray(diag, dtype=float)
 
 
 def build_scaling(params: ApproxParams) -> np.ndarray:
@@ -242,7 +247,7 @@ def lll_reduce(basis, delta: float = 0.99, max_swaps: Optional[int] = None):
     Returns ``(W, U)`` where ``W = basis @ U`` is the reduced basis and ``U``
     is a list of integer columns (exact arithmetic) with ``|det U| = 1``.
     """
-    B = np.array(basis, dtype=_REAL_DTYPE)
+    B = np.array(basis, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("basis must be a square matrix of column vectors")
     n = B.shape[1]
@@ -333,7 +338,7 @@ def _enumerate_ball(W: np.ndarray, norms2, mu, radius2_fn, visit) -> None:
 
 def _lll_prologue(basis, max_dim: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Square and size checks, one LLL run: ``(source, W, U)`` with ``W = source @ U``."""
-    B = np.asarray(basis, dtype=_REAL_DTYPE)
+    B = np.asarray(basis, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("basis must be square")
     dim = B.shape[0]

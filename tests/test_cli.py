@@ -80,9 +80,7 @@ def test_precision_flag(tmp_path):
         Q_list = 10
         output_dir = {tmp_path}/prec
     """)
-    try:
-        assert main(["count", "--config", cfg, "--precision", "extended"]) == 0
-    finally:
-        import nearcurve
-
-        nearcurve.set_precision("double")
+    assert main(["count", "--config", cfg, "--precision", "double"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--config", cfg, "--precision", "extended"])
+    assert exc.value.code == 2

@@ -6,7 +6,6 @@ import pytest
 import nearcurve as nc
 from nearcurve import counting
 from nearcurve.counting import (
-    IntervalUnion,
     count_R_psi_sweep,
     enumerate_R,
     recheck_triples,
@@ -81,6 +80,32 @@ def test_count_psi_sweep_consistency(parabola):
     assert sweep == direct
 
 
+def test_count_psi_sweep_validates_like_enumerate(parabola):
+    mixed = nc.resolve_curve("mixed")
+    bad = [
+        (parabola, 16, [1.5, 0.0, -0.2], (0.0, 1.0), None),
+        (parabola, 16, [0.3, 1.0], (0.0, 1.0), None),
+        (mixed, 16, [0.3], (0.0, 99.0), None),
+        (parabola, 1, [0.3], (0.0, 1.0), None),
+        (parabola, 1 << 17, [0.3], (0.0, 1.0), None),
+        (parabola, 16, [0.3], (0.0, 1.0), (0.0, (0.1, 0.2))),
+    ]
+    for curve, Q, psis, B, theta in bad:
+        with pytest.raises(ValueError):
+            count_R_psi_sweep(curve, Q, psis, B, theta)
+        raised = 0
+        for psi in psis:
+            try:
+                enumerate_R(curve, Q, psi, B, theta, collect=False)
+            except ValueError:
+                raised += 1
+        assert raised > 0
+    psis = [0.1, 0.4]
+    assert count_R_psi_sweep(parabola, 16, psis, (0.7, 0.2)) == [0, 0]
+    assert count_R_psi_sweep(mixed, 16, psis, (5.0, -5.0)) == [0, 0]
+    assert [enumerate_R(parabola, 16, p, (0.7, 0.2)).count for p in psis] == [0, 0]
+
+
 def test_homogeneous_reflection_symmetry(parabola):
     left = enumerate_R(parabola, 200, 0.3, (-0.9, -0.2), collect=False)
     right = enumerate_R(parabola, 200, 0.3, (0.2, 0.9), collect=False)
@@ -92,6 +117,19 @@ def test_witnesses_property(parabola):
     ws = res.witnesses
     assert len(ws) == 41
     assert all(witness_in_R(w, parabola, 10, 0.5, (0.0, 1.0)) for w in ws)
+
+
+def test_membership_decides_ties_exactly(parabola):
+    # 6720^2 - 5735 * 7875 = -0.6 * 7875: the exact distance 3/5 exceeds the double 0.6,
+    # while the double evaluation of q f(a/q) - b lands inside
+    w = nc.RationalWitness(q=7875, a=(6720,), b=(5735,))
+    assert not witness_in_R(w, parabola, 8192, 0.6, (0.0, 1.0))
+    tie = counting.CountResult(Q=8192, psi=0.6, B=(0.0, 1.0), theta=(0.0, (0.0,)), count=1,
+                               boundary=0, triples=np.array([[7875, 6720, 5735]]))
+    assert not recheck_triples(parabola, tie)
+    inside = nc.RationalWitness(q=7875, a=(6720,), b=(5734,))  # distance 2/5
+    assert witness_in_R(inside, parabola, 8192, 0.6, (0.0, 1.0))
+    assert not witness_in_R(inside, parabola, 8192, 0.3, (0.0, 1.0))
 
 
 def test_delta_coverage_examples():
@@ -126,10 +164,9 @@ def test_interval_union_examples():
     assert nc.interval_union_measure([(0, 1), (0.5, 2)], clip=(0, 1.5)) == pytest.approx(1.5)
     assert nc.interval_union_measure([]) == 0.0
     assert nc.interval_union_measure([(3, 4), (0, 1)]) == pytest.approx(2.0)
-    union = IntervalUnion.from_intervals([(0, 1), (0.5, 2), (3, 4)])
-    assert union.intervals == ((0.0, 2.0), (3.0, 4.0))
-    assert union.measure == pytest.approx(3.0)
-    assert union.clipped((0.5, 3.5)).measure == pytest.approx(2.0)
+    union = [(0, 1), (0.5, 2), (3, 4)]
+    assert nc.interval_union_measure(union) == pytest.approx(3.0)
+    assert nc.interval_union_measure(union, clip=(0.5, 3.5)) == pytest.approx(2.0)
 
 
 def test_interval_union_array_matches_tuples(rng):
@@ -149,8 +186,6 @@ def test_interval_union_grid_oracle(rng):
     exact = nc.interval_union_measure(intervals, clip=(0.0, 10.0))
     approx = grid_union_measure(intervals, (0.0, 10.0), cells=1_000_000)
     assert abs(exact - approx) < 1e-3  # grid oracle resolution 1e-5 * count scale
-    merged = IntervalUnion.from_intervals(intervals).clipped((0.0, 10.0)).measure
-    assert merged == pytest.approx(exact, abs=1e-12)
 
 
 def test_scaling_fit_examples():

@@ -206,17 +206,12 @@ def test_goodset_delta_then_witness_reduces_once(parabola, monkeypatch):
     w = nc.detect_witness(parabola, x, p)
     assert len(calls) == 1
     assert w == nc.detect_witness(parabola, x, p, reduction=nc.reduce_at(parabola, x, p))
-    # another point, other parameters or another precision reduce afresh
+    # another point or other parameters reduce afresh
     calls.clear()
     p2 = _params(parabola, c=0.01, Q=2000.0, psi=0.3)
     nc.goodset_delta(parabola, x, p2)
     nc.goodset_delta(parabola, x + 1e-3, p)
-    try:
-        nc.set_precision("extended")
-        nc.goodset_delta(parabola, x + 1e-3, p)
-    finally:
-        nc.set_precision("double")
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_detect_witness_float_verification_path():

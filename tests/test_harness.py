@@ -189,6 +189,33 @@ def test_run_coverage_and_rho_scale(tmp_path):
     assert doomed.checks_passed is False
 
 
+def test_count_and_coverage_agree_on_regime(tmp_path):
+    # K0 = 72 here, so the floor at Q = 256 is the dyadic 72/256 = 0.28125
+    cfg = _cfg(
+        f"""
+        curve = parabola
+        B = 0,1
+        c = 1.0
+        M = 2
+        psi_list = 0.28,0.28125,0.29
+        Q_list = 256
+        count.write_triples = false
+        output_dir = {tmp_path}/r
+        """
+    )
+    run_experiment(cfg, mode="count")
+    run_experiment(cfg, mode="coverage")
+
+    def regime(name):
+        rows = Path(f"{tmp_path}/r/{name}").read_text().splitlines()
+        col = rows[0].split(",").index("in_regime")
+        return {tuple(r.split(",")[:2]): r.split(",")[col] for r in rows[1:]}
+
+    counts, coverage = regime("counts.csv"), regime("coverage.csv")
+    assert counts == coverage
+    assert [counts[("256", psi)] for psi in ("0.28", "0.28125", "0.29")] == ["no", "yes", "yes"]
+
+
 def test_run_scaling_and_identities(tmp_path):
     cfg = _cfg(
         f"""

@@ -216,16 +216,3 @@ def test_minkowski_product_on_good_lattice(parabola):
         hits += 1
     assert hits >= 2  # the c = 0.01 good set covers almost all of B
 
-
-def test_extended_precision_mode(parabola):
-    nc.set_precision("extended")
-    try:
-        p = _params(parabola, c=1.0, Q=100.0, psi=0.1)
-        A = curve_lattice_basis(parabola, 0.437, p)
-        assert A.dtype == np.longdouble
-        delta, _ = nc.shortest_sup(A)
-        assert delta > 0
-    finally:
-        nc.set_precision("double")
-    with pytest.raises(ValueError):
-        nc.set_precision("quad")
