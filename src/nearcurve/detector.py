@@ -66,7 +66,7 @@ class DerivedConstants:
 
     def taming_factor(self) -> float:
         """(1 + M d^2 / 2c)(n+1)/c, the psi-rescaling between the two scales."""
-        return (1.0 + self.M * self.d**2 / (2.0 * self.c)) * (self.n + 1) / self.c
+        return _taming_factor(self.n, self.d, self.M, self.c)
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,10 @@ def psi_floor(Q: float, d: int, m: int, K0: float = 1.0) -> float:
     return K0 * Q ** -_floor_exponent(d, m)
 
 
+def _taming_factor(n: int, d: int, M: float, c: float) -> float:
+    return (1.0 + M * d**2 / (2.0 * c)) * (n + 1) / c
+
+
 def _interior_rho(Q: float, psi: float, d: int, m: int, c: float) -> float:
     return (psi**m * Q ** (d + 1)) ** (-1.0 / d) / (2.0 * c)
 
@@ -107,7 +111,7 @@ def derive_constants(n: int, d: int, m: int, M: float, c: float) -> DerivedConst
         raise ValueError("dimensions must be >= 1 and c > 0")
     if M < 0:
         raise ValueError("M must be nonnegative")
-    fac = (1.0 + M * d * d / (2.0 * c)) * (n + 1) / c
+    fac = _taming_factor(n, d, M, c)
     K0 = (4.0 * (n + 1)) ** _floor_exponent(d, m) * fac
     C0 = ((4.0 * (n + 1)) ** (d + 1) * fac**m) ** (1.0 / d) / (2.0 * c)
     return DerivedConstants(n=n, d=d, m=m, M=float(M), c=float(c), K0=K0, C0=C0)
@@ -222,7 +226,7 @@ def verify_witness(w: RationalWitness, curve: Curve, x: float, params: ApproxPar
     q_hi = 4.0 * (n + 1) * params.Q
     q_range_ok = q_lo < w.q < q_hi
 
-    x_limit = (n + 1) / params.c * (params.psi**m * params.Q) ** (-1.0 / d)
+    x_limit = (n + 1) / params.c * params.x_scale
     f_limit = consts.taming_factor() * params.psi
 
     xF = Fraction(x)

@@ -83,6 +83,11 @@ class ApproxParams:
     def n(self) -> int:
         return self.d + self.m
 
+    @property
+    def x_scale(self) -> float:
+        """(psi^m Q)^(-1/d), the x-block of the scaling diagonal g."""
+        return (self.psi ** self.m * self.Q) ** (-1.0 / self.d)
+
     @classmethod
     def for_curve(cls, curve: Curve, c: float, Q: float, psi: float,
                   B: tuple[float, float], lam: float = 0.0,
@@ -188,8 +193,7 @@ def build_G(curve: Curve, x: float) -> np.ndarray:
 
 def scaling_diagonal(params: ApproxParams) -> np.ndarray:
     """Diagonal of g(c, Q, psi): m copies of psi, d copies of (psi^m Q)^(-1/d), then cQ."""
-    mid = (params.psi ** params.m * params.Q) ** (-1.0 / params.d)
-    diag = [params.psi] * params.m + [mid] * params.d + [params.c * params.Q]
+    diag = [params.psi] * params.m + [params.x_scale] * params.d + [params.c * params.Q]
     return np.asarray(diag, dtype=float)
 
 
@@ -216,72 +220,96 @@ def build_h(curve: Curve, x: float, params: ApproxParams) -> np.ndarray:
 # LLL reduction with exact integer transform
 
 
-def _gso(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt orthogonalisation of the columns; returns (B*, mu)."""
-    n = B.shape[1]
-    Bs = np.array(B, copy=True)
-    mu = np.eye(n, dtype=B.dtype)
-    for i in range(n):
-        v = np.array(B[:, i], copy=True)
-        for j in range(i):
-            denom = Bs[:, j] @ Bs[:, j]
-            if denom == 0:
-                raise ValueError("singular (or numerically singular) basis")
-            mu_ij = (B[:, i] @ Bs[:, j]) / denom
-            mu[i, j] = mu_ij
-            v -= mu_ij * Bs[:, j]
-        Bs[:, i] = v
-    return Bs, mu
+class LLLResult(tuple):
+    """``(W, U)`` of one ``lll_reduce`` run, carrying the Gram-Schmidt data of W.
+
+    ``mu[i]`` lists the coefficients mu_ij (j < i) and ``norms2[i]`` is
+    ``|b*_i|^2``, so ``|W t|_2^2 = sum_i norms2[i] * y_i^2`` with
+    ``y_i = t_i + sum_{j>i} mu[j][i] t_j``.
+    """
+
+    mu: list[list[float]]
+    norms2: list[float]
 
 
-def _check_nonsingular(Bs: np.ndarray, B: np.ndarray) -> None:
-    norms = np.sqrt(np.sum(np.asarray(Bs, dtype=float) ** 2, axis=0))
-    scale = float(np.max(np.abs(np.asarray(B, dtype=float)))) or 1.0
-    if np.min(norms) <= 1e-13 * scale:
-        raise ValueError("singular (or numerically singular) basis")
+def _gram_schmidt(cols: list[list[float]], scale: float) -> tuple[list[list[float]], list[float]]:
+    """Gram-Schmidt orthogonalisation of the columns: ``(mu, norms2)`` as in ``LLLResult``."""
+    stars: list[list[float]] = []
+    mu: list[list[float]] = []
+    norms2: list[float] = []
+    for b in cols:
+        v = list(b)
+        row = []
+        for bs, nj in zip(stars, norms2):
+            m = sum(x * y for x, y in zip(b, bs)) / nj
+            row.append(m)
+            v = [x - m * y for x, y in zip(v, bs)]
+        n2 = sum(x * x for x in v)
+        if math.sqrt(n2) <= 1e-13 * scale:
+            raise ValueError("singular (or numerically singular) basis")
+        stars.append(v)
+        mu.append(row)
+        norms2.append(n2)
+    return mu, norms2
 
 
-def lll_reduce(basis, delta: float = 0.99, max_swaps: Optional[int] = None):
+def lll_reduce(basis, delta: float = 0.99, max_swaps: Optional[int] = None) -> LLLResult:
     """Floating-point LLL on the columns of ``basis``.
 
     Returns ``(W, U)`` where ``W = basis @ U`` is the reduced basis and ``U``
     is a list of integer columns (exact arithmetic) with ``|det U| = 1``.
+    The Gram-Schmidt data is computed once and updated in place on each swap
+    (LLL 1982; Cohen, Alg. 2.6.3); the result carries it as ``mu`` and
+    ``norms2``.
     """
     B = np.array(basis, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("basis must be a square matrix of column vectors")
     n = B.shape[1]
+    b = B.T.tolist()  # columns
     U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
-    Bs, mu = _gso(B)
-    _check_nonsingular(Bs, B)
+    mu, norms2 = _gram_schmidt(b, float(np.max(np.abs(B))) or 1.0)
     if max_swaps is None:
         max_swaps = 10_000 * n * n
-    norms2 = np.sum(Bs * Bs, axis=0)
     k = 1
     swaps = 0
     while k < n:
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            q = int(round(float(mu[k, j])))
+            q = round(mk[j])
             if q:
-                B[:, k] -= q * B[:, j]
-                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
-                mu[k, :j] -= q * mu[j, :j]
-                mu[k, j] -= q
-        if norms2[k] >= (delta - float(mu[k, k - 1]) ** 2) * norms2[k - 1]:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                U[k] = [x - q * y for x, y in zip(U[k], U[j])]
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+                mk[j] -= q
+        m = mk[k - 1]
+        if norms2[k] >= (delta - m ** 2) * norms2[k - 1]:
             k += 1
-        else:
-            B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            U[k - 1], U[k] = U[k], U[k - 1]
-            Bs, mu = _gso(B)
-            norms2 = np.sum(Bs * Bs, axis=0)
-            k = max(k - 1, 1)
-            swaps += 1
-            if swaps > max_swaps:
-                # float flip-flop guard; the current basis still spans the lattice
-                log.warning("lll_reduce stopped after %d swaps in dimension %d; "
-                            "the basis may not be LLL-reduced", swaps, n)
-                break
-    return B, U
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        U[k - 1], U[k] = U[k], U[k - 1]
+        old = norms2[k - 1]
+        norms2[k - 1] = new = norms2[k] + m * m * old
+        norms2[k] = old * norms2[k] / new
+        mu[k - 1], mu[k] = mk[:k - 1], mu[k - 1] + [m * old / new]
+        m_new = mu[k][k - 1]
+        for row in mu[k + 1:]:
+            t = row[k]
+            row[k] = row[k - 1] - m * t
+            row[k - 1] = t + m_new * row[k]
+        k = max(k - 1, 1)
+        swaps += 1
+        if swaps > max_swaps:
+            # float flip-flop guard; the current basis still spans the lattice
+            log.warning("lll_reduce stopped after %d swaps in dimension %d; "
+                        "the basis may not be LLL-reduced", swaps, n)
+            break
+    B[...] = np.array(b).T  # keeps the memory layout of the input copy
+    result = LLLResult((B, U))
+    result.mu, result.norms2 = mu, norms2
+    return result
 
 
 def _u_columns_to_array(U: list[list[int]]) -> np.ndarray:
@@ -295,24 +323,14 @@ def _u_columns_to_array(U: list[list[int]]) -> np.ndarray:
 # enumeration
 
 
-def _triangular_data(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared GS norms and mu coefficients for norm evaluation.
-
-    For integer coefficients t, |W t|_2^2 = sum_i norms2[i] * y_i^2 with
-    y_i = t_i + sum_{j>i} mu[j, i] t_j.
-    """
-    Bs, mu = _gso(W)
-    norms2 = np.sum(Bs * Bs, axis=0)
-    return norms2, mu
-
-
-def _enumerate_ball(W: np.ndarray, norms2, mu, radius2_fn, visit) -> None:
+def _enumerate_ball(norms2, mu, radius2_fn, visit) -> None:
     """DFS over all nonzero integer t with |W t|_2^2 <= radius2_fn().
 
+    ``norms2`` and ``mu`` are the Gram-Schmidt data of W as in ``LLLResult``.
     ``visit(t)`` is called on every such coefficient vector.  The radius may
     shrink between calls (used by the shortest-vector search).
     """
-    n = W.shape[1]
+    n = len(norms2)
     t = [0] * n
 
     def dfs(level: int, acc: float) -> None:
@@ -323,29 +341,34 @@ def _enumerate_ball(W: np.ndarray, norms2, mu, radius2_fn, visit) -> None:
         rem = radius2_fn() - acc
         if rem < 0:
             return
-        center = -math.fsum(float(mu[j, level]) * t[j] for j in range(level + 1, n))
-        half = math.sqrt(rem / float(norms2[level]))
+        center = -math.fsum(mu[j][level] * t[j] for j in range(level + 1, n))
+        half = math.sqrt(rem / norms2[level])
         lo = math.ceil(center - half - 1e-9)
         hi = math.floor(center + half + 1e-9)
         for ti in range(lo, hi + 1):
             y = ti - center
             t[level] = ti
-            dfs(level - 1, acc + float(norms2[level]) * y * y)
+            dfs(level - 1, acc + norms2[level] * y * y)
         t[level] = 0
 
     dfs(n - 1, 0.0)
 
 
-def _lll_prologue(basis, max_dim: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Square and size checks, one LLL run: ``(source, W, U)`` with ``W = source @ U``."""
+def _lll_prologue(basis, max_dim: Optional[int] = None):
+    """Square and size checks, one LLL run: ``(source, W, U, norms2, mu)``.
+
+    ``W = source @ U``, and ``norms2``, ``mu`` are the Gram-Schmidt data of W
+    that the LLL run ends with.
+    """
     B = np.asarray(basis, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("basis must be square")
     dim = B.shape[0]
     if max_dim is not None and dim > max_dim:
         raise ValueError(f"dimension {dim} exceeds the supported {max_dim}")
-    W, Ucols = lll_reduce(B)
-    return B, W, _u_columns_to_array(Ucols)
+    run = lll_reduce(B)
+    W, Ucols = run
+    return B, W, _u_columns_to_array(Ucols), run.norms2, run.mu
 
 
 def reduce(basis) -> LatticeReduction:
@@ -355,25 +378,22 @@ def reduce(basis) -> LatticeReduction:
     sup-norm shortest vector all come from the same reduction, so callers that
     need more than one of them never reduce twice.
     """
-    B, W, U = _lll_prologue(basis, MAX_SVP_DIM)
+    B, W, U, norms2, mu = _lll_prologue(basis, MAX_SVP_DIM)
     dim = B.shape[0]
     sups = np.max(np.abs(W), axis=0)
     i0 = int(np.argmin(sups))
     state = {"best": float(sups[i0]), "t": tuple(1 if i == i0 else 0 for i in range(dim))}
-    norms2, mu = _triangular_data(W)
-    Wf = np.asarray(W, dtype=float)
 
     def radius2() -> float:
         return dim * state["best"] ** 2 * (1.0 + 1e-12)
 
     def visit(t) -> None:
-        v = Wf @ t
-        s = float(np.max(np.abs(v)))
+        s = float(np.max(np.abs(W @ t)))
         if s < state["best"]:
             state["best"] = s
             state["t"] = tuple(t)
 
-    _enumerate_ball(W, norms2, mu, radius2, visit)
+    _enumerate_ball(norms2, mu, radius2, visit)
     p = np.dot(U, np.array(state["t"], dtype=U.dtype))
     return LatticeReduction(dim=dim, columns=W, preimage=U, source=B, delta=state["best"], coords=p)
 
@@ -395,7 +415,7 @@ def shortest_sup(basis) -> tuple[float, np.ndarray]:
 
 def reduced_basis(basis) -> LatticeBasis:
     """LLL-reduced basis of the same lattice with its unimodular preimage."""
-    B, W, U = _lll_prologue(basis)
+    B, W, U, _, _ = _lll_prologue(basis)
     reduced = LatticeBasis(dim=B.shape[0], columns=W, preimage=U, source=B)
     reduced.assert_unimodular()
     return reduced
@@ -403,23 +423,21 @@ def reduced_basis(basis) -> LatticeBasis:
 
 def successive_minima_sup(basis) -> SuccessiveMinima:
     """Sup-norm successive minima by exhaustive enumeration (dim <= 6)."""
-    B, W, U = _lll_prologue(basis, MAX_MINIMA_DIM)
+    B, W, U, norms2, mu = _lll_prologue(basis, MAX_MINIMA_DIM)
     dim = B.shape[0]
     # every minimum is attained inside the ball that contains the basis itself
     S = float(np.max(np.abs(W)))
-    norms2, mu = _triangular_data(W)
-    Wf = np.asarray(W, dtype=float)
     found: list[tuple[float, tuple[int, ...]]] = []
 
     def radius2() -> float:
         return dim * S * S * (1.0 + 1e-9)
 
     def visit(t) -> None:
-        s = float(np.max(np.abs(Wf @ t)))
+        s = float(np.max(np.abs(W @ t)))
         if s <= S * (1.0 + 1e-12):
             found.append((s, tuple(t)))
 
-    _enumerate_ball(W, norms2, mu, radius2, visit)
+    _enumerate_ball(norms2, mu, radius2, visit)
     found.sort(key=lambda item: (item[0], item[1]))
     values: list[float] = []
     chosen: list[tuple[int, ...]] = []
@@ -440,5 +458,5 @@ def successive_minima_sup(basis) -> SuccessiveMinima:
     if len(chosen) < dim:
         raise AssertionError("enumeration failed to reach full rank")
     vecs = np.stack([np.dot(U, np.array(t, dtype=U.dtype)) for t in chosen], axis=1)
-    covol = float(np.prod(np.sqrt(norms2.astype(float))))
+    covol = float(np.prod(np.sqrt(norms2)))
     return SuccessiveMinima(values=np.array(values), achieving_vectors=vecs, covolume=covol)

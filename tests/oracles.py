@@ -100,3 +100,110 @@ def curve_delta_oracle(fvals_fn, x, c, Q, psi, cap=1.3):
                 worst = max(worst, abs(val - b) / psi)
             best = min(best, worst)
     return best
+
+
+def naive_gso(B):
+    """Gram-Schmidt orthogonalisation of the columns of B; returns (B*, mu)."""
+    n = B.shape[1]
+    Bs = np.array(B, copy=True)
+    mu = np.eye(n, dtype=B.dtype)
+    for i in range(n):
+        v = np.array(B[:, i], copy=True)
+        for j in range(i):
+            denom = Bs[:, j] @ Bs[:, j]
+            if denom == 0:
+                raise ValueError("singular (or numerically singular) basis")
+            mu_ij = (B[:, i] @ Bs[:, j]) / denom
+            mu[i, j] = mu_ij
+            v -= mu_ij * Bs[:, j]
+        Bs[:, i] = v
+    return Bs, mu
+
+
+def naive_lll(basis, delta=0.99, max_swaps=None):
+    """LLL that recomputes the whole Gram-Schmidt data after every swap.
+
+    The same column arithmetic, rounding and Lovasz test as
+    ``lattice.lll_reduce``; returns ``(W, U)`` with ``U`` a list of integer
+    columns.
+    """
+    B = np.array(basis, dtype=float)
+    n = B.shape[1]
+    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    Bs, mu = naive_gso(B)
+    norms = np.sqrt(np.sum(Bs**2, axis=0))
+    if np.min(norms) <= 1e-13 * (float(np.max(np.abs(B))) or 1.0):
+        raise ValueError("singular (or numerically singular) basis")
+    if max_swaps is None:
+        max_swaps = 10_000 * n * n
+    norms2 = np.sum(Bs * Bs, axis=0)
+    k = 1
+    swaps = 0
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = int(round(float(mu[k, j])))
+            if q:
+                B[:, k] -= q * B[:, j]
+                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
+                mu[k, :j] -= q * mu[j, :j]
+                mu[k, j] -= q
+        if norms2[k] >= (delta - float(mu[k, k - 1]) ** 2) * norms2[k - 1]:
+            k += 1
+        else:
+            B[:, [k - 1, k]] = B[:, [k, k - 1]]
+            U[k - 1], U[k] = U[k], U[k - 1]
+            Bs, mu = naive_gso(B)
+            norms2 = np.sum(Bs * Bs, axis=0)
+            k = max(k - 1, 1)
+            swaps += 1
+            if swaps > max_swaps:
+                break
+    return B, U
+
+
+def exact_lll_meets_tie(basis, delta=0.99):
+    """Whether LLL meets an exact tie, run in exact rationals on the float entries.
+
+    The steps are those of ``naive_lll``.  A tie is a coefficient mu that is
+    exactly a half-integer when it is rounded, or a Lovasz test that holds
+    with equality.  Floating-point kernels may decide a tie either way, so
+    two of them can part there and still both return an LLL-reduced basis.
+    """
+    from fractions import Fraction
+
+    A = np.asarray(basis, dtype=float)
+    n = A.shape[0]
+    b = [[Fraction(float(A[i, j])) for i in range(n)] for j in range(n)]
+    dlt = Fraction(delta)
+
+    def gso():
+        stars, mu = [], [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = list(b[i])
+            for j in range(i):
+                mu[i][j] = sum(x * y for x, y in zip(b[i], stars[j])) / sum(y * y for y in stars[j])
+                v = [x - mu[i][j] * y for x, y in zip(v, stars[j])]
+            stars.append(v)
+        return mu, [sum(x * x for x in v) for v in stars]
+
+    mu, norms2 = gso()
+    tie = False
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            tie |= (mu[k][j] - Fraction(1, 2)).denominator == 1
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        lhs, rhs = norms2[k], (dlt - mu[k][k - 1] ** 2) * norms2[k - 1]
+        tie |= lhs == rhs
+        if lhs >= rhs:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            mu, norms2 = gso()
+            k = max(k - 1, 1)
+    return tie

@@ -5,8 +5,8 @@ import pytest
 
 import nearcurve as nc
 from nearcurve.intlinalg import det_int
-from nearcurve.lattice import curve_lattice_basis, lll_reduce, scaling_diagonal
-from oracles import brute_svp_sup
+from nearcurve.lattice import MAX_SVP_DIM, curve_lattice_basis, lll_reduce, scaling_diagonal
+from oracles import brute_svp_sup, exact_lll_meets_tie, naive_gso, naive_lll
 
 
 def _params(curve, **kw):
@@ -216,3 +216,119 @@ def test_minkowski_product_on_good_lattice(parabola):
         hits += 1
     assert hits >= 2  # the c = 0.01 good set covers almost all of B
 
+
+
+def _check_lll_against_naive(A):
+    """``lll_reduce`` against ``naive_lll`` on one basis; True when it meets a tie.
+
+    Without an exact tie both take the same steps: the same U and a
+    bit-identical W.  At a tie they may part, and the result must still be an
+    LLL-reduced basis of the same lattice.
+    """
+    W, U = lll_reduce(A)
+    if not exact_lll_meets_tie(A):
+        W0, U0 = naive_lll(A)
+        assert U == U0 and W.tobytes() == W0.tobytes(), A.tolist()
+        return False
+    Um = np.array(U, dtype=np.int64).T
+    assert abs(det_int(Um.tolist())) == 1
+    assert np.allclose(W, A @ Um.astype(float), rtol=0, atol=1e-9 * np.max(np.abs(A)) * np.max(np.abs(Um)))
+    Bs, mu = naive_gso(W)
+    norms2 = np.sum(Bs * Bs, axis=0)
+    assert np.all(np.abs(np.tril(mu, -1)) <= 0.5 + 1e-6)
+    for k in range(1, len(norms2)):
+        assert norms2[k] >= (0.99 - 1e-6 - mu[k, k - 1] ** 2) * norms2[k - 1]
+    return True
+
+
+def test_lll_matches_naive_on_curve_bases():
+    # the incremental Gram-Schmidt update takes the same steps as a recompute
+    # after every swap; the grid holds x = 0.5, where the dyadic entries meet ties
+    xs = [0.1 + 0.8 * (i + 0.5) / 19 for i in range(19)]
+    checked = ties = 0
+    for name in ("parabola", "veronese:3"):
+        curve = nc.resolve_curve(name)
+        for c in (1.0, 0.01):
+            for Q in (1000.0, 10000.0):
+                for psi in (0.1, 0.3):
+                    p = _params(curve, c=c, Q=Q, psi=psi, B=(0.1, 0.9))
+                    for x in xs:
+                        ties += _check_lll_against_naive(curve_lattice_basis(curve, x, p))
+                        checked += 1
+    assert checked == 304 and ties <= 16
+
+
+def test_lll_matches_naive_on_integer_bases(rng):
+    # dimensions 2..MAX_SVP_DIM; entries in [-3, 3] meet ties often, entries
+    # up to 10^6 rarely
+    ties = 0
+    for dim in range(2, MAX_SVP_DIM + 1):
+        for span in (3,) * 8 + (10**6,) * 2:
+            A = rng.integers(-span, span + 1, size=(dim, dim))
+            while det_int(A.tolist()) == 0:
+                A = rng.integers(-span, span + 1, size=(dim, dim))
+            ties += _check_lll_against_naive(A.astype(float))
+    assert ties > 0
+
+
+def test_lll_rejects_singular_basis():
+    for A in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[1.0, 1.0], [1e-15, 0.0]])):
+        with pytest.raises(ValueError, match="singular"):
+            lll_reduce(A)
+        with pytest.raises(ValueError, match="singular"):
+            naive_lll(A)
+
+
+# reduce_at at fixed points with the detect.cfg cells (c = 0.01) and the
+# qnd.cfg cell (c = 1): (curve, c, Q, psi, x, repr(delta), coords).  Pinned so
+# that an ulp drift in any later lattice kernel change fails here.
+GOLDEN_REDUCTIONS = [
+    ("parabola", 0.01, 1000.0, 0.1, 0.1234, "1.2800000000000011", [8, 1, 0]),
+    ("parabola", 0.01, 1000.0, 0.1, 0.3579, "2.1429373999999983", [14, 5, 2]),
+    ("parabola", 0.01, 1000.0, 0.1, 0.618, "2.2000000000000597", [21, 13, 8]),
+    ("parabola", 0.01, 1000.0, 0.1, 0.8642, "3.6999999999999744", [15, 13, 11]),
+    ("parabola", 0.01, 1000.0, 0.3, 0.1234, "3.3333333333333335", [0, 0, 1]),
+    ("parabola", 0.01, 1000.0, 0.3, 0.3579, "3.1799999999997937", [-14, -5, -2]),
+    ("parabola", 0.01, 1000.0, 0.3, 0.618, "3.3333333333333335", [0, 0, 1]),
+    ("parabola", 0.01, 1000.0, 0.3, 0.8642, "3.3333333333333335", [0, 0, 1]),
+    ("parabola", 0.01, 10000.0, 0.1, 0.1234, "3.599999999998687", [154, 19, 2]),
+    ("parabola", 0.01, 10000.0, 0.1, 0.3579, "1.6842105000000167", [-95, -34, -12]),
+    ("parabola", 0.01, 10000.0, 0.1, 0.618, "2.0", [89, 55, 34]),
+    ("parabola", 0.01, 10000.0, 0.1, 0.8642, "1.6199999999999999", [162, 140, 121]),
+    ("parabola", 0.01, 10000.0, 0.3, 0.1234, "3.0000000000026716", [-235, -29, -4]),
+    ("parabola", 0.01, 10000.0, 0.3, 0.3579, "1.5000000000120508", [-95, -34, -12]),
+    ("parabola", 0.01, 10000.0, 0.3, 0.618, "3.3333333333333335", [0, 0, 1]),
+    ("parabola", 0.01, 10000.0, 0.3, 0.8642, "1.6199999999999997", [-162, -140, -121]),
+    ("parabola", 1.0, 10000.0, 0.3, 0.1234, "0.5", [-5000, -617, -76]),
+    ("parabola", 1.0, 10000.0, 0.3, 0.3579, "0.8019000000000001", [8019, 2870, 1027]),
+    ("parabola", 1.0, 10000.0, 0.3, 0.618, "0.12666666666653725", [-500, -309, -191]),
+    ("parabola", 1.0, 10000.0, 0.3, 0.8642, "0.6939999999966373", [-5000, -4321, -3734]),
+    ("veronese:3", 0.01, 1000.0, 0.1, 0.1234, "1.106", [-9, -1, 0, 0]),
+    ("veronese:3", 0.01, 1000.0, 0.1, 0.3579, "2.2", [22, 8, 3, 1]),
+    ("veronese:3", 0.01, 1000.0, 0.1, 0.618, "1.2460799999999992", [-8, -5, -3, -2]),
+    ("veronese:3", 0.01, 1000.0, 0.1, 0.8642, "1.3580000000000005", [1, 1, 1, 1]),
+    ("veronese:3", 0.01, 1000.0, 0.3, 0.1234, "1.152000000000001", [8, 1, 0, 0]),
+    ("veronese:3", 0.01, 1000.0, 0.3, 0.3579, "1.4000000000000001", [14, 5, 2, 1]),
+    ("veronese:3", 0.01, 1000.0, 0.3, 0.618, "2.1000000000000005", [-21, -13, -8, -5]),
+    ("veronese:3", 0.01, 1000.0, 0.3, 0.8642, "2.2", [22, 19, 16, 14]),
+    ("veronese:3", 0.01, 10000.0, 0.1, 0.1234, "1.2800000000000011", [8, 1, 0, 0]),
+    ("veronese:3", 0.01, 10000.0, 0.1, 0.3579, "1.1100000000001273", [109, 39, 14, 5]),
+    ("veronese:3", 0.01, 10000.0, 0.1, 0.618, "0.89", [89, 55, 34, 21]),
+    ("veronese:3", 0.01, 10000.0, 0.1, 0.8642, "1.2199999999997857", [59, 51, 44, 38]),
+    ("veronese:3", 0.01, 10000.0, 0.3, 0.1234, "2.35", [-235, -29, -4, 0]),
+    ("veronese:3", 0.01, 10000.0, 0.3, 0.3579, "1.183379491966674", [-95, -34, -12, -4]),
+    ("veronese:3", 0.01, 10000.0, 0.3, 0.618, "1.8000000000040473", [-89, -55, -34, -21]),
+    ("veronese:3", 0.01, 10000.0, 0.3, 0.8642, "1.6199999999999999", [162, 140, 121, 105]),
+    ("veronese:3", 1.0, 10000.0, 0.3, 0.1234, "0.6953", [-6953, -858, -106, -13]),
+    ("veronese:3", 1.0, 10000.0, 0.3, 0.3579, "0.5751938535734933", [2076, 743, 266, 95]),
+    ("veronese:3", 1.0, 10000.0, 0.3, 0.618, "0.12666666666659765", [-500, -309, -191, -118]),
+    ("veronese:3", 1.0, 10000.0, 0.3, 0.8642, "0.6939999999956772", [-5000, -4321, -3734, -3227]),
+]
+
+
+@pytest.mark.parametrize("name,c,Q,psi,x,delta,coords", GOLDEN_REDUCTIONS)
+def test_reduce_at_golden_values(name, c, Q, psi, x, delta, coords):
+    curve = nc.resolve_curve(name)
+    r = nc.reduce_at(curve, x, _params(curve, c=c, Q=Q, psi=psi, B=(0.1, 0.9)))
+    assert repr(r.delta) == delta
+    assert r.coords.tolist() == coords
