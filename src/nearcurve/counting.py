@@ -2,15 +2,24 @@
 
 The set under study collects integer triples (q, a, b) with Q/2 < q <= Q,
 (a + lambda)/q inside a window B, and every |q f_j((a+lambda)/q) - gamma_j - b_j|
-strictly below psi.  Enumeration is O(Q^2) per configuration and vectorised
-over a; all strict comparisons carry a guard band so triples landing within
-1e-12 of a boundary are tallied separately instead of silently included.
+strictly below psi.  Enumeration is O(Q^2) per configuration.  The q-range and
+the a-range of every q are decided in exact integers; the (q, a) pairs then
+run in flat, cache-sized blocks, and a psi sweep counts every psi of a Q from
+the same block of curve values.
+
+The b-window is decided in doubles: |y - b| < psi - 1e-12, with
+y = q f_j(x) - gamma_j, and triples within the 1e-12 guard band of the
+boundary are tallied as ``boundary``.  That keeps exact ties out only while
+the float error of y, about q 2^-52 on the unit window, stays below the
+absolute guard, so up to q of about 4500.  Beyond that an exact tie can be
+counted as inside: configs/scaling.cfg reports 30,171,993 triples at
+Q = 8192, psi = 0.6 against an exact 30,171,986.  An exact integer test is
+item 1 of ROADMAP.md.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -25,6 +34,7 @@ from .lattice import Shift, normalise_theta
 GUARD = 1e-12
 DEFAULT_Q_CAP = 1 << 16
 _CSV_BLOCK = 1 << 16  # rows turned into Python lists at a time; bounds the memory of a write
+_BLOCK = 1 << 13  # (q, a) pairs per counting block; 64 KiB per float64 array, so it stays in cache
 
 
 @dataclass
@@ -62,11 +72,34 @@ class CountResult:
         return (self.triples[:, 1] + lam) / self.triples[:, 0]
 
 
-def _a_range(q: int, B: tuple[float, float], lam: float) -> tuple[int, int]:
-    # exact endpoints: every float is a rational, so ceil/floor are bit-exact
-    loF = Fraction(q) * Fraction(B[0]) - Fraction(lam)
-    hiF = Fraction(q) * Fraction(B[1]) - Fraction(lam)
-    return math.ceil(loF), math.floor(hiF)
+def _a_ranges(qs: Sequence[int], B: tuple[float, float],
+              lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``ceil(q B_0 - lambda)`` and ``floor(q B_1 - lambda)`` for every q in ``qs``, exactly.
+
+    Every double is a rational n/d, so with B_0 = n_0/d_0 and lambda = n/d the
+    lower end is ``-((n d_0 - q n_0 d) // (d_0 d))`` in Python integers of any
+    size.  They are taken one q at a time into the int64 results, which keeps
+    the memory at the results alone.
+    """
+    (n0, d0), (n1, d1), (n, d) = (float(v).as_integer_ratio() for v in (B[0], B[1], lam))
+    lo_step, lo_shift, lo_den = n0 * d, n * d0, d0 * d
+    hi_step, hi_shift, hi_den = n1 * d, n * d1, d1 * d
+    lo = np.fromiter((-((lo_shift - q * lo_step) // lo_den) for q in qs), np.int64, len(qs))
+    hi = np.fromiter(((q * hi_step - hi_shift) // hi_den for q in qs), np.int64, len(qs))
+    return lo, hi
+
+
+def _pair_rows(qs: range, B: tuple[float, float], lam: float):
+    """Where the pairs of each q lie in the flat (q, a) order.
+
+    Returns int64 ``ends`` (pairs up to and including each q), ``starts`` (the
+    pairs before it) and ``offset``: the k-th pair overall, in the row of q,
+    has a = k - offset.
+    """
+    a_lo, a_hi = _a_ranges(qs, B, lam)
+    ends = np.cumsum(np.maximum(a_hi - a_lo + 1, 0))
+    starts = np.concatenate(([0], ends[:-1]))
+    return ends, starts, starts - a_lo
 
 
 def _strict_counts(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -78,14 +111,16 @@ def _strict_counts(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(hi - lo + 1, 0), lo
 
 
-def _q_rows(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float], theta,
+def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float], theta,
             allow_large: bool) -> tuple[int, tuple[float, float], Shift, Iterator]:
-    """The row kernel of R: validated ``(Q, B, theta)`` and an iterator of q-rows.
+    """The pair kernel of R: validated ``(Q, B, theta)`` and an iterator of (q, a) blocks.
 
-    Each row is ``(q, a, ys)`` for one q with 2q > Q, q <= Q and at least one
-    a with (a + lambda)/q in B: ``a`` holds those a ascending and
-    ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j``.  An empty B (lo > hi) has
-    no rows.
+    The pairs are every q with 2q > Q, q <= Q and every a with (a + lambda)/q
+    in B, in ascending (q, a) order.  Each block is ``(q, a, ys)`` for the next
+    at most ``_BLOCK`` of them: flat int64 arrays ``q`` and ``a``, and
+    ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j``.  The blocks are views of
+    buffers that the next block overwrites, so a caller copies what it keeps.
+    An empty B (lo > hi) has no blocks.
     """
     Q = int(Q)
     if Q < 2:
@@ -100,19 +135,33 @@ def _q_rows(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
     if lo <= hi and not (curve.contains(lo) and curve.contains(hi)):
         raise ValueError(f"B={B} not contained in curve domain {curve.domain}")
 
-    def rows():
+    def blocks():
         if lo > hi:
             return
-        for q in range(Q // 2 + 1, Q + 1):
-            a_lo, a_hi = _a_range(q, (lo, hi), lam)
-            if a_hi < a_lo:
-                continue
-            a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
-            x = (a + lam) / q
-            yield q, a, [q * np.asarray(curve.coord_values(j, x), dtype=float) - gam[j - 1]
-                         for j in range(1, m + 1)]
+        q0 = Q // 2 + 1
+        ends, starts, offset = _pair_rows(range(q0, Q + 1), (lo, hi), lam)
+        total = int(ends[-1])
+        width = min(_BLOCK, total)
+        q_buf, a_buf = np.empty(width, dtype=np.int64), np.empty(width, dtype=np.int64)
+        y_buf = np.empty((m, width))
+        for start in range(0, total, _BLOCK):
+            stop = min(start + _BLOCK, total)
+            size = stop - start
+            q, a, ys = q_buf[:size], a_buf[:size], y_buf[:, :size]
+            x = ys[-1]  # the last coordinate's y overwrites x only once f_m(x) is taken
+            first, last = np.searchsorted(ends, (start, stop - 1), side="right")
+            rows = slice(first, last + 1)  # the rows of q this block touches
+            repeats = np.minimum(ends[rows], stop) - np.maximum(starts[rows], start)
+            q[:] = np.repeat(np.arange(q0 + first, q0 + last + 1, dtype=np.int64), repeats)
+            a[:] = np.arange(start, stop, dtype=np.int64)
+            a -= np.repeat(offset[rows], repeats)
+            np.divide(np.add(a, lam, out=x), q, out=x)  # the same doubles as (a + lam) / q
+            for j, y in enumerate(ys, start=1):
+                np.multiply(q, np.asarray(curve.coord_values(j, x), dtype=float), out=y)
+                np.subtract(y, gam[j - 1], out=y)
+            yield q, a, ys
 
-    return Q, (lo, hi), (lam, gam), rows()
+    return Q, (lo, hi), (lam, gam), blocks()
 
 
 def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
@@ -120,19 +169,19 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
                 allow_large: bool = False) -> CountResult:
     """All integer triples of the near-curve set at height Q and width psi.
 
-    Iterates q with 2q > Q, q <= Q (exact integer predicates), a with
-    (a + lambda)/q in B, and per coordinate every integer b_j strictly inside
-    the psi-window.  With ``collect=False`` only the counts are accumulated,
-    which keeps Q-sweeps cheap.
+    Iterates q with 2q > Q, q <= Q and a with (a + lambda)/q in B (exact
+    integer predicates) in flat blocks of (q, a) pairs, and per coordinate
+    every integer b_j strictly inside the psi-window.  With ``collect=False``
+    only the counts are accumulated, which keeps Q-sweeps cheap.
     """
-    Q, B, theta, rows = _q_rows(curve, Q, (psi,), B, theta, allow_large)
+    Q, B, theta, blocks = _blocks(curve, Q, (psi,), B, theta, allow_large)
     m = curve.n - 1
     s_in = psi - guard
     s_wide = psi + guard
     total = 0
     boundary = 0
-    blocks: list[np.ndarray] = []
-    for q, a, ys in rows:
+    collected: list[np.ndarray] = []
+    for q, a, ys in blocks:
         counts = np.ones(a.shape, dtype=np.int64)
         wide_counts = np.ones(a.shape, dtype=np.int64)
         first_b = np.empty((len(a), m), dtype=np.int64)
@@ -149,25 +198,25 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
         if collect and counts.any():
             keep = np.nonzero(counts)[0]
             simple = keep[(nb[keep] == 1).all(axis=1)]
-            parts = []
-            if len(simple):
-                block = np.empty((len(simple), 2 + m), dtype=np.int64)
-                block[:, 0] = q
-                block[:, 1] = a[simple]
-                block[:, 2:] = first_b[simple]
-                parts.append(block)
+            block = np.empty((len(simple), 2 + m), dtype=np.int64)
+            block[:, 0] = q[simple]
+            block[:, 1] = a[simple]
+            block[:, 2:] = first_b[simple]
             multi = keep[(nb[keep] > 1).any(axis=1)]
-            for idx in multi:
-                choices = [range(first_b[idx, j], first_b[idx, j] + nb[idx, j]) for j in range(m)]
-                for combo in iter_product(*choices):
-                    parts.append(np.array([[q, a[idx], *combo]], dtype=np.int64))
-            block = np.concatenate(parts, axis=0)
-            order = np.lexsort(tuple(block[:, k] for k in range(block.shape[1] - 1, 0, -1)))
-            blocks.append(block[order])
+            if len(multi):  # pairs with several b: add their triples and sort the block
+                parts = [block]
+                for idx in multi:
+                    choices = [range(first_b[idx, j], first_b[idx, j] + nb[idx, j]) for j in range(m)]
+                    for combo in iter_product(*choices):
+                        parts.append(np.array([[q[idx], a[idx], *combo]], dtype=np.int64))
+                block = np.concatenate(parts, axis=0)
+                block = block[np.lexsort(block.T[::-1])]
+            collected.append(block)
 
     triples = None
     if collect:
-        triples = np.concatenate(blocks, axis=0) if blocks else np.empty((0, 2 + m), dtype=np.int64)
+        triples = (np.concatenate(collected, axis=0) if collected
+                   else np.empty((0, 2 + m), dtype=np.int64))
     return CountResult(Q=Q, psi=psi, B=B, theta=theta, count=total,
                        boundary=boundary, triples=triples)
 
@@ -177,17 +226,30 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
                       allow_large: bool = False) -> list[int]:
     """Counts of enumerate_R for several psi at one Q, sharing the curve values.
 
-    Raises ValueError wherever enumerate_R would for one of the psi.
+    Raises ValueError wherever enumerate_R would for one of the psi.  Per
+    coordinate, ``ceil(y + s) - floor(y - s) - 1`` clamped at 0 is the number
+    of integers b with |y - b| < s, the same integer as ``_strict_counts``
+    gives: it takes the same floor and ceil of the same doubles, and float64
+    holds their small integer difference, products and block sums exactly.
     """
-    _, _, _, rows = _q_rows(curve, Q, psis, B, theta, allow_large)
+    _, _, _, blocks = _blocks(curve, Q, psis, B, theta, allow_large)
     totals = [0] * len(psis)
-    for q, a, ys in rows:
+    counts, upper, lower = np.empty((3, _BLOCK))  # reused by every block
+    for _, a, ys in blocks:
+        size = len(a)
+        n, hi, lo = counts[:size], upper[:size], lower[:size]
         for k, psi in enumerate(psis):
-            counts = np.ones(a.shape, dtype=np.int64)
-            for y in ys:
-                nb_j, _ = _strict_counts(y, psi - guard)
-                counts *= nb_j
-            totals[k] += int(counts.sum())
+            s = psi - guard
+            for j, y in enumerate(ys):
+                out = n if j == 0 else hi  # the first coordinate starts the product
+                np.ceil(np.add(y, s, out=out), out=out)
+                np.floor(np.subtract(y, s, out=lo), out=lo)
+                np.subtract(out, lo, out=out)
+                np.subtract(out, 1.0, out=out)
+                np.maximum(out, 0.0, out=out)
+                if j:
+                    np.multiply(n, hi, out=n)
+            totals[k] += int(n.sum())
     return totals
 
 

@@ -207,3 +207,122 @@ def exact_lll_meets_tie(basis, delta=0.99):
             mu, norms2 = gso()
             k = max(k - 1, 1)
     return tie
+
+
+# The per-q-row counting kernel that nearcurve.counting replaced with flat
+# (q, a) blocks, kept verbatim: one numpy call chain per q-row (and per psi),
+# with the a-range taken from Fractions.
+
+GUARD = 1e-12
+
+
+def _a_range(q, B, lam):
+    # exact endpoints: every float is a rational, so ceil/floor are bit-exact
+    from fractions import Fraction
+
+    loF = Fraction(q) * Fraction(B[0]) - Fraction(lam)
+    hiF = Fraction(q) * Fraction(B[1]) - Fraction(lam)
+    return math.ceil(loF), math.floor(hiF)
+
+
+def _strict_counts(y, s):
+    """Per-entry count of integers b with |y - b| < s, and the smallest such b."""
+    if s <= 0:
+        return np.zeros(y.shape, dtype=np.int64), np.zeros(y.shape, dtype=np.int64)
+    lo = np.floor(y - s).astype(np.int64) + 1  # smallest integer > y - s
+    hi = np.ceil(y + s).astype(np.int64) - 1   # largest integer  < y + s
+    return np.maximum(hi - lo + 1, 0), lo
+
+
+def _q_rows(curve, Q, psis, B, theta):
+    """Validated ``(Q, B, theta)`` and an iterator of q-rows ``(q, a, ys)``."""
+    from nearcurve.lattice import normalise_theta
+
+    Q = int(Q)
+    if Q < 2:
+        raise ValueError("Q must be >= 2")
+    if not all(0 < psi < 1 for psi in psis):
+        raise ValueError("psi must lie in (0, 1)")
+    m = curve.n - 1
+    lam, gam = normalise_theta(theta, m)
+    lo, hi = float(B[0]), float(B[1])
+    if lo <= hi and not (curve.contains(lo) and curve.contains(hi)):
+        raise ValueError(f"B={B} not contained in curve domain {curve.domain}")
+
+    def rows():
+        if lo > hi:
+            return
+        for q in range(Q // 2 + 1, Q + 1):
+            a_lo, a_hi = _a_range(q, (lo, hi), lam)
+            if a_hi < a_lo:
+                continue
+            a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
+            x = (a + lam) / q
+            yield q, a, [q * np.asarray(curve.coord_values(j, x), dtype=float) - gam[j - 1]
+                         for j in range(1, m + 1)]
+
+    return Q, (lo, hi), (lam, gam), rows()
+
+
+def naive_enumerate(curve, Q, psi, B, theta=None, guard=GUARD, collect=True):
+    """``(count, boundary, triples)`` of the near-curve set, one q-row at a time."""
+    from itertools import product as iter_product
+
+    Q, B, theta, rows = _q_rows(curve, Q, (psi,), B, theta)
+    m = curve.n - 1
+    s_in = psi - guard
+    s_wide = psi + guard
+    total = 0
+    boundary = 0
+    blocks = []
+    for q, a, ys in rows:
+        counts = np.ones(a.shape, dtype=np.int64)
+        wide_counts = np.ones(a.shape, dtype=np.int64)
+        first_b = np.empty((len(a), m), dtype=np.int64)
+        nb = np.empty((len(a), m), dtype=np.int64)
+        for j, y in enumerate(ys, start=1):
+            nb_j, lo_j = _strict_counts(y, s_in)
+            nbw_j, _ = _strict_counts(y, s_wide)
+            counts *= nb_j
+            wide_counts *= nbw_j
+            nb[:, j - 1] = nb_j
+            first_b[:, j - 1] = lo_j
+        total += int(counts.sum())
+        boundary += int((wide_counts - counts).sum())
+        if collect and counts.any():
+            keep = np.nonzero(counts)[0]
+            simple = keep[(nb[keep] == 1).all(axis=1)]
+            parts = []
+            if len(simple):
+                block = np.empty((len(simple), 2 + m), dtype=np.int64)
+                block[:, 0] = q
+                block[:, 1] = a[simple]
+                block[:, 2:] = first_b[simple]
+                parts.append(block)
+            multi = keep[(nb[keep] > 1).any(axis=1)]
+            for idx in multi:
+                choices = [range(first_b[idx, j], first_b[idx, j] + nb[idx, j]) for j in range(m)]
+                for combo in iter_product(*choices):
+                    parts.append(np.array([[q, a[idx], *combo]], dtype=np.int64))
+            block = np.concatenate(parts, axis=0)
+            order = np.lexsort(tuple(block[:, k] for k in range(block.shape[1] - 1, 0, -1)))
+            blocks.append(block[order])
+
+    triples = None
+    if collect:
+        triples = np.concatenate(blocks, axis=0) if blocks else np.empty((0, 2 + m), dtype=np.int64)
+    return total, boundary, triples
+
+
+def naive_sweep(curve, Q, psis, B, theta=None, guard=GUARD):
+    """Counts of the near-curve set for several psi at one Q, one q-row and one psi at a time."""
+    _, _, _, rows = _q_rows(curve, Q, psis, B, theta)
+    totals = [0] * len(psis)
+    for q, a, ys in rows:
+        for k, psi in enumerate(psis):
+            counts = np.ones(a.shape, dtype=np.int64)
+            for y in ys:
+                nb_j, _ = _strict_counts(y, psi - guard)
+                counts *= nb_j
+            totals[k] += int(counts.sum())
+    return totals

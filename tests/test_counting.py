@@ -12,7 +12,7 @@ from nearcurve.counting import (
     witness_in_R,
     write_triples_csv,
 )
-from oracles import grid_union_measure, naive_count_R
+from oracles import grid_union_measure, naive_count_R, naive_enumerate, naive_sweep
 
 
 def test_enumeration_oracle_values(parabola):
@@ -104,6 +104,64 @@ def test_count_psi_sweep_validates_like_enumerate(parabola):
     assert count_R_psi_sweep(parabola, 16, psis, (0.7, 0.2)) == [0, 0]
     assert count_R_psi_sweep(mixed, 16, psis, (5.0, -5.0)) == [0, 0]
     assert [enumerate_R(parabola, 16, p, (0.7, 0.2)).count for p in psis] == [0, 0]
+
+
+BLOCK_CURVES = ("parabola", "veronese:3", "mixed")
+BLOCK_SHIFTS = (None, (0.25, (0.4,)), ((-0.35,), (-0.15,)))
+BLOCK_WINDOWS = ((0.0, 1.0), (0.1, 0.9), (0.3, 0.7), (0.7, 0.2))
+BLOCK_PSIS = (0.1, 0.3, 0.5, 0.62, 0.9)
+
+
+@pytest.mark.parametrize("block", [1, 7, counting._BLOCK])
+@pytest.mark.parametrize("name", BLOCK_CURVES)
+def test_block_kernel_matches_row_oracle(monkeypatch, name, block):
+    # the flat (q, a) blocks against the per-q-row loops they replaced, across block edges
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    curve = nc.resolve_curve(name)
+    for theta in BLOCK_SHIFTS:
+        for B in BLOCK_WINDOWS:
+            for Q in (15, 24):
+                assert count_R_psi_sweep(curve, Q, BLOCK_PSIS, B, theta) == \
+                    naive_sweep(curve, Q, BLOCK_PSIS, B, theta)
+                # a guard above psi leaves no window: the clamp at 0 must hold every count there
+                assert count_R_psi_sweep(curve, Q, BLOCK_PSIS, B, theta, guard=0.4) == \
+                    naive_sweep(curve, Q, BLOCK_PSIS, B, theta, guard=0.4)
+                for psi in (0.3, 0.5, 0.9):
+                    res = enumerate_R(curve, Q, psi, B, theta)
+                    count, boundary, triples = naive_enumerate(curve, Q, psi, B, theta)
+                    assert (res.count, res.boundary) == (count, boundary)
+                    assert res.triples.dtype == triples.dtype
+                    assert np.array_equal(res.triples, triples)
+
+
+def test_sweep_keeps_the_known_float_fault(parabola):
+    # scaling.cfg at Q = 8192: psi = 0.6 counts 30,171,993 triples, 7 above the exact
+    # 30,171,986, because |y - b| < psi - GUARD is tested in floats (see the module docstring)
+    psis = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+    counts = count_R_psi_sweep(parabola, 8192, psis, (0.0, 1.0))
+    assert counts == naive_sweep(parabola, 8192, psis, (0.0, 1.0))
+    assert counts[5] == 30_171_993
+
+
+def test_a_ranges_match_fractions(rng):
+    from fractions import Fraction
+
+    cases = [((0.0, 1.0), 0.0), ((0.1, 0.9), 0.25), ((0.3, 0.3), -0.7), ((0.5, 0.5), 0.5),
+             ((-0.9, -0.2), 1.75), ((0.17, 0.83), -3.1)]
+    for _ in range(200):
+        lo, hi = np.sort(rng.uniform(-10.0, 10.0, size=2))
+        lam = float(rng.choice([rng.uniform(-5.0, 5.0), round(rng.uniform(-3.0, 3.0), 2),
+                                float(rng.integers(-4, 5))]))
+        if rng.random() < 0.5:  # non-dyadic decimals such as 0.1
+            lo, hi = round(lo, int(rng.integers(1, 4))), round(hi, int(rng.integers(1, 4)))
+        cases.append(((float(lo), float(hi)), lam))
+    qs = [1, 2, 3, 32767, 32768, 65535, 65536] + rng.integers(1, 65537, size=40).tolist()
+    for B, lam in cases:
+        a_lo, a_hi = counting._a_ranges(qs, B, lam)
+        assert a_lo.dtype == a_hi.dtype == np.int64
+        for q, lo_q, hi_q in zip(qs, a_lo.tolist(), a_hi.tolist()):
+            assert lo_q == math.ceil(Fraction(q) * Fraction(B[0]) - Fraction(lam))
+            assert hi_q == math.floor(Fraction(q) * Fraction(B[1]) - Fraction(lam))
 
 
 def test_homogeneous_reflection_symmetry(parabola):

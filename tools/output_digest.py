@@ -1,11 +1,13 @@
 """SHA-256 of every output file of the CLI modes on the shipped configs.
 
 Runs ``count``, ``coverage``, ``detect``, ``qnd`` and ``scaling`` on
-``configs/<mode>.cfg``, and ``goodset`` and ``identities`` on
+``configs/<mode>.cfg``, ``goodset`` and ``identities`` on
 ``configs/detect.cfg`` (without its ``mode`` line, which names another mode),
-each in a fresh interpreter and into a temporary directory.  Prints one
-``<sha256>  <mode>/<file>`` line per output file, sorted, so two checkouts
-compare with one diff:
+and ``scaling`` once more on ``configs/scaling.cfg`` with ``curve = veronese:3``,
+``M = 6`` and ``Q_list = 1024,2048,4096``, so that the multi-coordinate
+counting path is covered too.  Each run goes in a fresh interpreter and into
+a temporary directory.  Prints one ``<sha256>  <run>/<file>`` line per output
+file, sorted, so two checkouts compare with one diff:
 
     python3 tools/output_digest.py > after.txt
     python3 tools/output_digest.py /path/to/other/checkout > before.txt
@@ -25,25 +27,36 @@ import sys
 import tempfile
 from pathlib import Path
 
+# (run name, mode, shipped config, keys set in a copy of that config)
 RUNS = (
-    ("count", "count.cfg"),
-    ("coverage", "coverage.cfg"),
-    ("detect", "detect.cfg"),
-    ("qnd", "qnd.cfg"),
-    ("scaling", "scaling.cfg"),
-    ("goodset", "detect.cfg"),
-    ("identities", "detect.cfg"),
+    ("count", "count", "count.cfg", {}),
+    ("coverage", "coverage", "coverage.cfg", {}),
+    ("detect", "detect", "detect.cfg", {}),
+    ("qnd", "qnd", "qnd.cfg", {}),
+    ("scaling", "scaling", "scaling.cfg", {}),
+    ("goodset", "goodset", "detect.cfg", {}),
+    ("identities", "identities", "detect.cfg", {}),
+    ("scaling-veronese3", "scaling", "scaling.cfg",
+     {"curve": "veronese:3", "M": "6", "Q_list": "1024,2048,4096"}),
 )
 
 
-def _config_for(mode: str, path: Path, tmp: Path) -> Path:
-    """``path`` itself when it is the mode's own config, else a copy without its mode line."""
-    if path.stem == mode:
+def _config_for(name: str, mode: str, path: Path, changes: dict, tmp: Path) -> Path:
+    """``path`` itself when it is the mode's own config, used as shipped; else an edited copy.
+
+    The copy leaves out a ``mode`` line that names another mode and sets the
+    keys of ``changes``.
+    """
+    if path.stem == mode and not changes:
         return path
-    copy = tmp / f"{mode}.cfg"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    copy.write_text("".join(line for line in lines if line.split("=")[0].strip() != "mode"),
-                    encoding="utf-8")
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        key = line.split("=")[0].strip()
+        if key not in changes and not (key == "mode" and path.stem != mode):
+            lines.append(line)
+    lines += [f"{key} = {value}" for key, value in changes.items()]
+    copy = tmp / f"{name}.cfg"
+    copy.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return copy
 
 
@@ -51,16 +64,16 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     lines = []
-    with tempfile.TemporaryDirectory(prefix="output_digest_") as name:
-        tmp = Path(name)
-        for mode, cfg in RUNS:
-            out = tmp / mode
-            config = _config_for(mode, root / "configs" / cfg, tmp)
+    with tempfile.TemporaryDirectory(prefix="output_digest_") as tmpdir:
+        tmp = Path(tmpdir)
+        for name, mode, cfg, changes in RUNS:
+            out = tmp / name
+            config = _config_for(name, mode, root / "configs" / cfg, changes, tmp)
             proc = subprocess.run(
                 [sys.executable, "-m", "nearcurve.cli", mode, "--config", str(config), "--out", str(out)],
                 cwd=tmp, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
-                sys.stderr.write(f"{mode} on {cfg} exited {proc.returncode}\n{proc.stderr}")
+                sys.stderr.write(f"{name} on {cfg} exited {proc.returncode}\n{proc.stderr}")
                 return 1
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
