@@ -71,7 +71,7 @@ def _parse_value(kind: str, raw: str, key: str):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment parameters (one value per schema key)."""
+    """Validated experiment parameters: one field per schema key, its dots as underscores."""
 
     curve: str
     mode: Optional[str]
@@ -128,29 +128,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if resolved["B"][0] >= resolved["B"][1]:
         raise ConfigError("B must be a nonempty interval lo,hi")
 
-    return ExperimentConfig(
-        curve=resolved["curve"],
-        mode=resolved["mode"],
-        B=resolved["B"],
-        theta_lambda=resolved["theta.lambda"],
-        theta_gamma=resolved["theta.gamma"],
-        c=resolved["c"],
-        M=resolved["M"],
-        psi_list=resolved["psi_list"],
-        Q_list=resolved["Q_list"],
-        seed=resolved["seed"],
-        output_dir=resolved["output_dir"],
-        grid_points=resolved["grid.points"],
-        guard=resolved["guard"],
-        qnd_alpha=resolved["qnd.alpha"],
-        qnd_eps=resolved["qnd.eps"],
-        qnd_samples=resolved["qnd.samples"],
-        coverage_rho_scale=resolved["coverage.rho_scale"],
-        identities_draws=resolved["identities.draws"],
-        count_write_triples=resolved["count.write_triples"],
-        scaling_svg=resolved["scaling.svg"],
-        raw=resolved,
-    )
+    return ExperimentConfig(**{key.replace(".", "_"): value for key, value in resolved.items()},
+                            raw=resolved)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -2,19 +2,19 @@
 
 The set under study collects integer triples (q, a, b) with Q/2 < q <= Q,
 (a + lambda)/q inside a window B, and every |q f_j((a+lambda)/q) - gamma_j - b_j|
-strictly below psi.  Enumeration is O(Q^2) per configuration.  The q-range and
-the a-range of every q are decided in exact integers; the (q, a) pairs then
-run in flat, cache-sized blocks, and a psi sweep counts every psi of a Q from
-the same block of curve values.
+strictly below psi.  Enumeration is O(Q^2) per configuration, for Q up to
+``Q_CAP`` = 65536.  The q-range and the a-range of every q are decided in
+exact integers; the (q, a) pairs then run in flat, cache-sized blocks, and a
+psi sweep counts every psi of a Q from the same block of curve values.
 
-The b-window is decided in doubles: |y - b| < psi - 1e-12, with
-y = q f_j(x) - gamma_j, and triples within the 1e-12 guard band of the
-boundary are tallied as ``boundary``.  That keeps exact ties out only while
-the float error of y, about q 2^-52 on the unit window, stays below the
-absolute guard, so up to q of about 4500.  Beyond that an exact tie can be
-counted as inside: configs/scaling.cfg reports 30,171,993 triples at
-Q = 8192, psi = 0.6 against an exact 30,171,986.  An exact integer test is
-item 1 of ROADMAP.md.
+The b-window is decided in doubles, in one function, ``_window``: the
+integers b with |y - b| < psi - 1e-12, with y = q f_j(x) - gamma_j, and
+triples within the 1e-12 guard band of the boundary are tallied as
+``boundary``.  That keeps exact ties out only while the float error of y,
+about q 2^-52 on the unit window, stays below the absolute guard, so up to q
+of about 4500.  Beyond that an exact tie can be counted as inside:
+configs/scaling.cfg reports 30,171,993 triples at Q = 8192, psi = 0.6 against
+an exact 30,171,986.  An exact integer test is item 1 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .detector import RationalWitness, psi_floor
 from .lattice import Shift, normalise_theta
 
 GUARD = 1e-12
-DEFAULT_Q_CAP = 1 << 16
+Q_CAP = 1 << 16
 _CSV_BLOCK = 1 << 16  # rows turned into Python lists at a time; bounds the memory of a write
 _BLOCK = 1 << 13  # (q, a) pairs per counting block; 64 KiB per float64 array, so it stays in cache
 
@@ -102,17 +101,24 @@ def _pair_rows(qs: range, B: tuple[float, float], lam: float):
     return ends, starts, starts - a_lo
 
 
-def _strict_counts(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry count of integers b with |y - b| < s, and the smallest such b."""
-    if s <= 0:
-        return np.zeros(y.shape, dtype=np.int64), np.zeros(y.shape, dtype=np.int64)
-    lo = np.floor(y - s).astype(np.int64) + 1  # smallest integer > y - s
-    hi = np.ceil(y + s).astype(np.int64) - 1   # largest integer  < y + s
-    return np.maximum(hi - lo + 1, 0), lo
+def _window(y: np.ndarray, s: float, count: np.ndarray, lo: np.ndarray) -> None:
+    """The integers b with |y - b| < s, per entry of ``y``, in place.
+
+    Writes ``ceil(y + s) - floor(y - s) - 1`` clamped at 0 (their number) into
+    ``count`` and ``floor(y - s)`` into ``lo``, so the smallest such b is
+    ``lo + 1``.  All float64 buffers of the shape of ``y``; the floor, the
+    ceil and their small integer difference are exact doubles.  An ``s <= 0``
+    leaves no b.
+    """
+    np.ceil(np.add(y, s, out=count), out=count)
+    np.floor(np.subtract(y, s, out=lo), out=lo)
+    np.subtract(count, lo, out=count)
+    np.subtract(count, 1.0, out=count)
+    np.maximum(count, 0.0, out=count)
 
 
-def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float], theta,
-            allow_large: bool) -> tuple[int, tuple[float, float], Shift, Iterator]:
+def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
+            theta) -> tuple[int, tuple[float, float], Shift, Iterator]:
     """The pair kernel of R: validated ``(Q, B, theta)`` and an iterator of (q, a) blocks.
 
     The pairs are every q with 2q > Q, q <= Q and every a with (a + lambda)/q
@@ -125,8 +131,8 @@ def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
     Q = int(Q)
     if Q < 2:
         raise ValueError("Q must be >= 2")
-    if Q > DEFAULT_Q_CAP and not allow_large:
-        raise ValueError(f"Q={Q} above the default cap {DEFAULT_Q_CAP}; pass allow_large=True")
+    if Q > Q_CAP:
+        raise ValueError(f"Q={Q} above the cap {Q_CAP}")
     if not all(0 < psi < 1 for psi in psis):
         raise ValueError("psi must lie in (0, 1)")
     m = curve.n - 1
@@ -165,52 +171,52 @@ def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
 
 
 def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
-                theta=None, *, guard: float = GUARD, collect: bool = True,
-                allow_large: bool = False) -> CountResult:
+                theta=None, *, collect: bool = True) -> CountResult:
     """All integer triples of the near-curve set at height Q and width psi.
 
     Iterates q with 2q > Q, q <= Q and a with (a + lambda)/q in B (exact
     integer predicates) in flat blocks of (q, a) pairs, and per coordinate
-    every integer b_j strictly inside the psi-window.  With ``collect=False``
-    only the counts are accumulated, which keeps Q-sweeps cheap.
+    every integer b_j with |y_j - b_j| < psi - GUARD (``_window``); the pairs
+    within psi + GUARD but not psi - GUARD add to ``boundary``.  A kept pair
+    becomes its triples in one step, the last b varying fastest, so the rows
+    come out in ascending (q, a, b) order.  With ``collect=False`` only the
+    counts are accumulated, which keeps Q-sweeps cheap.  Q above ``Q_CAP``
+    raises ValueError.
     """
-    Q, B, theta, blocks = _blocks(curve, Q, (psi,), B, theta, allow_large)
+    Q, B, theta, blocks = _blocks(curve, Q, (psi,), B, theta)
     m = curve.n - 1
-    s_in = psi - guard
-    s_wide = psi + guard
     total = 0
     boundary = 0
     collected: list[np.ndarray] = []
+    # per coordinate: the b-counts within psi + GUARD and within psi - GUARD, and
+    # floor(y - psi + GUARD); reused by every block
+    wide_buf, inside_buf, lo_buf = np.empty((3, m, _BLOCK))
     for q, a, ys in blocks:
-        counts = np.ones(a.shape, dtype=np.int64)
-        wide_counts = np.ones(a.shape, dtype=np.int64)
-        first_b = np.empty((len(a), m), dtype=np.int64)
-        nb = np.empty((len(a), m), dtype=np.int64)
-        for j, y in enumerate(ys, start=1):
-            nb_j, lo_j = _strict_counts(y, s_in)
-            nbw_j, _ = _strict_counts(y, s_wide)
-            counts *= nb_j
-            wide_counts *= nbw_j
-            nb[:, j - 1] = nb_j
-            first_b[:, j - 1] = lo_j
-        total += int(counts.sum())
-        boundary += int((wide_counts - counts).sum())
-        if collect and counts.any():
-            keep = np.nonzero(counts)[0]
-            simple = keep[(nb[keep] == 1).all(axis=1)]
-            block = np.empty((len(simple), 2 + m), dtype=np.int64)
-            block[:, 0] = q[simple]
-            block[:, 1] = a[simple]
-            block[:, 2:] = first_b[simple]
-            multi = keep[(nb[keep] > 1).any(axis=1)]
-            if len(multi):  # pairs with several b: add their triples and sort the block
-                parts = [block]
-                for idx in multi:
-                    choices = [range(first_b[idx, j], first_b[idx, j] + nb[idx, j]) for j in range(m)]
-                    for combo in iter_product(*choices):
-                        parts.append(np.array([[q[idx], a[idx], *combo]], dtype=np.int64))
-                block = np.concatenate(parts, axis=0)
-                block = block[np.lexsort(block.T[::-1])]
+        size = len(a)
+        wide, inside, lo = wide_buf[:, :size], inside_buf[:, :size], lo_buf[:, :size]
+        for j, y in enumerate(ys):
+            _window(y, psi + GUARD, wide[j], lo[j])
+            _window(y, psi - GUARD, inside[j], lo[j])
+        counts, wide_counts = ((inside[0], wide[0]) if m == 1
+                               else (inside.prod(axis=0), wide.prod(axis=0)))
+        inside_total = int(counts.sum())
+        total += inside_total
+        boundary += int(wide_counts.sum()) - inside_total
+        if collect and inside_total:
+            keep = np.flatnonzero(counts)
+            reps = counts[keep].astype(np.int64)
+            pair = np.repeat(keep, reps)
+            # index of each triple within its pair, split into mixed-radix digits
+            digit = np.arange(len(pair), dtype=np.int64)
+            digit -= np.repeat(np.cumsum(reps) - reps, reps)
+            block = np.empty((len(pair), 2 + m), dtype=np.int64)
+            block[:, 0] = q[pair]
+            block[:, 1] = a[pair]
+            for j in range(m - 1, -1, -1):
+                radix = inside[j, pair].astype(np.int64)
+                block[:, 2 + j] = lo[j, pair]
+                block[:, 2 + j] += 1 + digit % radix
+                digit //= radix
             collected.append(block)
 
     triples = None
@@ -222,31 +228,23 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
 
 
 def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
-                      theta=None, *, guard: float = GUARD,
-                      allow_large: bool = False) -> list[int]:
+                      theta=None) -> list[int]:
     """Counts of enumerate_R for several psi at one Q, sharing the curve values.
 
     Raises ValueError wherever enumerate_R would for one of the psi.  Per
-    coordinate, ``ceil(y + s) - floor(y - s) - 1`` clamped at 0 is the number
-    of integers b with |y - b| < s, the same integer as ``_strict_counts``
-    gives: it takes the same floor and ceil of the same doubles, and float64
-    holds their small integer difference, products and block sums exactly.
+    psi, the ``_window`` counts of the coordinates are multiplied and summed;
+    float64 holds these small integers, their products and block sums
+    exactly, so every count is the integer enumerate_R gives.
     """
-    _, _, _, blocks = _blocks(curve, Q, psis, B, theta, allow_large)
+    _, _, _, blocks = _blocks(curve, Q, psis, B, theta)
     totals = [0] * len(psis)
     counts, upper, lower = np.empty((3, _BLOCK))  # reused by every block
     for _, a, ys in blocks:
         size = len(a)
         n, hi, lo = counts[:size], upper[:size], lower[:size]
         for k, psi in enumerate(psis):
-            s = psi - guard
             for j, y in enumerate(ys):
-                out = n if j == 0 else hi  # the first coordinate starts the product
-                np.ceil(np.add(y, s, out=out), out=out)
-                np.floor(np.subtract(y, s, out=lo), out=lo)
-                np.subtract(out, lo, out=out)
-                np.subtract(out, 1.0, out=out)
-                np.maximum(out, 0.0, out=out)
+                _window(y, psi - GUARD, hi if j else n, lo)  # the first one starts the product
                 if j:
                     np.multiply(n, hi, out=n)
             totals[k] += int(n.sum())
@@ -327,15 +325,20 @@ def interval_union_measure(intervals: Iterable[tuple[float, float]],
         lo = np.maximum(lo, clip[0])
         hi = np.minimum(hi, clip[1])
     keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
+    lo = lo[keep]  # one statement per array: each old copy goes before the next new one
+    hi = hi[keep]
     if lo.size == 0:
         return 0.0
     order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    run_max = np.maximum.accumulate(hi)
-    prev_max = np.concatenate(([lo[0]], run_max[:-1]))
-    contrib = np.maximum(0.0, hi - np.maximum(lo, prev_max))
-    return float(np.sum(contrib))
+    lo = lo[order]
+    hi = hi[order]
+    # interval i adds M_i - max(lo_i, M_{i-1}), M_i the running maximum of hi: that is
+    # hi_i - max(lo_i, M_{i-1}) > 0 where hi_i > M_{i-1}, and exactly 0 elsewhere
+    np.maximum.accumulate(hi, out=hi)
+    if hi[-1] == np.inf:  # an unbounded interval; past it the terms would be inf - inf
+        return float("inf")
+    np.maximum(lo[1:], hi[:-1], out=lo[1:])
+    return float(np.sum(np.subtract(hi, lo, out=hi)))
 
 
 def delta_coverage(witnesses, rho: float, B: tuple[float, float],
@@ -349,7 +352,10 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
         pts = np.asarray([(w.a[0] + lam) / w.q for w in witnesses], dtype=float)
     if pts.size == 0:
         return 0.0
-    return interval_union_measure(np.stack((pts - rho, pts + rho), axis=1), clip=B)
+    intervals = np.empty((pts.size, 2))
+    np.subtract(pts, rho, out=intervals[:, 0])
+    np.add(pts, rho, out=intervals[:, 1])
+    return interval_union_measure(intervals, clip=B)
 
 
 # ---------------------------------------------------------------------------

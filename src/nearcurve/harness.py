@@ -413,30 +413,21 @@ def _run_scaling(cfg, curve, consts, theta, out, seed, jobs):
 
     fit_rows = []
     svgs = []
-    if len(cfg.Q_list) >= 3:
-        for k, psi in enumerate(cfg.psi_list):
-            samples = [(Q, per_Q[i][k]) for i, Q in enumerate(cfg.Q_list) if per_Q[i][k] > 0]
-            if len(samples) >= 3:
-                fit = scaling_fit(samples)
-                fit_rows.append(("Q", psi, fit.slope, fit.intercept, fit.r_squared))
-                if cfg.scaling_svg:
-                    svg = os.path.join(out, f"scaling_Q_psi{_tag(psi)}.svg")
-                    svg_loglog(svg, [s[0] for s in samples], [s[1] for s in samples],
-                               fit.slope, fit.intercept,
-                               title=f"count vs Q at psi={psi}", xlabel="Q", ylabel="count")
-                    svgs.append(svg)
-    if len(cfg.psi_list) >= 3:
-        for i, Q in enumerate(cfg.Q_list):
-            samples = [(psi, per_Q[i][k]) for k, psi in enumerate(cfg.psi_list) if per_Q[i][k] > 0]
-            if len(samples) >= 3:
-                fit = scaling_fit(samples)
-                fit_rows.append(("psi", Q, fit.slope, fit.intercept, fit.r_squared))
-                if cfg.scaling_svg:
-                    svg = os.path.join(out, f"scaling_psi_Q{Q}.svg")
-                    svg_loglog(svg, [s[0] for s in samples], [s[1] for s in samples],
-                               fit.slope, fit.intercept,
-                               title=f"count vs psi at Q={Q}", xlabel="psi", ylabel="count")
-                    svgs.append(svg)
+    by_psi = list(zip(*per_Q))  # by_psi[k][i] is the count at psi_list[k], Q_list[i]
+    for axis, xs, fixed_name, fixed_values, rows in (("Q", cfg.Q_list, "psi", cfg.psi_list, by_psi),
+                                                     ("psi", cfg.psi_list, "Q", cfg.Q_list, per_Q)):
+        for fixed, counts in zip(fixed_values, rows):
+            samples = [(x, cnt) for x, cnt in zip(xs, counts) if cnt > 0]
+            if len(samples) < 3:
+                continue
+            fit = scaling_fit(samples)
+            fit_rows.append((axis, fixed, fit.slope, fit.intercept, fit.r_squared))
+            if cfg.scaling_svg:
+                svg = os.path.join(out, f"scaling_{axis}_{fixed_name}{_tag(fixed)}.svg")
+                svg_loglog(svg, [s[0] for s in samples], [s[1] for s in samples],
+                           fit.slope, fit.intercept, title=f"count vs {axis} at {fixed_name}={fixed}",
+                           xlabel=axis, ylabel="count")
+                svgs.append(svg)
     fits_path = os.path.join(out, "scaling_fits.csv")
     _write_csv(fits_path, ["axis", "fixed", "slope", "intercept", "r_squared"], fit_rows)
     files.append(fits_path)

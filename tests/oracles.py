@@ -72,6 +72,28 @@ def grid_union_measure(intervals, clip, cells=1_000_000):
     return covered.mean() * (hi - lo)
 
 
+def sweep_union_measure(intervals, clip=None):
+    """Union measure by the sweep line nearcurve.interval_union_measure used before it
+    worked in place: the running maximum and its shifted concatenation as new arrays."""
+    arr = np.asarray([(lo, hi) for lo, hi in intervals], dtype=float).reshape(-1, 2)
+    if arr.size == 0:
+        return 0.0
+    lo, hi = arr[:, 0], arr[:, 1]
+    if clip is not None:
+        lo = np.maximum(lo, clip[0])
+        hi = np.minimum(hi, clip[1])
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    if lo.size == 0:
+        return 0.0
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    run_max = np.maximum.accumulate(hi)
+    prev_max = np.concatenate(([lo[0]], run_max[:-1]))
+    contrib = np.maximum(0.0, hi - np.maximum(lo, prev_max))
+    return float(np.sum(contrib))
+
+
 def curve_delta_oracle(fvals_fn, x, c, Q, psi, cap=1.3):
     """Structural shortest-vector oracle for the d=1 curve lattice.
 

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from nearcurve.config import parse_config_text
+from nearcurve.config import SCHEMA, ExperimentConfig, parse_config_text
 from nearcurve.errors import ConfigError
 
 MINIMAL = "curve = parabola\n"
@@ -78,3 +80,14 @@ def test_bad_mode_and_lists():
 def test_missing_equals():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("curve parabola\n")
+
+
+def test_every_schema_key_is_a_field():
+    # the config is built from SCHEMA by replacing each dot of a key with an underscore
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert {key.replace(".", "_") for key in SCHEMA} == fields - {"raw"}
+    cfg = parse_config_text(MINIMAL + "grid.points = 7\nqnd.eps = 0.1,0.2\n")
+    assert set(cfg.raw) == set(SCHEMA)
+    for key, value in cfg.raw.items():
+        assert getattr(cfg, key.replace(".", "_")) is value
+    assert (cfg.grid_points, cfg.qnd_eps) == (7, (0.1, 0.2))

@@ -12,7 +12,13 @@ from nearcurve.counting import (
     witness_in_R,
     write_triples_csv,
 )
-from oracles import grid_union_measure, naive_count_R, naive_enumerate, naive_sweep
+from oracles import (
+    grid_union_measure,
+    naive_count_R,
+    naive_enumerate,
+    naive_sweep,
+    sweep_union_measure,
+)
 
 
 def test_enumeration_oracle_values(parabola):
@@ -124,8 +130,14 @@ def test_block_kernel_matches_row_oracle(monkeypatch, name, block):
                 assert count_R_psi_sweep(curve, Q, BLOCK_PSIS, B, theta) == \
                     naive_sweep(curve, Q, BLOCK_PSIS, B, theta)
                 # a guard above psi leaves no window: the clamp at 0 must hold every count there
-                assert count_R_psi_sweep(curve, Q, BLOCK_PSIS, B, theta, guard=0.4) == \
-                    naive_sweep(curve, Q, BLOCK_PSIS, B, theta, guard=0.4)
+                with monkeypatch.context() as patch:
+                    patch.setattr(counting, "GUARD", 0.4)
+                    assert count_R_psi_sweep(curve, Q, BLOCK_PSIS, B, theta) == \
+                        naive_sweep(curve, Q, BLOCK_PSIS, B, theta, guard=0.4)
+                    res = enumerate_R(curve, Q, 0.3, B, theta)
+                    count, boundary, triples = naive_enumerate(curve, Q, 0.3, B, theta, guard=0.4)
+                    assert (res.count, res.boundary) == (count, boundary)
+                    assert np.array_equal(res.triples, triples)
                 for psi in (0.3, 0.5, 0.9):
                     res = enumerate_R(curve, Q, psi, B, theta)
                     count, boundary, triples = naive_enumerate(curve, Q, psi, B, theta)
@@ -141,6 +153,22 @@ def test_sweep_keeps_the_known_float_fault(parabola):
     counts = count_R_psi_sweep(parabola, 8192, psis, (0.0, 1.0))
     assert counts == naive_sweep(parabola, 8192, psis, (0.0, 1.0))
     assert counts[5] == 30_171_993
+
+
+@pytest.mark.parametrize("name", ["parabola", "veronese:3"])
+def test_enumeration_at_the_height_cap(name):
+    # a narrow window keeps the row oracle cheap at Q = 65536; psi > 1/2 gives pairs with 2 b
+    curve, B = nc.resolve_curve(name), (0.5, 0.50001)
+    res = enumerate_R(curve, counting.Q_CAP, 0.62, B)
+    count, boundary, triples = naive_enumerate(curve, counting.Q_CAP, 0.62, B)
+    assert (res.count, res.boundary) == (count, boundary)
+    assert np.array_equal(res.triples, triples)
+    assert count > len(np.unique(triples[:, :2], axis=0)) > 1000
+    assert count_R_psi_sweep(curve, counting.Q_CAP, [0.62], B) == [count]
+    with pytest.raises(ValueError):
+        enumerate_R(curve, counting.Q_CAP + 1, 0.62, B, collect=False)
+    with pytest.raises(ValueError):
+        count_R_psi_sweep(curve, counting.Q_CAP + 1, [0.62], B)
 
 
 def test_a_ranges_match_fractions(rng):
@@ -236,6 +264,23 @@ def test_interval_union_array_matches_tuples(rng):
     assert nc.interval_union_measure(np.empty((0, 2))) == 0.0
     with pytest.raises(ValueError):
         nc.interval_union_measure(np.ones((4, 3)))
+
+
+def test_interval_union_matches_sweep_oracle(rng):
+    # the in-place sweep must give the very doubles of the sweep it replaced
+    lo = rng.uniform(0, 10, size=2000)
+    cases = [np.stack((lo, lo + rng.uniform(0, 0.3, size=2000)), axis=1),
+             np.stack((lo, lo + rng.uniform(-0.1, 0.3, size=2000)), axis=1),  # some empty
+             np.array([[0.0, 10.0], [1.0, 2.0], [1.5, 9.0], [3.0, 3.5], [0.1, 0.2], [9.5, 10.0]]),
+             np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 2.0], [1.0, 1.5], [2.0, 3.0], [0.5, 1.0]]),
+             np.round(rng.uniform(0, 5, size=(500, 2)), 1),  # many shared endpoints
+             np.array([[0.0, np.inf], [1.0, 2.0], [-np.inf, 0.5], [3.0, 4.0]])]
+    for arr in cases:
+        given = arr.copy()
+        for clip in (None, (1.0, 9.0), (0.25, 0.75), (-5.0, 20.0), (20.0, 30.0), (4.0, 4.0)):
+            assert nc.interval_union_measure(arr, clip=clip) == sweep_union_measure(arr, clip=clip)
+        assert np.array_equal(arr, given)  # the sweep works in place on copies only
+    assert nc.interval_union_measure(cases[2], clip=(20.0, 30.0)) == 0.0  # the clip drops them all
 
 
 def test_interval_union_grid_oracle(rng):

@@ -5,7 +5,11 @@ Runs ``count``, ``coverage``, ``detect``, ``qnd`` and ``scaling`` on
 ``configs/detect.cfg`` (without its ``mode`` line, which names another mode),
 and ``scaling`` once more on ``configs/scaling.cfg`` with ``curve = veronese:3``,
 ``M = 6`` and ``Q_list = 1024,2048,4096``, so that the multi-coordinate
-counting path is covered too.  Each run goes in a fresh interpreter and into
+counting path is covered too.  Two more ``count`` runs at ``psi_list = 0.7``
+and ``Q_list = 256,512``, on parabola and on veronese:3 with ``M = 6``, write
+triples CSVs where a pair has several b (up to 4 triples per pair), so the
+expansion of pairs into triples is covered byte for byte.  Each run goes in a
+fresh interpreter and into
 a temporary directory.  Prints one ``<sha256>  <run>/<file>`` line per output
 file, sorted, so two checkouts compare with one diff:
 
@@ -38,6 +42,9 @@ RUNS = (
     ("identities", "identities", "detect.cfg", {}),
     ("scaling-veronese3", "scaling", "scaling.cfg",
      {"curve": "veronese:3", "M": "6", "Q_list": "1024,2048,4096"}),
+    ("count-psi0.7", "count", "count.cfg", {"psi_list": "0.7", "Q_list": "256,512"}),
+    ("count-veronese3-psi0.7", "count", "count.cfg",
+     {"curve": "veronese:3", "M": "6", "psi_list": "0.7", "Q_list": "256,512"}),
 )
 
 
