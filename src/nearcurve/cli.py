@@ -26,7 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers over cells")
+        p.add_argument("--jobs", type=int, choices=(1,), default=1,
+                       help="cells run one after another (1 only)")
         p.add_argument("--precision", choices=("double",), default="double",
                        help="float type of the lattice layer (float64 only)")
 
@@ -60,8 +61,7 @@ def main(argv=None) -> int:
             return 0
 
         cfg = load_config(args.config)
-        outcome = run_experiment(cfg, mode=args.command, out_dir=args.out,
-                                 seed=args.seed, jobs=args.jobs)
+        outcome = run_experiment(cfg, mode=args.command, out_dir=args.out, seed=args.seed)
         for path in outcome.files:
             print(f"wrote {path}")
         print(f"summary: {outcome.summary}")

@@ -343,11 +343,17 @@ def interval_union_measure(intervals: Iterable[tuple[float, float]],
 
 def delta_coverage(witnesses, rho: float, B: tuple[float, float],
                    lam: float = 0.0) -> float:
-    """Measure of the union of rho-balls around the shifted rational points, inside B."""
+    """Measure of the union of rho-balls around the shifted rational points, inside B.
+
+    ``witnesses`` is a collected ``CountResult``, a float array of the points
+    (a + lam)/q, or an iterable of witnesses.
+    """
     if rho <= 0:
         raise ValueError("rho must be positive")
     if isinstance(witnesses, CountResult):
         pts = witnesses.points()
+    elif isinstance(witnesses, np.ndarray):
+        pts = witnesses
     else:
         pts = np.asarray([(w.a[0] + lam) / w.q for w in witnesses], dtype=float)
     if pts.size == 0:
@@ -355,6 +361,7 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
     intervals = np.empty((pts.size, 2))
     np.subtract(pts, rho, out=intervals[:, 0])
     np.add(pts, rho, out=intervals[:, 1])
+    del pts  # one float64 per point fewer at the union's peak, unless the caller holds them
     return interval_union_measure(intervals, clip=B)
 
 

@@ -202,6 +202,11 @@ def nondegeneracy_order(curve: Curve, x: float, l_max: Optional[int] = None) -> 
     return None
 
 
+def midpoint_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """The midpoints of ``points`` equal cells of [lo, hi]."""
+    return lo + (np.arange(points) + 0.5) * ((hi - lo) / points)
+
+
 def second_derivative_bound(
     curve: Curve,
     interval: tuple[float, float],

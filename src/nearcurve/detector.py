@@ -117,25 +117,9 @@ def derive_constants(n: int, d: int, m: int, M: float, c: float) -> DerivedConst
     return DerivedConstants(n=n, d=d, m=m, M=float(M), c=float(c), K0=K0, C0=C0)
 
 
-# (curve, x, params, reduction) of the last point reduced here, so that
-# goodset_delta followed by detect_witness at one point reduces its lattice once
-_last_reduction: Optional[tuple] = None
-
-
-def _reduction_at(curve: Curve, x: float, params: ApproxParams) -> lat.LatticeReduction:
-    """``lattice.reduce_at``, reusing the record of the last point asked for."""
-    global _last_reduction
-    last = _last_reduction
-    if last is not None and last[0] is curve and last[1] == x and last[2] == params:
-        return last[3]
-    reduction = lat.reduce_at(curve, x, params)
-    _last_reduction = (curve, x, params, reduction)
-    return reduction
-
-
 def goodset_delta(curve: Curve, x: float, params: ApproxParams) -> float:
     """Shortest sup-norm vector length of the scaled lattice at x."""
-    return _reduction_at(curve, x, params).delta
+    return lat.reduce_at(curve, x, params).delta
 
 
 def in_good_set(curve: Curve, x: float, params: ApproxParams,
@@ -157,9 +141,8 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
     admissibility floor, and x belongs to the good set.  The construction
     solves for the real coordinates of a shifted target against a reduced
     lattice basis and rounds them to integers (forcing a nonzero vector).
-    ``reduction``, when given, must be ``lattice.reduce_at(curve, x, params)``;
-    without it the record of a preceding ``goodset_delta`` call at the same
-    point is reused.  Either way the lattice is not reduced again.
+    ``reduction``, when given, must be ``lattice.reduce_at(curve, x, params)``,
+    and the lattice is not reduced again; without it, this call reduces it.
 
     Sign convention: the target vector is (-w0, lambda - w0 x, gamma - w0 f(x))
     with w0 = 3(n+1)Q, which lands q inside the stated positive range; the
@@ -173,7 +156,7 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
     if not (lo + rho <= x <= hi - rho):
         raise PreconditionError(f"x={x} outside the rho-interior of B={params.B}")
     if reduction is None:
-        reduction = _reduction_at(curve, x, params)
+        reduction = lat.reduce_at(curve, x, params)
     if reduction.delta < 1.0 - guard:
         raise PreconditionError(f"x={x} not in the good set (delta={reduction.delta:.6g})")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jets
 from . import lattice as lat
-from .curves import Curve, eval_jet
+from .curves import Curve, eval_jet, midpoint_grid
 from .intlinalg import gcd_list, kernel_basis_int, maximal_minors, rank_int
 from .lattice import ApproxParams
 
@@ -93,7 +93,7 @@ def ca_good_ratio(f: Callable, interval: tuple[float, float], alpha: float,
     if eps_grid is None:
         eps_grid = np.geomspace(1e-3, 0.5, 12)
     h = (hi - lo) / grid
-    xs = lo + (np.arange(grid) + 0.5) * h
+    xs = midpoint_grid(lo, hi, grid)
     try:
         vals = np.abs(np.asarray(f(xs), dtype=float))
         if vals.shape != xs.shape:
@@ -263,8 +263,7 @@ def qnd_bound_check(curve: Curve, B: tuple[float, float], params: ApproxParams,
         raise ValueError("eps grid entries must be nonnegative")
     if any(a < b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps grid must be nonincreasing")
-    h = (hi - lo) / samples
-    xs = lo + (np.arange(samples) + 0.5) * h
+    xs = midpoint_grid(lo, hi, samples)
     deltas = np.empty(samples)
     for i, x in enumerate(xs):
         basis = lat.build_h(curve, float(x), params)

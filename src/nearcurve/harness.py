@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,12 +26,12 @@ from .counting import (
     scaling_fit,
     write_triples_csv,
 )
-from .curves import Curve, resolve_curve, second_derivative_bound
+from .curves import Curve, midpoint_grid, resolve_curve, second_derivative_bound
 from .detector import derive_constants, detect_witness, goodset_delta, psi_floor, verify_witness
 from .errors import ConfigError, PreconditionError
 from .goodness import MinorSpec, hodge_dual_basis, phi_closed_form, phi_minor, qnd_bound_check, scale_factor
 from .intlinalg import rank_int
-from .lattice import ApproxParams, Shift, build_G, build_h, normalise_theta
+from .lattice import ApproxParams, Shift, build_G, build_h, normalise_theta, reduce_at
 from .plots import svg_loglog
 
 
@@ -130,25 +129,12 @@ def _params(cfg: ExperimentConfig, curve: Curve, theta: Shift, Q: float, psi: fl
     return ApproxParams.for_curve(curve, c=cfg.c, Q=Q, psi=psi, B=cfg.B, lam=lam, gamma=gam)
 
 
-def _grid(B: tuple[float, float], points: int) -> np.ndarray:
-    h = (B[1] - B[0]) / points
-    return B[0] + (np.arange(points) + 0.5) * h
-
-
 def _cells(cfg: ExperimentConfig) -> list[tuple[int, float]]:
     return [(Q, psi) for Q in cfg.Q_list for psi in cfg.psi_list]
 
 
-def _map_cells(fn, cells, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(cell) for cell in cells]
-
-
 def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
-                   out_dir: Optional[str] = None, seed: Optional[int] = None,
-                   jobs: int = 1) -> ExperimentOutcome:
+                   out_dir: Optional[str] = None, seed: Optional[int] = None) -> ExperimentOutcome:
     """Run one experiment mode; deterministic in (config, seed)."""
     mode = mode or cfg.mode
     if mode is None:
@@ -185,7 +171,7 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
         "identities": _run_identities,
         "scaling": _run_scaling,
     }[mode]
-    files, checks, summary = runner(cfg, curve, consts, theta, out, seed, jobs)
+    files, checks, summary = runner(cfg, curve, consts, theta, out, seed)
 
     manifest = {
         "package": f"nearcurve {__version__}",
@@ -212,18 +198,14 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
                              checks_passed=checks, summary=summary)
 
 
-def _run_count(cfg, curve, consts, theta, out, seed, jobs):
-    def work(cell):
-        Q, psi = cell
-        res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=cfg.count_write_triples)
-        lb = lower_bound_check(res.count, cfg.B, consts.C0, psi, Q, curve.n, consts.K0)
-        return res, lb
-
-    results = _map_cells(work, _cells(cfg), jobs)
+def _run_count(cfg, curve, consts, theta, out, seed):
     files = []
     rows = []
     checks = None
-    for (Q, psi), (res, lb) in zip(_cells(cfg), results):
+    total = 0
+    for Q, psi in _cells(cfg):
+        res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=cfg.count_write_triples)
+        lb = lower_bound_check(res.count, cfg.B, consts.C0, psi, Q, curve.n, consts.K0)
         if cfg.count_write_triples:
             path = os.path.join(out, f"count_Q{Q}_psi{_tag(psi)}.csv")
             write_triples_csv(path, curve, res)
@@ -231,16 +213,17 @@ def _run_count(cfg, curve, consts, theta, out, seed, jobs):
         rows.append((Q, psi, res.count, res.boundary, lb.bound,
                      "yes" if lb.in_regime else "no",
                      "" if lb.ok is None else ("yes" if lb.ok else "no")))
+        total += res.count
+        del res  # frees this cell's triples before the next cell is enumerated
         if lb.in_regime:
             checks = bool(lb.ok) if checks is None else (checks and bool(lb.ok))
     summary_path = os.path.join(out, "counts.csv")
     _write_csv(summary_path, ["Q", "psi", "count", "boundary", "lower_bound", "in_regime", "bound_ok"], rows)
     files.append(summary_path)
-    total = sum(res.count for res, _ in results)
     return files, checks, {"cells": len(rows), "total_count": total}
 
 
-def _run_detect(cfg, curve, consts, theta, out, seed, jobs):
+def _run_detect(cfg, curve, consts, theta, out, seed):
     m = curve.n - 1
     files = []
     n_good = 0
@@ -248,18 +231,18 @@ def _run_detect(cfg, curve, consts, theta, out, seed, jobs):
     for Q, psi in _cells(cfg):
         params = _params(cfg, curve, theta, Q, psi)
         rho = consts.interior_rho(Q, psi)
-        xs = [x for x in _grid(cfg.B, cfg.grid_points)
+        xs = [float(x) for x in midpoint_grid(cfg.B[0], cfg.B[1], cfg.grid_points)
               if cfg.B[0] + rho <= x <= cfg.B[1] - rho]
         rows = []
         for x in xs:
-            delta = goodset_delta(curve, float(x), params)
-            good = delta >= 1.0 - cfg.guard
-            rec = [x, delta, "yes" if good else "no"]
+            r = reduce_at(curve, x, params)
+            good = r.delta >= 1.0 - cfg.guard
+            rec = [x, r.delta, "yes" if good else "no"]
             if good:
                 n_good += 1
                 try:
-                    w = detect_witness(curve, float(x), params, guard=cfg.guard)
-                    rep = verify_witness(w, curve, float(x), params, consts)
+                    w = detect_witness(curve, x, params, guard=cfg.guard, reduction=r)
+                    rep = verify_witness(w, curve, x, params, consts)
                     ok = rep.all_ok
                     rec += [w.q, w.a[0], *w.b, "yes" if ok else "no"]
                 except PreconditionError as exc:
@@ -278,20 +261,18 @@ def _run_detect(cfg, curve, consts, theta, out, seed, jobs):
     return files, checks, {"good_points": n_good, "failures": n_fail}
 
 
-def _run_coverage(cfg, curve, consts, theta, out, seed, jobs):
+def _run_coverage(cfg, curve, consts, theta, out, seed):
     size = cfg.B[1] - cfg.B[0]
-
-    def work(cell):
-        Q, psi = cell
-        rho = consts.rho(Q, psi) * cfg.coverage_rho_scale
-        res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=True)
-        cov = delta_coverage(res, rho, cfg.B, theta[0])
-        return rho, res.count, cov, psi >= psi_floor(Q, consts.d, consts.m, consts.K0)
-
-    results = _map_cells(work, _cells(cfg), jobs)
     rows = []
     checks = None
-    for (Q, psi), (rho, count, cov, in_regime) in zip(_cells(cfg), results):
+    for Q, psi in _cells(cfg):
+        rho = consts.rho(Q, psi) * cfg.coverage_rho_scale
+        res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=True)
+        count, pts = res.count, res.points()
+        del res  # frees the triples: the union needs only the points
+        cov = delta_coverage(pts, rho, cfg.B)
+        del pts
+        in_regime = psi >= psi_floor(Q, consts.d, consts.m, consts.K0)
         ok = cov >= 0.5 * size
         rows.append((Q, psi, rho, count, cov, 0.5 * size,
                      "yes" if in_regime else "no", "yes" if ok else "no"))
@@ -302,12 +283,12 @@ def _run_coverage(cfg, curve, consts, theta, out, seed, jobs):
     return [path], checks, {"cells": len(rows)}
 
 
-def _run_goodset(cfg, curve, consts, theta, out, seed, jobs):
+def _run_goodset(cfg, curve, consts, theta, out, seed):
     files = []
     summary = {}
     for Q, psi in _cells(cfg):
         params = _params(cfg, curve, theta, Q, psi)
-        xs = _grid(cfg.B, cfg.grid_points)
+        xs = midpoint_grid(cfg.B[0], cfg.B[1], cfg.grid_points)
         rows = []
         n_good = 0
         n_boundary = 0
@@ -328,7 +309,7 @@ def _run_goodset(cfg, curve, consts, theta, out, seed, jobs):
     return files, None, summary
 
 
-def _run_qnd(cfg, curve, consts, theta, out, seed, jobs):
+def _run_qnd(cfg, curve, consts, theta, out, seed):
     Q, psi = cfg.Q_list[0], cfg.psi_list[0]
     params = _params(cfg, curve, theta, Q, psi)
     report = qnd_bound_check(curve, cfg.B, params, cfg.qnd_alpha, cfg.qnd_eps,
@@ -350,7 +331,7 @@ def _draw_full_rank(rng, shape) -> np.ndarray:
             return G.astype(np.int64)
 
 
-def _run_identities(cfg, curve, consts, theta, out, seed, jobs):
+def _run_identities(cfg, curve, consts, theta, out, seed):
     rng = np.random.default_rng(seed)
     n = curve.n
     Q, psi = cfg.Q_list[0], cfg.psi_list[0]
@@ -397,11 +378,8 @@ def _run_identities(cfg, curve, consts, theta, out, seed, jobs):
                                          "worst_rel_err": float(worst)}
 
 
-def _run_scaling(cfg, curve, consts, theta, out, seed, jobs):
-    def work(Q):
-        return count_R_psi_sweep(curve, Q, cfg.psi_list, cfg.B, theta)
-
-    per_Q = _map_cells(work, list(cfg.Q_list), jobs)
+def _run_scaling(cfg, curve, consts, theta, out, seed):
+    per_Q = [count_R_psi_sweep(curve, Q, cfg.psi_list, cfg.B, theta) for Q in cfg.Q_list]
     count_rows = []
     for Q, counts in zip(cfg.Q_list, per_Q):
         for psi, cnt in zip(cfg.psi_list, counts):

@@ -27,6 +27,7 @@ log = logging.getLogger("nearcurve")
 
 MAX_SVP_DIM = 8
 MAX_MINIMA_DIM = 6
+LOVASZ = 0.99  # the Lovasz condition factor of lll_reduce
 
 Shift = tuple[float, tuple[float, ...]]  # (lambda, gamma_1..gamma_m), d = 1
 
@@ -253,7 +254,7 @@ def _gram_schmidt(cols: list[list[float]], scale: float) -> tuple[list[list[floa
     return mu, norms2
 
 
-def lll_reduce(basis, delta: float = 0.99, max_swaps: Optional[int] = None) -> LLLResult:
+def lll_reduce(basis, max_swaps: Optional[int] = None) -> LLLResult:
     """Floating-point LLL on the columns of ``basis``.
 
     Returns ``(W, U)`` where ``W = basis @ U`` is the reduced basis and ``U``
@@ -285,7 +286,7 @@ def lll_reduce(basis, delta: float = 0.99, max_swaps: Optional[int] = None) -> L
                     mk[i] -= q * mj[i]
                 mk[j] -= q
         m = mk[k - 1]
-        if norms2[k] >= (delta - m ** 2) * norms2[k - 1]:
+        if norms2[k] >= (LOVASZ - m ** 2) * norms2[k - 1]:
             k += 1
             continue
         b[k - 1], b[k] = b[k], b[k - 1]

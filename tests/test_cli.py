@@ -84,3 +84,31 @@ def test_precision_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--config", cfg, "--precision", "extended"])
     assert exc.value.code == 2
+
+
+def test_bench_worker_argument_list(tmp_path):
+    # the argument list bench/worker.py passes on every run
+    cfg = _write(tmp_path, "w.cfg", """
+        curve = parabola
+        B = 0,1
+        psi_list = 0.5
+        Q_list = 10
+    """)
+    argv = ["count", "--config", cfg, "--out", str(tmp_path / "w"),
+            "--jobs", "1", "--precision", "double"]
+    assert main(argv) == 0
+    assert (tmp_path / "w" / "counts.csv").exists()
+
+
+def test_jobs_accepts_only_1(tmp_path):
+    cfg = _write(tmp_path, "j.cfg", f"""
+        curve = parabola
+        B = 0,1
+        psi_list = 0.5
+        Q_list = 10
+        output_dir = {tmp_path}/j
+    """)
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--config", cfg, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "j").exists()

@@ -243,7 +243,12 @@ def test_delta_coverage_shifted_points():
     res = enumerate_R(nc.parabola(), 32, 0.4, (0.0, 1.0), (0.5, (0.0,)))
     pts = res.points()
     assert np.all((pts >= 0.0) & (pts <= 1.0))
-    assert nc.delta_coverage(res, 1e-3, (0.0, 1.0)) > 0
+    cov = nc.delta_coverage(res, 1e-3, (0.0, 1.0))
+    assert cov > 0
+    # the points of the result give the same double, shift included
+    assert nc.delta_coverage(pts, 1e-3, (0.0, 1.0)) == cov
+    witnesses = [nc.RationalWitness(q=int(q), a=(int(a),), b=(0,)) for q, a, _ in res.triples]
+    assert nc.delta_coverage(witnesses, 1e-3, (0.0, 1.0), lam=0.5) == cov
 
 
 def test_interval_union_examples():

@@ -190,7 +190,7 @@ def test_detect_witness_same_with_passed_reduction(parabola, veronese3):
             assert nc.detect_witness(curve, x, p, reduction=rec) == nc.detect_witness(curve, x, p)
 
 
-def test_goodset_delta_then_witness_reduces_once(parabola, monkeypatch):
+def test_detect_witness_reduces_only_without_a_record(parabola, monkeypatch):
     calls = []
     original = nc.lattice.lll_reduce
 
@@ -202,16 +202,15 @@ def test_goodset_delta_then_witness_reduces_once(parabola, monkeypatch):
     p = _params(parabola, c=0.01, Q=1000.0, psi=0.3)
     x = _good_grid(parabola, p, points=40)[3]
     calls.clear()
-    assert nc.goodset_delta(parabola, x, p) >= 1.0
-    w = nc.detect_witness(parabola, x, p)
-    assert len(calls) == 1
-    assert w == nc.detect_witness(parabola, x, p, reduction=nc.reduce_at(parabola, x, p))
-    # another point or other parameters reduce afresh
-    calls.clear()
-    p2 = _params(parabola, c=0.01, Q=2000.0, psi=0.3)
-    nc.goodset_delta(parabola, x, p2)
-    nc.goodset_delta(parabola, x + 1e-3, p)
+    rec = nc.reduce_at(parabola, x, p)
+    w = nc.detect_witness(parabola, x, p, reduction=rec)
+    assert len(calls) == 1  # the passed record is not reduced again
+    assert nc.detect_witness(parabola, x, p) == w
     assert len(calls) == 2
+    # no reduction is kept between calls
+    assert nc.goodset_delta(parabola, x, p) == rec.delta
+    assert nc.goodset_delta(parabola, x, p) == rec.delta
+    assert len(calls) == 4
 
 
 def test_detect_witness_float_verification_path():

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nearcurve as nc
@@ -96,21 +97,6 @@ def test_run_experiment_deterministic(tmp_path):
         assert Path(f).read_bytes() == snapshot[f]
 
 
-def test_run_experiment_jobs_deterministic(tmp_path):
-    text = f"""
-    curve = parabola
-    B = 0,1
-    psi_list = 0.2,0.4
-    Q_list = 32,64
-    output_dir = {tmp_path}/j
-    """
-    out1 = run_experiment(_cfg(text), mode="count", jobs=1)
-    snapshot = {f: Path(f).read_bytes() for f in out1.files}
-    out2 = run_experiment(_cfg(text), mode="count", jobs=4)
-    for f in out2.files:
-        assert Path(f).read_bytes() == snapshot[f]
-
-
 def test_run_experiment_errors(tmp_path):
     good = f"curve = parabola\noutput_dir = {tmp_path}/x\n"
     with pytest.raises(ConfigError, match="unknown curve"):
@@ -154,6 +140,7 @@ def test_run_detect_reduces_once_per_grid_point(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(nc.lattice, "lll_reduce", counted)
+    # at Q = 40 the rho-interior drops 4 grid points at each end of B
     cfg = _cfg(
         f"""
         curve = parabola
@@ -161,17 +148,22 @@ def test_run_detect_reduces_once_per_grid_point(tmp_path, monkeypatch):
         c = 0.01
         M = 2
         psi_list = 0.3
-        Q_list = 500,1000
+        Q_list = 40,1000
         grid.points = 30
         output_dir = {tmp_path}/d
         """
     )
     outcome = run_experiment(cfg, mode="detect")
     assert outcome.summary["good_points"] > 0
+    consts = nc.derive_constants(2, 1, 1, 2.0, 0.01)
+    xs = 0.1 + (np.arange(30) + 0.5) * (0.8 / 30)
+    interior = [int(np.count_nonzero((xs >= 0.1 + rho) & (xs <= 0.9 - rho)))
+                for rho in (consts.interior_rho(Q, 0.3) for Q in (40, 1000))]
+    assert interior == [22, 30]
     points = sum(len(Path(f).read_text().splitlines()) - 1
                  for f in outcome.files if Path(f).name.startswith("detect_"))
-    assert points > 0
-    assert len(calls) == points
+    assert points == sum(interior)
+    assert len(calls) == sum(interior)
 
 
 def test_run_coverage_and_rho_scale(tmp_path):
