@@ -127,6 +127,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("Q_list must be strictly ascending")
     if resolved["B"][0] >= resolved["B"][1]:
         raise ConfigError("B must be a nonempty interval lo,hi")
+    for key in ("grid.points", "qnd.samples", "identities.draws"):
+        if resolved[key] < 1:
+            raise ConfigError(f"key {key!r} must be >= 1, got {resolved[key]}")
 
     return ExperimentConfig(**{key.replace(".", "_"): value for key, value in resolved.items()},
                             raw=resolved)

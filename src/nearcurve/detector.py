@@ -141,8 +141,9 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
     admissibility floor, and x belongs to the good set.  The construction
     solves for the real coordinates of a shifted target against a reduced
     lattice basis and rounds them to integers (forcing a nonzero vector).
-    ``reduction``, when given, must be ``lattice.reduce_at(curve, x, params)``,
-    and the lattice is not reduced again; without it, this call reduces it.
+    ``reduction``, when given, must be ``lattice.reduce_at(curve, x, params)``
+    or the record of x in a stacked ``lattice.reduce``, and the lattice is not
+    reduced again; without it, this call reduces it.
 
     Sign convention: the target vector is (-w0, lambda - w0 x, gamma - w0 f(x))
     with w0 = 3(n+1)Q, which lands q inside the stated positive range; the

@@ -251,7 +251,8 @@ def qnd_bound_check(curve: Curve, B: tuple[float, float], params: ApproxParams,
                     samples: int = 4000) -> QndReport:
     """Fraction of x in B whose scaled lattice has a vector of sup-norm <= eps.
 
-    One shortest-vector computation per grid point; every epsilon row reuses
+    One shortest-vector computation per grid point, all of them in one
+    ``lattice.shortest_sups`` of the stacked bases; every epsilon row reuses
     the same deltas, so the measured fraction is nonincreasing in shrinking
     epsilon by construction.  The fitted slope uses the positive rows only.
     """
@@ -263,11 +264,13 @@ def qnd_bound_check(curve: Curve, B: tuple[float, float], params: ApproxParams,
         raise ValueError("eps grid entries must be nonnegative")
     if any(a < b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps grid must be nonincreasing")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     xs = midpoint_grid(lo, hi, samples)
-    deltas = np.empty(samples)
+    bases = np.empty((samples, params.n + 1, params.n + 1))
     for i, x in enumerate(xs):
-        basis = lat.build_h(curve, float(x), params)
-        deltas[i], _ = lat.shortest_sup(basis)
+        bases[i] = lat.build_h(curve, float(x), params)
+    deltas = lat.shortest_sups(bases)
     rows = []
     for eps in eps_grid:
         frac = float(np.count_nonzero(deltas <= eps)) / samples

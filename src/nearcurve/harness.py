@@ -27,11 +27,12 @@ from .counting import (
     write_triples_csv,
 )
 from .curves import Curve, midpoint_grid, resolve_curve, second_derivative_bound
-from .detector import derive_constants, detect_witness, goodset_delta, psi_floor, verify_witness
+from .detector import derive_constants, detect_witness, psi_floor, verify_witness
 from .errors import ConfigError, PreconditionError
 from .goodness import MinorSpec, hodge_dual_basis, phi_closed_form, phi_minor, qnd_bound_check, scale_factor
 from .intlinalg import rank_int
-from .lattice import ApproxParams, Shift, build_G, build_h, normalise_theta, reduce_at
+from .lattice import (ApproxParams, Shift, build_G, build_h, curve_lattice_bases, normalise_theta, reduce,
+                      shortest_sups)
 from .plots import svg_loglog
 
 
@@ -233,15 +234,15 @@ def _run_detect(cfg, curve, consts, theta, out, seed):
         rho = consts.interior_rho(Q, psi)
         xs = [float(x) for x in midpoint_grid(cfg.B[0], cfg.B[1], cfg.grid_points)
               if cfg.B[0] + rho <= x <= cfg.B[1] - rho]
+        reductions = reduce(curve_lattice_bases(curve, xs, params))
         rows = []
-        for x in xs:
-            r = reduce_at(curve, x, params)
-            good = r.delta >= 1.0 - cfg.guard
-            rec = [x, r.delta, "yes" if good else "no"]
+        for i, (x, delta) in enumerate(zip(xs, reductions.delta.tolist())):
+            good = delta >= 1.0 - cfg.guard
+            rec = [x, delta, "yes" if good else "no"]
             if good:
                 n_good += 1
                 try:
-                    w = detect_witness(curve, x, params, guard=cfg.guard, reduction=r)
+                    w = detect_witness(curve, x, params, guard=cfg.guard, reduction=reductions[i])
                     rep = verify_witness(w, curve, x, params, consts)
                     ok = rep.all_ok
                     rec += [w.q, w.a[0], *w.b, "yes" if ok else "no"]
@@ -292,8 +293,7 @@ def _run_goodset(cfg, curve, consts, theta, out, seed):
         rows = []
         n_good = 0
         n_boundary = 0
-        for x in xs:
-            delta = goodset_delta(curve, float(x), params)
+        for x, delta in zip(xs, shortest_sups(curve_lattice_bases(curve, xs, params)).tolist()):
             good = delta >= 1.0 - cfg.guard
             boundary = abs(delta - 1.0) <= cfg.guard
             n_good += good and not boundary

@@ -6,9 +6,16 @@ The scaled lattice attached to a curve point is spanned by the columns of
 (``n + 1 <= 8``), so the shortest sup-norm vector is found exactly by an
 LLL-style reduction followed by exhaustive enumeration inside the Euclidean
 ball of radius ``sqrt(dim)`` times the best known sup-norm; the bound
-``|v|_inf <= |v|_2`` makes that ball exhaustive.  ``reduce`` does both steps
-once and returns one record that the shortest-vector and witness callers
-share.
+``|v|_inf <= |v|_2`` makes that ball exhaustive.
+
+``reduce`` takes a whole stack of bases ``(N, n, n)``, such as every grid
+point of a cell, and returns one struct-of-arrays record that the
+shortest-vector and witness callers share.  Its LLL runs all N bases in
+lockstep as one numpy kernel, each basis bit for bit as the scalar kernel
+would reduce it alone; the ball enumeration stays per basis.  A stack of one
+pays the kernel's fixed numpy cost of about 1-2 ms, so callers pass whole
+grids; the single-basis entry points (``reduce_at``, ``shortest_sup``,
+``reduced_basis``, ``successive_minima_sup``) pass a stack of one.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -135,6 +142,30 @@ class LatticeReduction(LatticeBasis):
 
 
 @dataclass(frozen=True)
+class LatticeReductions:
+    """``reduce`` of a stack of N bases, as arrays; ``r[i]`` is basis i's ``LatticeReduction``.
+
+    ``source``, ``columns`` (the reduced W) and ``preimage`` (the integer U)
+    have shape (N, n, n), ``delta`` (N,) and ``coords`` (N, n).  A record
+    holds copies of its rows, so it owns fresh arrays as a lone reduction did.
+    """
+
+    source: np.ndarray
+    columns: np.ndarray
+    preimage: np.ndarray
+    delta: np.ndarray
+    coords: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.delta)
+
+    def __getitem__(self, i: int) -> LatticeReduction:
+        return LatticeReduction(dim=self.source.shape[1], columns=self.columns[i].copy(),
+                                preimage=self.preimage[i].copy(), source=self.source[i].copy(),
+                                delta=float(self.delta[i]), coords=self.coords[i].copy())
+
+
+@dataclass(frozen=True)
 class SuccessiveMinima:
     """Sup-norm successive minima with integer vectors attaining them."""
 
@@ -211,6 +242,14 @@ def curve_lattice_basis(curve: Curve, x: float, params: ApproxParams) -> np.ndar
     return G / scaling_diagonal(params)[:, None]
 
 
+def curve_lattice_bases(curve: Curve, xs: Sequence[float], params: ApproxParams) -> np.ndarray:
+    """The stack (len(xs), n+1, n+1) of ``curve_lattice_basis`` at each x."""
+    bases = np.empty((len(xs), curve.n + 1, curve.n + 1))
+    for i, x in enumerate(xs):
+        bases[i] = curve_lattice_basis(curve, float(x), params)
+    return bases
+
+
 def build_h(curve: Curve, x: float, params: ApproxParams) -> np.ndarray:
     """h(x) = c^{1/(n+1)} g^{-1} G(x); |det h| = 1."""
     scale = params.c ** (1.0 / (params.n + 1))
@@ -221,103 +260,234 @@ def build_h(curve: Curve, x: float, params: ApproxParams) -> np.ndarray:
 # LLL reduction with exact integer transform
 
 
-class LLLResult(tuple):
-    """``(W, U)`` of one ``lll_reduce`` run, carrying the Gram-Schmidt data of W.
+def _stack(bases, max_dim: Optional[int] = None) -> np.ndarray:
+    """The bases as a float stack ``(N, n, n)``, with n checked against ``max_dim``."""
+    B = np.asarray(bases, dtype=float)
+    if B.ndim != 3 or B.shape[1] != B.shape[2]:
+        raise ValueError("bases must be a stack (N, n, n) of square matrices")
+    if max_dim is not None and B.shape[1] > max_dim:
+        raise ValueError(f"dimension {B.shape[1]} exceeds the supported {max_dim}")
+    return B
 
-    ``mu[i]`` lists the coefficients mu_ij (j < i) and ``norms2[i]`` is
-    ``|b*_i|^2``, so ``|W t|_2^2 = sum_i norms2[i] * y_i^2`` with
-    ``y_i = t_i + sum_{j>i} mu[j][i] t_j``.
+
+_U_BOUND = 2.0**62  # int64 transforms stay below this; past it the stack reruns in Python ints
+
+
+class _TransformOverflow(Exception):
+    """An int64 update of the integer transform could leave the exact range."""
+
+
+class LLLResult(NamedTuple):
+    """One ``lll_reduce`` run over a stack of N bases of dimension n.
+
+    ``W[s] = source[s] @ U[s]`` is the reduced basis s (as columns) and
+    ``U[s]`` its integer transform, int64 or, past ``_U_BOUND``, Python ints
+    (dtype object).  ``norms2[s, i] = |b*_i|^2`` and the coefficients mu_ij
+    (j < i), packed row after row as ``mu[s, _row(i) + j]``, are the
+    Gram-Schmidt data of ``W[s]``, so ``|W t|_2^2 = sum_i norms2[i] * y_i^2``
+    with ``y_i = t_i + sum_{j>i} mu_ji t_j``.
     """
 
-    mu: list[list[float]]
-    norms2: list[float]
+    W: np.ndarray       # (N, n, n) float, C-contiguous
+    U: np.ndarray       # (N, n, n) integer
+    mu: np.ndarray      # (N, n(n-1)/2) float
+    norms2: np.ndarray  # (N, n) float
 
 
-def _gram_schmidt(cols: list[list[float]], scale: float) -> tuple[list[list[float]], list[float]]:
-    """Gram-Schmidt orthogonalisation of the columns: ``(mu, norms2)`` as in ``LLLResult``."""
-    stars: list[list[float]] = []
-    mu: list[list[float]] = []
-    norms2: list[float] = []
-    for b in cols:
-        v = list(b)
-        row = []
-        for bs, nj in zip(stars, norms2):
-            m = sum(x * y for x, y in zip(b, bs)) / nj
-            row.append(m)
+def _row(i):
+    """Offset of row i of the packed mu: rows 0, ..., i-1 hold 0 + 1 + ... + (i-1) coefficients."""
+    return i * (i - 1) // 2
+
+
+def _mu_rows(packed: list[float], n: int) -> list[list[float]]:
+    """The packed mu of one basis as rows: row i lists mu_ij for j < i."""
+    return [packed[_row(i):_row(i) + i] for i in range(n)]
+
+
+def _gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt data ``(mu, norms2)`` as in ``LLLResult`` of the columns of every ``B[s]``.
+
+    A column is the list of its n coordinates, each an (N,) array over the
+    stack, so every line is the scalar kernel's, run on all N bases at once;
+    ``sum`` starts from 0 and adds left to right, as it does on floats.
+    """
+    N, n, _ = B.shape
+    scale = np.maximum(B.max(axis=(1, 2), initial=0.0), -B.min(axis=(1, 2), initial=0.0))  # max |B|
+    scale[scale == 0.0] = 1.0
+    stars: list[list[np.ndarray]] = []
+    mu = np.empty((N, _row(n)))
+    norms2 = np.empty((N, n))
+    for i in range(n):
+        b = v = [B[:, r, i] for r in range(n)]
+        for j, bs in enumerate(stars):
+            mu[:, _row(i) + j] = m = sum(x * y for x, y in zip(b, bs)) / norms2[:, j]
             v = [x - m * y for x, y in zip(v, bs)]
-        n2 = sum(x * x for x in v)
-        if math.sqrt(n2) <= 1e-13 * scale:
+        norms2[:, i] = n2 = sum(x * x for x in v)
+        if np.any(np.sqrt(n2) <= 1e-13 * scale):
             raise ValueError("singular (or numerically singular) basis")
-        stars.append(v)
-        mu.append(row)
-        norms2.append(n2)
+        if i < n - 1:  # b*_0 is b_0 itself; the last b* is never used again
+            stars.append(v)
     return mu, norms2
 
 
-def lll_reduce(basis, max_swaps: Optional[int] = None) -> LLLResult:
-    """Floating-point LLL on the columns of ``basis``.
+def _size_reduce(W: np.ndarray, U: Optional[np.ndarray], mu: np.ndarray,
+                 act: np.ndarray, ka: np.ndarray) -> None:
+    """Size-reduce column k = ``ka`` of every active basis ``act`` against j = k-1, ..., 0.
 
-    Returns ``(W, U)`` where ``W = basis @ U`` is the reduced basis and ``U``
-    is a list of integer columns (exact arithmetic) with ``|det U| = 1``.
-    The Gram-Schmidt data is computed once and updated in place on each swap
-    (LLL 1982; Cohen, Alg. 2.6.3); the result carries it as ``mu`` and
-    ``norms2``.
+    Only the bases whose q is not 0 are touched, one coordinate at a time,
+    which keeps the temporaries at a few values per basis.
     """
-    B = np.array(basis, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("basis must be a square matrix of column vectors")
-    n = B.shape[1]
-    b = B.T.tolist()  # columns
-    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
-    mu, norms2 = _gram_schmidt(b, float(np.max(np.abs(B))) or 1.0)
+    n = W.shape[1]
+    for j in range(n - 2, -1, -1):
+        r = np.flatnonzero(ka > j)
+        q = np.rint(mu[act[r], _row(ka[r]) + j])  # half to even, as round()
+        nz = np.flatnonzero(q)
+        if not nz.size:
+            continue
+        q, r = q[nz], r[nz]
+        s, ks = act[r], ka[r]
+        del r, nz
+        if U is not None:
+            _transform_step(U, s, ks, j, q)
+        for c in range(n):
+            Wk, Wj = W[s, c, ks], W[s, c, j]
+            Wj *= q
+            Wk -= Wj
+            W[s, c, ks] = Wk
+        rs = _row(ks)
+        for i in range(j):
+            mu[s, rs + i] = mu[s, rs + i] - q * mu[s, _row(j) + i]
+        mu[s, rs + j] = mu[s, rs + j] - q
+
+
+def _transform_step(U: np.ndarray, s: np.ndarray, ks: np.ndarray, j: int, q: np.ndarray) -> None:
+    """U_k -= q U_j on the bases s, exactly.
+
+    In int64, ``max |U_k| + max |q| max |U_j|`` bounds every new entry; when
+    it reaches ``_U_BOUND`` this raises ``_TransformOverflow`` instead.
+    """
+    qmax = float(np.abs(q).max())
+    qi = q.astype(np.int64) if U.dtype != object else np.array([int(v) for v in q], dtype=object)
+    for c in range(U.shape[1]):
+        Uk, Uj = U[s, c, ks], U[s, c, j]
+        if U.dtype != object and _sup(Uk) + qmax * _sup(Uj) >= _U_BOUND:
+            raise _TransformOverflow
+        Uj *= qi
+        Uk -= Uj
+        U[s, c, ks] = Uk
+
+
+def _sup(a: np.ndarray) -> float:
+    """max |a| of a nonempty int64 array, as a float."""
+    return float(max(a.max(), -a.min()))
+
+
+def _lovasz_fails(mu: np.ndarray, norms2: np.ndarray, act: np.ndarray, ka: np.ndarray) -> np.ndarray:
+    """Whether the Lovasz condition fails at k = ``ka`` for each active basis."""
+    m = mu[act, _row(ka) + ka - 1]
+    nk, n1 = norms2[act, ka], norms2[act, ka - 1]
+    rhs = (LOVASZ - m * m) * n1
+    fails = ~(nk >= rhs)
+    # the scalar kernel squares m with libm pow, which can differ from m * m
+    # in the last bit; decide the tests that close to a tie with it
+    for i in np.flatnonzero(np.abs(nk - rhs) <= 1e-12 * np.abs(rhs)):
+        fails[i] = not float(nk[i]) >= (LOVASZ - float(m[i]) ** 2) * float(n1[i])
+    return fails
+
+
+def _swap(W: np.ndarray, U: Optional[np.ndarray], mu: np.ndarray, norms2: np.ndarray,
+          s: np.ndarray, ks: np.ndarray) -> None:
+    """Swap columns k-1 and k = ``ks`` of the bases ``s`` and update their Gram-Schmidt data."""
+    n = W.shape[1]
+    b = _row(ks)  # row k of mu; row k-1 starts k-1 places before it
+    m = mu[s, b + ks - 1]
+    for A in (W, U) if U is not None else (W,):
+        for c in range(n):
+            A[s, c, ks - 1], A[s, c, ks] = A[s, c, ks], A[s, c, ks - 1]
+    old, nk = norms2[s, ks - 1], norms2[s, ks]
+    norms2[s, ks - 1] = new = nk + m * m * old
+    norms2[s, ks] = old * nk / new
+    mu[s, b + ks - 1] = m_new = m * old / new
+    del old, nk, new
+    for c in range(n - 2):  # row k-1 becomes mu_k0..mu_k,k-2 and row k starts with row k-1
+        r = np.flatnonzero(ks - 1 > c)
+        if r.size:
+            sr, pb = s[r], b[r] + c
+            pa = pb - ks[r] + 1
+            mu[sr, pa], mu[sr, pb] = mu[sr, pb], mu[sr, pa]
+    for i in range(2, n):  # rows i > k
+        r = np.flatnonzero(ks < i)
+        if r.size:
+            si, pk = s[r], _row(i) + ks[r]
+            t = mu[si, pk]
+            mu[si, pk] = new_k = mu[si, pk - 1] - m[r] * t
+            mu[si, pk - 1] = t + m_new[r] * new_k
+
+
+def _lll_stack(W: np.ndarray, U: Optional[np.ndarray],
+               max_swaps: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """LLL in lockstep, in place on the columns of every ``W[s]`` and ``U[s]``: ``(mu, norms2)``.
+
+    ``U`` starts as the identity, or is None when no transform is wanted.
+    Each basis keeps its own k and swap count, and leaves the active set when
+    k reaches n.  Every float operation is the one the scalar kernel (LLL
+    1982; Cohen, Alg. 2.6.3) applies to that basis, in the same order, so each
+    basis ends bit for bit where it would alone.
+    """
+    N, n, _ = W.shape
     if max_swaps is None:
         max_swaps = 10_000 * n * n
-    k = 1
-    swaps = 0
-    while k < n:
-        mk = mu[k]
-        for j in range(k - 1, -1, -1):
-            q = round(mk[j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                U[k] = [x - q * y for x, y in zip(U[k], U[j])]
-                mj = mu[j]
-                for i in range(j):
-                    mk[i] -= q * mj[i]
-                mk[j] -= q
-        m = mk[k - 1]
-        if norms2[k] >= (LOVASZ - m ** 2) * norms2[k - 1]:
-            k += 1
-            continue
-        b[k - 1], b[k] = b[k], b[k - 1]
-        U[k - 1], U[k] = U[k], U[k - 1]
-        old = norms2[k - 1]
-        norms2[k - 1] = new = norms2[k] + m * m * old
-        norms2[k] = old * norms2[k] / new
-        mu[k - 1], mu[k] = mk[:k - 1], mu[k - 1] + [m * old / new]
-        m_new = mu[k][k - 1]
-        for row in mu[k + 1:]:
-            t = row[k]
-            row[k] = row[k - 1] - m * t
-            row[k - 1] = t + m_new * row[k]
-        k = max(k - 1, 1)
-        swaps += 1
-        if swaps > max_swaps:
-            # float flip-flop guard; the current basis still spans the lattice
-            log.warning("lll_reduce stopped after %d swaps in dimension %d; "
-                        "the basis may not be LLL-reduced", swaps, n)
-            break
-    B[...] = np.array(b).T  # keeps the memory layout of the input copy
-    result = LLLResult((B, U))
-    result.mu, result.norms2 = mu, norms2
-    return result
+    mu, norms2 = _gram_schmidt(W)
+    k = np.ones(N, dtype=np.intp)
+    swaps = np.zeros(N, dtype=np.intp)
+    act = np.arange(N)[k < n]
+    while act.size:
+        ka = k[act]
+        _size_reduce(W, U, mu, act, ka)
+        fails = _lovasz_fails(mu, norms2, act, ka)
+        k[act[~fails]] += 1
+        s, ks = act[fails], ka[fails]
+        del ka, fails
+        if s.size:
+            _swap(W, U, mu, norms2, s, ks)
+            k[s] = np.maximum(ks - 1, 1)
+            swaps[s] += 1
+            for i in s[swaps[s] > max_swaps]:
+                # float flip-flop guard; the current basis still spans the lattice
+                log.warning("lll_reduce stopped after %d swaps in dimension %d; "
+                            "the basis may not be LLL-reduced", swaps[i], n)
+                k[i] = n
+        del s, ks
+        act = act[k[act] < n]
+    return mu, norms2
 
 
-def _u_columns_to_array(U: list[list[int]]) -> np.ndarray:
-    flat = [v for col in U for v in col]
-    if max(abs(v) for v in flat) < 2**62:
-        return np.array(U, dtype=np.int64).T
-    return np.array(U, dtype=object).T
+def _identities(N: int, n: int, dtype) -> np.ndarray:
+    """N identity transforms (N, n, n) of the given dtype."""
+    U = np.zeros((N, n, n), dtype=dtype)
+    U[:, np.arange(n), np.arange(n)] = 1
+    return U
+
+
+def lll_reduce(bases, max_swaps: Optional[int] = None) -> LLLResult:
+    """Floating-point LLL on the columns of every basis of a stack ``(N, n, n)``.
+
+    All N bases run in lockstep through one numpy kernel, each exactly as it
+    would run alone, and come back as one ``LLLResult``.  The Gram-Schmidt
+    data is computed once per basis and updated on each swap.  The integer
+    transform is exact: it is int64 while a bound keeps every update below
+    ``_U_BOUND``, and the stack is run again in Python ints when it does not.
+    A stack of one costs about 1-2 ms, so callers pass whole grids.
+    """
+    B = _stack(bases)
+    N, n, _ = B.shape
+    W, U = B.copy(), _identities(N, n, np.int64)
+    try:
+        mu, norms2 = _lll_stack(W, U, max_swaps)
+    except _TransformOverflow:
+        W, U = B.copy(), _identities(N, n, object)
+        mu, norms2 = _lll_stack(W, U, max_swaps)
+    return LLLResult(W=W, U=U, mu=mu, norms2=norms2)
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +523,12 @@ def _enumerate_ball(norms2, mu, radius2_fn, visit) -> None:
         t[level] = 0
 
     dfs(n - 1, 0.0)
+    del dfs  # dfs refers to itself; freeing it now spares the cyclic collector
 
 
-def _lll_prologue(basis, max_dim: Optional[int] = None):
-    """Square and size checks, one LLL run: ``(source, W, U, norms2, mu)``.
-
-    ``W = source @ U``, and ``norms2``, ``mu`` are the Gram-Schmidt data of W
-    that the LLL run ends with.
-    """
-    B = np.asarray(basis, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("basis must be square")
-    dim = B.shape[0]
-    if max_dim is not None and dim > max_dim:
-        raise ValueError(f"dimension {dim} exceeds the supported {max_dim}")
-    run = lll_reduce(B)
-    W, Ucols = run
-    return B, W, _u_columns_to_array(Ucols), run.norms2, run.mu
-
-
-def reduce(basis) -> LatticeReduction:
-    """The lattice kernel: one LLL reduction and one ball enumeration.
-
-    The reduced basis, its integer transform and the exact (to rounding)
-    sup-norm shortest vector all come from the same reduction, so callers that
-    need more than one of them never reduce twice.
-    """
-    B, W, U, norms2, mu = _lll_prologue(basis, MAX_SVP_DIM)
-    dim = B.shape[0]
+def _shortest(W: np.ndarray, norms2: list[float], mu: list[list[float]]) -> tuple[float, tuple[int, ...]]:
+    """``(|W t|_inf, t)`` for the sup-norm shortest nonzero W t, by ball enumeration."""
+    dim = len(norms2)
     sups = np.max(np.abs(W), axis=0)
     i0 = int(np.argmin(sups))
     state = {"best": float(sups[i0]), "t": tuple(1 if i == i0 else 0 for i in range(dim))}
@@ -395,13 +543,52 @@ def reduce(basis) -> LatticeReduction:
             state["t"] = tuple(t)
 
     _enumerate_ball(norms2, mu, radius2, visit)
-    p = np.dot(U, np.array(state["t"], dtype=U.dtype))
-    return LatticeReduction(dim=dim, columns=W, preimage=U, source=B, delta=state["best"], coords=p)
+    return state["best"], state["t"]
+
+
+def _shortest_each(W: np.ndarray, mu: np.ndarray, norms2: np.ndarray):
+    """``_shortest`` of every basis of an LLL-reduced stack, each on a C-contiguous copy of its W.
+
+    The copy keeps the layout ``W @ t`` has always had, so its BLAS sums, and
+    with them every delta, stay bit for bit the same.
+    """
+    n = W.shape[1]
+    for s in range(len(W)):
+        yield _shortest(W[s].copy(), norms2[s].tolist(), _mu_rows(mu[s].tolist(), n))
+
+
+def reduce(bases) -> LatticeReductions:
+    """The lattice kernel over a stack ``(N, n, n)``: one LLL run, one ball enumeration per basis.
+
+    The reduced bases, their integer transforms and the exact (to rounding)
+    sup-norm shortest vectors all come from the same reduction, so callers
+    that need more than one of them never reduce twice.
+    """
+    B = _stack(bases, MAX_SVP_DIM)
+    W, U, mu, norms2 = lll_reduce(B)
+    delta = np.empty(len(B))
+    coords = np.empty(B.shape[:2], dtype=U.dtype)
+    for s, (d, t) in enumerate(_shortest_each(W, mu, norms2)):
+        delta[s] = d
+        coords[s] = np.dot(U[s], np.array(t, dtype=U.dtype))
+    return LatticeReductions(source=B, columns=W, preimage=U, delta=delta, coords=coords)
+
+
+def shortest_sups(bases) -> np.ndarray:
+    """``reduce(bases).delta``, bit for bit, with the stack reduced in place.
+
+    For callers that need only the deltas: no integer transform is tracked
+    and a float64 stack is not copied, so nothing else of its size is held.
+    The stack ends up LLL-reduced.
+    """
+    W = _stack(bases, MAX_SVP_DIM)
+    mu, norms2 = _lll_stack(W, None)
+    return np.fromiter((delta for delta, _ in _shortest_each(W, mu, norms2)), dtype=float, count=len(W))
 
 
 def reduce_at(curve: Curve, x: float, params: ApproxParams) -> LatticeReduction:
-    """``reduce`` of the scaled curve lattice g^{-1} G(x) Z^{n+1}."""
-    return reduce(curve_lattice_basis(curve, x, params))
+    """``reduce`` of the scaled curve lattice g^{-1} G(x) Z^{n+1}, as a stack of one."""
+    return reduce(curve_lattice_basis(curve, x, params)[None])[0]
 
 
 def shortest_sup(basis) -> tuple[float, np.ndarray]:
@@ -410,22 +597,25 @@ def shortest_sup(basis) -> tuple[float, np.ndarray]:
     Returns ``(delta, p)`` where ``delta = |W p|_inf`` is minimal over nonzero
     lattice vectors and ``p`` holds the integer coordinates in the input basis.
     """
-    r = reduce(basis)
+    r = reduce(np.asarray(basis, dtype=float)[None])[0]
     return r.delta, r.coords
 
 
 def reduced_basis(basis) -> LatticeBasis:
     """LLL-reduced basis of the same lattice with its unimodular preimage."""
-    B, W, U, _, _ = _lll_prologue(basis)
-    reduced = LatticeBasis(dim=B.shape[0], columns=W, preimage=U, source=B)
+    B = _stack(np.asarray(basis, dtype=float)[None])
+    W, U, _, _ = lll_reduce(B)
+    reduced = LatticeBasis(dim=B.shape[1], columns=W[0], preimage=U[0], source=B[0])
     reduced.assert_unimodular()
     return reduced
 
 
 def successive_minima_sup(basis) -> SuccessiveMinima:
     """Sup-norm successive minima by exhaustive enumeration (dim <= 6)."""
-    B, W, U, norms2, mu = _lll_prologue(basis, MAX_MINIMA_DIM)
-    dim = B.shape[0]
+    B = _stack(np.asarray(basis, dtype=float)[None], MAX_MINIMA_DIM)
+    run = lll_reduce(B)
+    dim = B.shape[1]
+    W, U, norms2, mu = run.W[0], run.U[0], run.norms2[0].tolist(), _mu_rows(run.mu[0].tolist(), dim)
     # every minimum is attained inside the ball that contains the basis itself
     S = float(np.max(np.abs(W)))
     found: list[tuple[float, tuple[int, ...]]] = []

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import logging
 import math
+from typing import Optional
 
 import numpy as np
+
+from nearcurve.lattice import LOVASZ
+
+log = logging.getLogger("nearcurve")
 
 
 def naive_count_R(fs, Q, psi, B, lam=0.0, gammas=None, guard=1e-12):
@@ -181,6 +187,87 @@ def naive_lll(basis, delta=0.99, max_swaps=None):
             if swaps > max_swaps:
                 break
     return B, U
+
+
+def _scalar_gram_schmidt(cols: list[list[float]], scale: float) -> tuple[list[list[float]], list[float]]:
+    """Gram-Schmidt orthogonalisation of the columns: ``(mu, norms2)`` as in ``incremental_lll``."""
+    stars: list[list[float]] = []
+    mu: list[list[float]] = []
+    norms2: list[float] = []
+    for b in cols:
+        v = list(b)
+        row = []
+        for bs, nj in zip(stars, norms2):
+            m = sum(x * y for x, y in zip(b, bs)) / nj
+            row.append(m)
+            v = [x - m * y for x, y in zip(v, bs)]
+        n2 = sum(x * x for x in v)
+        if math.sqrt(n2) <= 1e-13 * scale:
+            raise ValueError("singular (or numerically singular) basis")
+        stars.append(v)
+        mu.append(row)
+        norms2.append(n2)
+    return mu, norms2
+
+
+def incremental_lll(basis, max_swaps: Optional[int] = None):
+    """Floating-point LLL on the columns of one basis, in plain Python floats.
+
+    The scalar kernel that ``lattice.lll_reduce`` ran before it reduced whole
+    stacks, kept verbatim as the bit-for-bit reference of the stacked one.
+    Returns ``(W, U, mu, norms2)``: ``W = basis @ U`` is the reduced basis,
+    ``U`` a list of integer columns (exact arithmetic) with ``|det U| = 1``,
+    ``mu[i]`` the list of mu_ij (j < i) and ``norms2[i] = |b*_i|^2``.  The
+    Gram-Schmidt data is computed once and updated in place on each swap
+    (LLL 1982; Cohen, Alg. 2.6.3).  Its dot products are Python ``sum``s,
+    which add left to right on Python 3.11 (3.12 compensates them).
+    """
+    B = np.array(basis, dtype=float)
+    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+        raise ValueError("basis must be a square matrix of column vectors")
+    n = B.shape[1]
+    b = B.T.tolist()  # columns
+    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
+    mu, norms2 = _scalar_gram_schmidt(b, float(np.max(np.abs(B))) or 1.0)
+    if max_swaps is None:
+        max_swaps = 10_000 * n * n
+    k = 1
+    swaps = 0
+    while k < n:
+        mk = mu[k]
+        for j in range(k - 1, -1, -1):
+            q = round(mk[j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                U[k] = [x - q * y for x, y in zip(U[k], U[j])]
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+                mk[j] -= q
+        m = mk[k - 1]
+        if norms2[k] >= (LOVASZ - m ** 2) * norms2[k - 1]:
+            k += 1
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        U[k - 1], U[k] = U[k], U[k - 1]
+        old = norms2[k - 1]
+        norms2[k - 1] = new = norms2[k] + m * m * old
+        norms2[k] = old * norms2[k] / new
+        mu[k - 1], mu[k] = mk[:k - 1], mu[k - 1] + [m * old / new]
+        m_new = mu[k][k - 1]
+        for row in mu[k + 1:]:
+            t = row[k]
+            row[k] = row[k - 1] - m * t
+            row[k - 1] = t + m_new * row[k]
+        k = max(k - 1, 1)
+        swaps += 1
+        if swaps > max_swaps:
+            # float flip-flop guard; the current basis still spans the lattice
+            log.warning("lll_reduce stopped after %d swaps in dimension %d; "
+                        "the basis may not be LLL-reduced", swaps, n)
+            break
+    B[...] = np.array(b).T  # keeps the memory layout of the input copy
+    return B, U, mu, norms2
 
 
 def exact_lll_meets_tie(basis, delta=0.99):

@@ -31,6 +31,15 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     assert "mod" in capsys.readouterr().err
 
 
+def test_zero_samples_is_a_config_error(tmp_path, capsys):
+    # a count below 1 is refused when the config is read, before any run starts
+    for key, mode in (("qnd.samples", "qnd"), ("grid.points", "detect"), ("identities.draws", "identities")):
+        cfg = _write(tmp_path, "zero.cfg", f"curve = parabola\n{key} = 0\noutput_dir = {tmp_path}/z\n")
+        assert main([mode, "--config", cfg]) == 1
+        assert f"config error: key '{key}' must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["count", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -77,6 +77,14 @@ def test_bad_mode_and_lists():
         parse_config_text(MINIMAL + "B = 0.9,0.1\n")
 
 
+@pytest.mark.parametrize("key", ["grid.points", "qnd.samples", "identities.draws"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_counts_below_one_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key}.*>= 1"):
+        parse_config_text(MINIMAL + f"{key} = {value}\n")
+    assert getattr(parse_config_text(MINIMAL + f"{key} = 1\n"), key.replace(".", "_")) == 1
+
+
 def test_missing_equals():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("curve parabola\n")

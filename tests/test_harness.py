@@ -131,15 +131,21 @@ def test_run_detect_and_goodset(tmp_path):
     assert out2.summary[key]["fraction_good"] > 0.5
 
 
-def test_run_detect_reduces_once_per_grid_point(tmp_path, monkeypatch):
-    calls = []
-    original = nc.lattice.lll_reduce
+def _count_stacks(monkeypatch):
+    """Record the stack size of every run of the LLL kernel ``lattice._lll_stack``."""
+    sizes = []
+    original = nc.lattice._lll_stack
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(W, *args, **kwargs):
+        sizes.append(len(W))
+        return original(W, *args, **kwargs)
 
-    monkeypatch.setattr(nc.lattice, "lll_reduce", counted)
+    monkeypatch.setattr(nc.lattice, "_lll_stack", counted)
+    return sizes
+
+
+def test_run_detect_reduces_each_cell_as_one_stack(tmp_path, monkeypatch):
+    stacks = _count_stacks(monkeypatch)
     # at Q = 40 the rho-interior drops 4 grid points at each end of B
     cfg = _cfg(
         f"""
@@ -163,7 +169,47 @@ def test_run_detect_reduces_once_per_grid_point(tmp_path, monkeypatch):
     points = sum(len(Path(f).read_text().splitlines()) - 1
                  for f in outcome.files if Path(f).name.startswith("detect_"))
     assert points == sum(interior)
-    assert len(calls) == sum(interior)
+    # one stacked reduction per cell, of its rho-interior points; the witness
+    # solves reuse it
+    assert stacks == interior
+
+
+def test_run_detect_cell_with_empty_interior(tmp_path, monkeypatch):
+    stacks = _count_stacks(monkeypatch)
+    # at Q = 10 the rho-interior (rho = 1/(2 c psi Q^2) = 5/3) holds no grid point
+    cfg = _cfg(
+        f"""
+        curve = parabola
+        B = 0.1,0.9
+        c = 0.01
+        M = 2
+        psi_list = 0.3
+        Q_list = 10,1000
+        grid.points = 30
+        output_dir = {tmp_path}/d
+        """
+    )
+    outcome = run_experiment(cfg, mode="detect")
+    assert stacks == [0, 30]
+    empty = Path(f"{tmp_path}/d/detect_Q10_psi0p3.csv").read_text().splitlines()
+    assert empty == ["x,delta,good,q,a,b1,all_ok"]
+    assert outcome.checks_passed is True
+
+
+def test_run_qnd_reduces_its_samples_as_one_stack(tmp_path, monkeypatch):
+    stacks = _count_stacks(monkeypatch)
+    cfg = _cfg(
+        f"""
+        curve = parabola
+        B = 0.1,0.9
+        psi_list = 0.3
+        Q_list = 4000
+        qnd.samples = 500
+        output_dir = {tmp_path}/q
+        """
+    )
+    run_experiment(cfg, mode="qnd")
+    assert stacks == [500]
 
 
 def test_run_coverage_and_rho_scale(tmp_path):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
+from nearcurve import lattice
+from nearcurve.curves import midpoint_grid
 from nearcurve.intlinalg import det_int
-from nearcurve.lattice import MAX_SVP_DIM, curve_lattice_basis, lll_reduce, scaling_diagonal
-from oracles import brute_svp_sup, exact_lll_meets_tie, naive_gso, naive_lll
+from nearcurve.lattice import MAX_SVP_DIM, curve_lattice_basis, curve_lattice_bases, lll_reduce, scaling_diagonal
+from oracles import brute_svp_sup, exact_lll_meets_tie, incremental_lll, naive_gso, naive_lll
 
 
 def _params(curve, **kw):
@@ -154,16 +156,16 @@ def test_reduced_basis_spans_same_lattice(rng):
 def test_lll_handles_curve_scale_skew(parabola):
     p = _params(parabola, c=1.0, Q=10_000.0, psi=0.3)
     A = curve_lattice_basis(parabola, 0.351, p)
-    W, U = lll_reduce(A)
-    assert abs(det_int([[int(v) for v in col] for col in zip(*U)])) == 1
+    run = lll_reduce(A[None])
+    assert abs(det_int(run.U[0].tolist())) == 1
 
 
 def test_lll_max_swaps_guard_warns(caplog):
     skew = np.array([[1.0, 0.0], [1e6, 1.0]])  # needs at least one swap
     with caplog.at_level("WARNING", logger="nearcurve"):
-        W, U = lll_reduce(skew, max_swaps=0)
+        run = lll_reduce(skew[None], max_swaps=0)
     assert "stopped after 1 swaps in dimension 2" in caplog.text
-    assert abs(det_int([list(col) for col in zip(*U)])) == 1
+    assert abs(det_int(run.U[0].tolist())) == 1
 
 
 @pytest.mark.parametrize("curve_name", ["parabola", "veronese:3"])
@@ -181,6 +183,18 @@ def test_views_agree_with_reduction_record(curve_name):
         assert np.array_equal(rb.columns, rec.columns)
         assert np.array_equal(rb.preimage, rec.preimage)
         assert float(np.max(np.abs(A @ rec.coords))) == pytest.approx(rec.delta, rel=1e-12)
+    # one stack over the same points gives the same records, index by index
+    xs = (0.2371, 0.5, 0.7093)
+    stacked = lattice.reduce(curve_lattice_bases(curve, xs, p))
+    assert len(stacked) == 3
+    for i, x in enumerate(xs):
+        assert _same_record(stacked[i], nc.reduce_at(curve, x, p))
+
+
+def _same_record(a, b):
+    return (a.dim == b.dim and repr(a.delta) == repr(b.delta)
+            and all(np.array_equal(getattr(a, f), getattr(b, f)) and getattr(a, f).dtype == getattr(b, f).dtype
+                    for f in ("columns", "preimage", "source", "coords")))
 
 
 def test_reduced_basis_takes_any_dimension():
@@ -225,12 +239,12 @@ def _check_lll_against_naive(A):
     bit-identical W.  At a tie they may part, and the result must still be an
     LLL-reduced basis of the same lattice.
     """
-    W, U = lll_reduce(A)
+    run = lll_reduce(A[None])
+    W, Um = run.W[0], run.U[0]
     if not exact_lll_meets_tie(A):
         W0, U0 = naive_lll(A)
-        assert U == U0 and W.tobytes() == W0.tobytes(), A.tolist()
+        assert Um.T.tolist() == U0 and W.tobytes() == W0.tobytes(), A.tolist()
         return False
-    Um = np.array(U, dtype=np.int64).T
     assert abs(det_int(Um.tolist())) == 1
     assert np.allclose(W, A @ Um.astype(float), rtol=0, atol=1e-9 * np.max(np.abs(A)) * np.max(np.abs(Um)))
     Bs, mu = naive_gso(W)
@@ -274,9 +288,118 @@ def test_lll_matches_naive_on_integer_bases(rng):
 def test_lll_rejects_singular_basis():
     for A in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[1.0, 1.0], [1e-15, 0.0]])):
         with pytest.raises(ValueError, match="singular"):
-            lll_reduce(A)
+            lll_reduce(A[None])
         with pytest.raises(ValueError, match="singular"):
             naive_lll(A)
+
+
+def _assert_same_as_scalar(bases, run, max_swaps=None):
+    """``run = lll_reduce(bases)`` against the scalar kernel on each basis: bit-identical W, U, mu, |b*|^2."""
+    N, n, _ = bases.shape
+    assert run.W.shape == run.U.shape == bases.shape
+    assert run.mu.shape == (N, n * (n - 1) // 2) and run.norms2.shape == (N, n)
+    for s, A in enumerate(bases):
+        W0, U0, mu0, norms0 = incremental_lll(A, max_swaps=max_swaps)
+        assert run.W[s].tobytes() == W0.tobytes(), s
+        assert run.U[s].T.tolist() == U0, s
+        assert run.mu[s].tobytes() == np.array([v for row in mu0 for v in row], dtype=float).tobytes(), s
+        assert run.norms2[s].tobytes() == np.array(norms0).tobytes(), s
+
+
+def _grid_bases(name, c, Q, psi, points, build):
+    curve = nc.resolve_curve(name)
+    p = _params(curve, c=c, Q=Q, psi=psi, B=(0.1, 0.9))
+    return np.array([build(curve, float(x), p) for x in midpoint_grid(0.1, 0.9, points)])
+
+
+@pytest.mark.parametrize("name,samples", [("parabola", 8000), ("veronese:3", 3000)])
+def test_stacked_lll_matches_scalar_on_qnd_bases(name, samples):
+    # every basis of qnd.cfg (parabola, 8000 samples) and of its veronese:3 run
+    bases = _grid_bases(name, 1.0, 10000.0, 0.3, samples, nc.build_h)
+    _assert_same_as_scalar(bases, lll_reduce(bases))
+
+
+def test_stacked_lll_matches_scalar_on_detect_cells():
+    for Q in (1000.0, 10000.0):
+        for psi in (0.1, 0.3):
+            bases = _grid_bases("parabola", 0.01, Q, psi, 500, curve_lattice_basis)
+            _assert_same_as_scalar(bases, lll_reduce(bases))
+
+
+def test_stacked_lll_matches_scalar_on_integer_bases(rng):
+    # one stack per dimension; entries up to 3 and up to 10^6 take different numbers of swaps
+    for dim in range(2, MAX_SVP_DIM + 1):
+        stack = []
+        for span in (3, 10**6) * 15:
+            A = rng.integers(-span, span + 1, size=(dim, dim))
+            while det_int(A.tolist()) == 0:
+                A = rng.integers(-span, span + 1, size=(dim, dim))
+            stack.append(A)
+        bases = np.array(stack, dtype=float)
+        _assert_same_as_scalar(bases, lll_reduce(bases))
+
+
+def test_stacked_lll_bases_finish_at_different_steps(parabola):
+    # the identity needs no swap, the skew basis one, the curve bases several,
+    # so each leaves the working set at its own step
+    p = _params(parabola, c=1.0, Q=10000.0, psi=0.3)
+    skew = np.array([[1.0, 0.0, 0.0], [1e6, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    curve = [nc.build_h(parabola, x, p) for x in (0.1234, 0.5, 0.618, 0.8642)]
+    bases = np.array([curve[0], np.eye(3), curve[1], skew, curve[2], np.eye(3), curve[3]])
+    _assert_same_as_scalar(bases, lll_reduce(bases))
+
+
+def test_stacked_lll_max_swaps_stops_only_that_basis(parabola, caplog):
+    # with max_swaps = 2 the curve basis stops after its third swap; the
+    # identity (no swap) and the skew basis (one swap) finish on their own
+    p = _params(parabola, c=1.0, Q=10000.0, psi=0.3)
+    skew = np.array([[1.0, 0.0, 0.0], [1e6, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    bases = np.array([np.eye(3), nc.build_h(parabola, 0.3579, p), skew])
+    with caplog.at_level("WARNING", logger="nearcurve"):
+        run = lll_reduce(bases, max_swaps=2)
+    assert caplog.text.count("lll_reduce stopped") == 1
+    assert "stopped after 3 swaps in dimension 3" in caplog.text
+    _assert_same_as_scalar(bases, run, max_swaps=2)
+    assert np.array_equal(run.U[0], np.eye(3)) and run.U[2].tolist() != np.eye(3).tolist()
+
+
+def test_transform_reruns_in_python_ints_past_the_bound(monkeypatch):
+    bases = _grid_bases("parabola", 1.0, 10000.0, 0.3, 40, nc.build_h)
+    expected = lattice.reduce(bases)
+    assert expected.preimage.dtype == np.int64
+    monkeypatch.setattr(lattice, "_U_BOUND", 4.0)  # every stack whose U outgrows 4 reruns
+    run = lll_reduce(bases)
+    assert run.U.dtype == object and all(type(v) is int for v in run.U.flat)
+    _assert_same_as_scalar(bases, run)
+    got = lattice.reduce(bases)
+    assert got.delta.tobytes() == expected.delta.tobytes()
+    assert got.coords.tolist() == expected.coords.tolist()
+
+
+@pytest.mark.parametrize("name,samples", [("parabola", 8000), ("veronese:3", 3000)])
+def test_shortest_sups_is_reduce_delta_in_place(name, samples):
+    # the delta-only pass of qnd: same deltas bit for bit, the stack itself reduced
+    bases = _grid_bases(name, 1.0, 10000.0, 0.3, samples, nc.build_h)
+    full = lattice.reduce(bases)
+    deltas = lattice.shortest_sups(bases)
+    assert deltas.tobytes() == full.delta.tobytes()
+    assert bases.tobytes() == full.columns.tobytes()
+
+
+def test_empty_stack_gives_empty_results():
+    run = lll_reduce(np.empty((0, 3, 3)))
+    assert run.W.shape == run.U.shape == (0, 3, 3) and run.mu.shape == run.norms2.shape == (0, 3)
+    r = lattice.reduce(np.empty((0, 4, 4)))
+    assert len(r) == 0 and r.delta.shape == (0,) and r.coords.shape == (0, 4)
+    assert lattice.shortest_sups(np.empty((0, 4, 4))).shape == (0,)
+    assert curve_lattice_bases(nc.parabola(), [], _params(nc.parabola())).shape == (0, 3, 3)
+
+
+def test_lll_takes_only_stacks():
+    with pytest.raises(ValueError, match="stack"):
+        lll_reduce(np.eye(3))
+    with pytest.raises(ValueError, match="stack"):
+        lattice.reduce(np.eye(3))
 
 
 # reduce_at at fixed points with the detect.cfg cells (c = 0.01) and the
