@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 config error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from .errors import CheckFailure, ConfigError, PreconditionError
 from .harness import dim_exponent, divergence_partial_sum, run_experiment
 
 
+@functools.cache  # parse_args returns a fresh Namespace; one parser leaves no garbage per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearcurve",

@@ -19,7 +19,6 @@ an exact 30,171,986.  An exact integer test is item 1 of ROADMAP.md.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -32,7 +31,7 @@ from .lattice import Shift, normalise_theta
 
 GUARD = 1e-12
 Q_CAP = 1 << 16
-_CSV_BLOCK = 1 << 16  # rows turned into Python lists at a time; bounds the memory of a write
+_CSV_BLOCK = 1 << 13  # rows turned into text at a time; bounds the memory of a write
 _BLOCK = 1 << 13  # (q, a) pairs per counting block; 64 KiB per float64 array, so it stays in cache
 
 
@@ -421,12 +420,29 @@ def lower_bound_check(count: int, B: tuple[float, float], C0: float, psi: float,
 # CSV emission
 
 
+def _csv_text(columns: Sequence[np.ndarray]) -> str:
+    """The CSV lines, each ending in LF, of equal-length int or float columns.
+
+    A list's repr formats every int and float with its own repr, which is what
+    ``csv`` writes through ``str()``, and a number never holds a delimiter,
+    quote or newline, so the text is byte for byte ``csv.writer``'s.
+    """
+    if not len(columns[0]):
+        return ""
+    texts = [repr(col.tolist())[1:-1].split(", ") for col in columns]
+    return "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
 def write_triples_csv(path, curve: Curve, result: CountResult) -> None:
-    """Columns q,a,b1..bm,x_point,slack_f1..fm with LF endings and a header row."""
+    """Columns q,a,b1..bm,x_point,slack_f1..fm with LF endings and a header row.
+
+    The rows go out ``_CSV_BLOCK`` at a time, each block turned into text a
+    column at a time; most of the time is spent in ``float.__repr__``.
+    """
     if result.triples is None:
         raise ValueError("enumeration ran with collect=False")
     m = curve.n - 1
-    lam, gam = result.theta
+    gam = result.theta[1]
     header = ["q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["x_point"] + [
         f"slack_f{j}" for j in range(1, m + 1)
     ]
@@ -439,11 +455,9 @@ def write_triples_csv(path, curve: Curve, result: CountResult) -> None:
             slacks.append(result.psi - np.abs(y - rows[:, 1 + j]))
         else:
             slacks.append(np.empty(0))
+    columns = [rows[:, k] for k in range(m + 2)] + [pts] + slacks
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        # csv writes a Python float as its repr, the shortest round-trip form
+        fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK):
             block = slice(start, start + _CSV_BLOCK)
-            columns = [pts[block].tolist()] + [s[block].tolist() for s in slacks]
-            writer.writerows(row + list(tail) for row, *tail in zip(rows[block].tolist(), *columns))
+            fh.write(_csv_text([col[block] for col in columns]))

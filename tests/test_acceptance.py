@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
+from nearcurve import lattice
 from nearcurve.counting import count_R_psi_sweep, enumerate_R
+from nearcurve.detector import GOOD_SET_GUARD
 from nearcurve.goodness import (
     IntegerMultivector,
     MinorSpec,
@@ -151,15 +153,21 @@ def test_criterion_05_detector_soundness():
                     params = nc.ApproxParams.for_curve(parab, c=c, Q=Q, psi=psi,
                                                        B=(0.0, 1.0), lam=lam, gamma=gam)
                     rho = consts.interior_rho(Q, psi)
-                    xs = (np.arange(500) + 0.5) / 500
-                    for x in xs:
-                        if not (rho <= x <= 1 - rho):
-                            continue
-                        if not nc.in_good_set(parab, float(x), params):
+                    xs = [float(x) for x in (np.arange(500) + 0.5) / 500 if rho <= x <= 1 - rho]
+                    # one stacked reduction per cell; its delta is reduce_at's bit for bit
+                    reductions = lattice.reduce(lattice.curve_lattice_bases(parab, xs, params))
+                    first = True
+                    for i, (x, delta) in enumerate(zip(xs, reductions.delta.tolist())):
+                        if delta < 1.0 - GOOD_SET_GUARD:
                             continue
                         good_seen[c] += 1
-                        w = nc.detect_witness(parab, float(x), params)
-                        rep = nc.verify_witness(w, parab, float(x), params, consts)
+                        w = nc.detect_witness(parab, x, params, reduction=reductions[i])
+                        if first:  # the single-point public path, which reduces x itself
+                            first = False
+                            if not (nc.in_good_set(parab, x, params)
+                                    and nc.detect_witness(parab, x, params) == w):
+                                failures += 1
+                        rep = nc.verify_witness(w, parab, x, params, consts)
                         if not rep.all_ok:
                             failures += 1
     ok = failures == 0 and good_seen[0.01] > 3000

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -121,3 +122,19 @@ def test_jobs_accepts_only_1(tmp_path):
         main(["count", "--config", cfg, "--jobs", "2"])
     assert exc.value.code == 2
     assert not (tmp_path / "j").exists()
+
+
+def test_parser_is_built_once(capsys):
+    # a parser per call would leave its reference cycles for a full collection
+    main(["dim", "2", "3/4"])
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(["dim", "2", "3/4"])
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not leaked

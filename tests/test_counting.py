@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -373,3 +375,44 @@ def test_write_triples_csv_matches_row_loop(tmp_path, veronese3, monkeypatch):
         expected.append(",".join(rec + [repr(float(s[i])) for s in slacks]))
     assert len(rows) > 3 * 7
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+def _csv_writer_text(header, columns):
+    # reference: csv.writer over the rows of the same columns
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(zip(*(col.tolist() for col in columns)))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, 8])
+def test_write_triples_csv_matches_csv_writer_at_block_edges(tmp_path, veronese3, monkeypatch, n_rows):
+    # no rows (header only), one row, exactly one block and one block plus a row
+    monkeypatch.setattr(counting, "_CSV_BLOCK", 7)
+    full = enumerate_R(veronese3, 40, 0.5, (0.0, 1.0), theta=(0.25, (0.5, 0.75)), collect=True)
+    res = counting.CountResult(full.Q, full.psi, full.B, full.theta, n_rows, 0,
+                               full.triples[:n_rows])
+    path = tmp_path / "triples.csv"
+    write_triples_csv(path, veronese3, res)
+    rows, pts = res.triples, res.points()
+    slacks = [res.psi - np.abs(rows[:, 0] * np.asarray(veronese3.coord_values(j, pts), dtype=float)
+                               - g - rows[:, 1 + j])
+              for j, g in ((1, 0.5), (2, 0.75))]
+    columns = [rows[:, k] for k in range(4)] + [pts] + slacks
+    header = ["q", "a", "b1", "b2", "x_point", "slack_f1", "slack_f2"]
+    assert path.read_text(encoding="utf-8") == _csv_writer_text(header, columns)
+    if n_rows == 0:
+        assert path.read_text(encoding="utf-8") == ",".join(header) + "\n"
+
+
+def test_csv_text_matches_csv_writer_on_crafted_values():
+    ints = np.array([2**62 - 1, -(2**62), 2**62 + 12345, -(2**62) - 1, 0, -1], dtype=np.int64)
+    floats = np.array([0.1, 1e-05, 1.5e+16, -0.0, 5e-324, 1e16], dtype=float)
+    columns = [ints, floats, -floats, ints[::-1]]
+    text = counting._csv_text(columns)
+    assert text == _csv_writer_text(None, columns)
+    assert text.splitlines()[4] == "0,5e-324,-5e-324,-4611686018427387904"
+    assert counting._csv_text([ints[:0], floats[:0]]) == ""
+    assert counting._csv_text([ints[:1], floats[:1]]) == _csv_writer_text(None, [ints[:1], floats[:1]])
