@@ -251,10 +251,14 @@ def qnd_bound_check(curve: Curve, B: tuple[float, float], params: ApproxParams,
                     samples: int = 4000) -> QndReport:
     """Fraction of x in B whose scaled lattice has a vector of sup-norm <= eps.
 
-    One shortest-vector computation per grid point, all of them in one
-    ``lattice.shortest_sups`` of the stacked bases; every epsilon row reuses
-    the same deltas, so the measured fraction is nonincreasing in shrinking
-    epsilon by construction.  The fitted slope uses the positive rows only.
+    The lattices are those of h(x) = c^{1/(n+1)} g^{-1} G(x) on the
+    ``samples`` midpoints of B, built as one stack by
+    ``lattice.curve_lattice_bases``, and their shortest vectors come from one
+    ``lattice.shortest_sups`` of that stack.  Every epsilon row reuses the
+    same deltas, so the measured fraction is nonincreasing in shrinking
+    epsilon by construction.  ``eps_grid`` may be any iterable of numbers,
+    a generator included; it is read once.  The fitted slope uses the
+    positive rows only.
     """
     lo, hi = float(B[0]), float(B[1])
     if not lo < hi:
@@ -266,16 +270,14 @@ def qnd_bound_check(curve: Curve, B: tuple[float, float], params: ApproxParams,
         raise ValueError("eps grid must be nonincreasing")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    xs = midpoint_grid(lo, hi, samples)
-    bases = np.empty((samples, params.n + 1, params.n + 1))
-    for i, x in enumerate(xs):
-        bases[i] = lat.build_h(curve, float(x), params)
+    bases = lat.curve_lattice_bases(curve, midpoint_grid(lo, hi, samples), params)
+    bases *= params.h_scale  # the stack of h(x)
     deltas = lat.shortest_sups(bases)
     rows = []
-    for eps in eps_grid:
+    for eps in eps_list:
         frac = float(np.count_nonzero(deltas <= eps)) / samples
-        ratio = frac / float(eps) ** alpha if eps > 0 else 0.0
-        rows.append((float(eps), frac, ratio))
+        ratio = frac / eps ** alpha if eps > 0 else 0.0
+        rows.append((eps, frac, ratio))
     positive = [(e, f) for e, f, _ in rows if f > 0 and e > 0]
     if len(positive) >= 2:
         lx = np.log([e for e, _ in positive])

@@ -5,16 +5,19 @@ The scaled lattice attached to a curve point is spanned by the columns of
 ``g`` the diagonal scaling built from ``(c, Q, psi)``.  Dimensions are tiny
 (``n + 1 <= 8``), so the shortest sup-norm vector is found exactly by an
 LLL-style reduction followed by exhaustive enumeration inside the Euclidean
-ball of radius ``sqrt(dim)`` times the best known sup-norm; the bound
-``|v|_inf <= |v|_2`` makes that ball exhaustive.
+ball of radius ``sqrt(dim)`` times the least column sup-norm of the reduced
+basis; the bound ``|v|_inf <= |v|_2`` makes that ball exhaustive.
 
-``reduce`` takes a whole stack of bases ``(N, n, n)``, such as every grid
-point of a cell, and returns one struct-of-arrays record that the
-shortest-vector and witness callers share.  Its LLL runs all N bases in
-lockstep as one numpy kernel, each basis bit for bit as the scalar kernel
-would reduce it alone; the ball enumeration stays per basis.  A stack of one
-pays the kernel's fixed numpy cost of about 1-2 ms, so callers pass whole
-grids; the single-basis entry points (``reduce_at``, ``shortest_sup``,
+Every step works on whole stacks.  ``frame_matrices`` builds G(x) at every x
+of a grid at once, and ``curve_lattice_bases`` scales that stack.
+``reduce`` takes a stack of bases ``(N, n, n)`` and returns one
+struct-of-arrays record that the shortest-vector and witness callers share.
+Its LLL runs all N bases in lockstep as one numpy kernel, each basis bit for
+bit as the scalar kernel would reduce it alone, and its ball enumeration
+expands all of them level by level, each leaf in the order and with the sup
+the per-basis search gave it.  A stack of one pays these kernels' fixed
+numpy cost of about 2-4 ms, so callers pass whole grids; the single-basis
+entry points (``build_G``, ``build_h``, ``reduce_at``, ``shortest_sup``,
 ``reduced_basis``, ``successive_minima_sup``) pass a stack of one.
 """
 
@@ -27,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .curves import Curve, eval_jet
+from .curves import Curve
 from .intlinalg import is_unimodular
 
 log = logging.getLogger("nearcurve")
@@ -95,6 +98,11 @@ class ApproxParams:
     def x_scale(self) -> float:
         """(psi^m Q)^(-1/d), the x-block of the scaling diagonal g."""
         return (self.psi ** self.m * self.Q) ** (-1.0 / self.d)
+
+    @property
+    def h_scale(self) -> float:
+        """c^(1/(n+1)), the factor that takes g^{-1} G(x) to h(x) with |det h| = 1."""
+        return self.c ** (1.0 / (self.n + 1))
 
     @classmethod
     def for_curve(cls, curve: Curve, c: float, Q: float, psi: float,
@@ -184,43 +192,37 @@ class SuccessiveMinima:
 # matrix builders
 
 
-def monge_frame_matrix(x_vec: Sequence[float], f_vals: Sequence[float],
-                       jac: np.ndarray) -> np.ndarray:
-    """The (n+1)x(n+1) frame matrix for a Monge patch of any dimension d.
+def frame_matrices(curve: Curve, xs: Sequence[float]) -> np.ndarray:
+    """The frame matrices G(x) of a curve (d = 1 Monge patch) at every x, as a stack (N, n+1, n+1).
 
-    Rows 1..m:   (f_j - x . grad f_j,  grad f_j,  -e_j)
-    Rows m+1..n: (x_i, -e_i, 0)
-    Row n+1:     (1, 0, ..., 0)
-
-    The determinant is +-1 by cofactor expansion along the unit structure.
+    Rows 1..m: (f_j - x f_j', f_j', -e_j); row m+1: (x, -1, 0); row m+2:
+    (1, 0, ..., 0).  |det G| = 1 by cofactor expansion along the unit
+    structure.  Each jet is the coordinate's scalar ``jet(x, 1)`` in Python
+    floats, so every power is libm's; the rows are then filled as arrays.
     """
-    x_vec = np.asarray(x_vec, dtype=float)
-    f_vals = np.asarray(f_vals, dtype=float)
-    jac = np.asarray(jac, dtype=float)
-    d = x_vec.shape[0]
-    m = f_vals.shape[0]
-    if jac.shape != (m, d):
-        raise ValueError("jacobian must have shape (m, d)")
-    n = d + m
-    G = np.zeros((n + 1, n + 1), dtype=float)
-    g_vals = f_vals - jac @ x_vec
-    for j in range(m):
-        G[j, 0] = g_vals[j]
-        G[j, 1 : 1 + d] = jac[j]
-        G[j, 1 + d + j] = -1.0
-    for i in range(d):
-        G[m + i, 0] = x_vec[i]
-        G[m + i, 1 + i] = -1.0
-    G[n, 0] = 1.0
+    xs = np.asarray(xs, dtype=float)
+    lo, hi = curve.domain
+    outside = np.flatnonzero(~((lo <= xs) & (xs <= hi)))
+    if outside.size:
+        raise ValueError(f"x={float(xs[outside[0]])} outside domain {curve.domain} of {curve.label}")
+    N, m = len(xs), curve.n - 1
+    points = xs.tolist()
+    G = np.zeros((N, m + 2, m + 2))
+    for j, coord in enumerate(curve.coords):
+        jet = np.fromiter((v for x in points for v in coord.jet(x, 1)), dtype=float, count=2 * N)
+        f, fp = jet[0::2], jet[1::2]
+        G[:, j, 0] = f - fp * xs
+        G[:, j, 1] = fp
+        G[:, j, 2 + j] = -1.0
+    G[:, m, 0] = xs
+    G[:, m, 1] = -1.0
+    G[:, m + 1, 0] = 1.0
     return G
 
 
 def build_G(curve: Curve, x: float) -> np.ndarray:
     """Frame matrix G(x) of a curve (d = 1 Monge patch); |det G| = 1."""
-    jet = eval_jet(curve, x, 1)
-    f_vals = jet.values[1:, 0]
-    jac = jet.values[1:, 1].reshape(-1, 1)
-    return monge_frame_matrix([x], f_vals, jac)
+    return frame_matrices(curve, [x])[0]
 
 
 def scaling_diagonal(params: ApproxParams) -> np.ndarray:
@@ -234,26 +236,20 @@ def build_scaling(params: ApproxParams) -> np.ndarray:
     return np.diag(scaling_diagonal(params))
 
 
-def curve_lattice_basis(curve: Curve, x: float, params: ApproxParams) -> np.ndarray:
-    """Columns spanning g^{-1} G(x) Z^{n+1}."""
+def curve_lattice_bases(curve: Curve, xs: Sequence[float], params: ApproxParams) -> np.ndarray:
+    """The stack (len(xs), n+1, n+1) of bases g^{-1} G(x), whose columns span g^{-1} G(x) Z^{n+1}."""
     if params.n != curve.n:
         raise ValueError("params dimensions do not match the curve")
-    G = build_G(curve, x)
-    return G / scaling_diagonal(params)[:, None]
-
-
-def curve_lattice_bases(curve: Curve, xs: Sequence[float], params: ApproxParams) -> np.ndarray:
-    """The stack (len(xs), n+1, n+1) of ``curve_lattice_basis`` at each x."""
-    bases = np.empty((len(xs), curve.n + 1, curve.n + 1))
-    for i, x in enumerate(xs):
-        bases[i] = curve_lattice_basis(curve, float(x), params)
+    bases = frame_matrices(curve, xs)
+    bases /= scaling_diagonal(params)[:, None]
     return bases
 
 
 def build_h(curve: Curve, x: float, params: ApproxParams) -> np.ndarray:
     """h(x) = c^{1/(n+1)} g^{-1} G(x); |det h| = 1."""
-    scale = params.c ** (1.0 / (params.n + 1))
-    return scale * curve_lattice_basis(curve, x, params)
+    h = curve_lattice_bases(curve, [x], params)
+    h *= params.h_scale
+    return h[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +293,6 @@ class LLLResult(NamedTuple):
 def _row(i):
     """Offset of row i of the packed mu: rows 0, ..., i-1 hold 0 + 1 + ... + (i-1) coefficients."""
     return i * (i - 1) // 2
-
-
-def _mu_rows(packed: list[float], n: int) -> list[list[float]]:
-    """The packed mu of one basis as rows: row i lists mu_ij for j < i."""
-    return [packed[_row(i):_row(i) + i] for i in range(n)]
 
 
 def _gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,71 +485,82 @@ def lll_reduce(bases, max_swaps: Optional[int] = None) -> LLLResult:
 # enumeration
 
 
-def _enumerate_ball(norms2, mu, radius2_fn, visit) -> None:
-    """DFS over all nonzero integer t with |W t|_2^2 <= radius2_fn().
+_CHUNK = 512  # bases per pass of _shortest in dimension <= 3; bounds the node and leaf arrays
 
-    ``norms2`` and ``mu`` are the Gram-Schmidt data of W as in ``LLLResult``.
-    ``visit(t)`` is called on every such coefficient vector.  The radius may
-    shrink between calls (used by the shortest-vector search).
+
+def _ball(mu: np.ndarray, norms2: np.ndarray, radius2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonzero integer t with |W_s t|_2^2 <= radius2[s], for every basis s of a stack.
+
+    ``mu`` and ``norms2`` are the Gram-Schmidt data of the W as in
+    ``LLLResult``.  Fincke-Pohst (1985) enumeration, expanded one level at a
+    time over the whole stack: the partial vectors of level i each get the
+    run of t_i that keeps their partial norm within the radius, with a slack
+    of 1e-9 on both ends, by ``np.repeat``.  Returns ``(owner, T)``: the leaf
+    k is t = T[k] of basis owner[k], ordered by basis, then by
+    (t[n-1], ..., t[0]).
     """
-    n = len(norms2)
-    t = [0] * n
-
-    def dfs(level: int, acc: float) -> None:
-        if level < 0:
-            if any(t):
-                visit(t)
-            return
-        rem = radius2_fn() - acc
-        if rem < 0:
-            return
-        center = -math.fsum(mu[j][level] * t[j] for j in range(level + 1, n))
-        half = math.sqrt(rem / norms2[level])
-        lo = math.ceil(center - half - 1e-9)
-        hi = math.floor(center + half + 1e-9)
-        for ti in range(lo, hi + 1):
-            y = ti - center
-            t[level] = ti
-            dfs(level - 1, acc + norms2[level] * y * y)
-        t[level] = 0
-
-    dfs(n - 1, 0.0)
-    del dfs  # dfs refers to itself; freeing it now spares the cyclic collector
-
-
-def _shortest(W: np.ndarray, norms2: list[float], mu: list[list[float]]) -> tuple[float, tuple[int, ...]]:
-    """``(|W t|_inf, t)`` for the sup-norm shortest nonzero W t, by ball enumeration."""
-    dim = len(norms2)
-    sups = np.max(np.abs(W), axis=0)
-    i0 = int(np.argmin(sups))
-    state = {"best": float(sups[i0]), "t": tuple(1 if i == i0 else 0 for i in range(dim))}
-
-    def radius2() -> float:
-        return dim * state["best"] ** 2 * (1.0 + 1e-12)
-
-    def visit(t) -> None:
-        s = float(np.max(np.abs(W @ t)))
-        if s < state["best"]:
-            state["best"] = s
-            state["t"] = tuple(t)
-
-    _enumerate_ball(norms2, mu, radius2, visit)
-    return state["best"], state["t"]
+    N, n = norms2.shape
+    owner = np.arange(N)
+    T = np.zeros((N, n), dtype=np.int64)
+    acc = np.zeros(N)
+    for i in range(n - 1, -1, -1):
+        rem = radius2[owner] - acc
+        keep = np.flatnonzero(rem >= 0)
+        owner, T, acc, rem = owner[keep], T[keep], acc[keep], rem[keep]
+        center = np.zeros(len(owner))
+        for j in range(i + 1, n):
+            center -= mu[owner, _row(j) + i] * T[:, j]
+        half = np.sqrt(rem / norms2[owner, i])
+        lo = np.ceil(center - half - 1e-9)
+        width = np.maximum(np.floor(center + half + 1e-9) - lo + 1, 0).astype(np.intp)
+        step = np.arange(int(width.sum())) - np.repeat(np.cumsum(width) - width, width)
+        owner, T, acc = np.repeat(owner, width), np.repeat(T, width, axis=0), np.repeat(acc, width)
+        y = np.repeat(lo, width) + step
+        T[:, i] = y
+        y -= np.repeat(center, width)
+        acc += norms2[owner, i] * y * y
+    leaf = np.flatnonzero(T.any(axis=1))
+    return owner[leaf], T[leaf]
 
 
-def _shortest_each(W: np.ndarray, mu: np.ndarray, norms2: np.ndarray):
-    """``_shortest`` of every basis of an LLL-reduced stack, each on a C-contiguous copy of its W.
+def _leaf_sups(W: np.ndarray, owner: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """|W[owner[k]] T[k]|_inf of every leaf, by one matmul; each equals that basis's ``W @ t`` bit for bit."""
+    return np.abs(np.matmul(W[owner], T[:, :, None].astype(float))).max(axis=(1, 2))
 
-    The copy keeps the layout ``W @ t`` has always had, so its BLAS sums, and
-    with them every delta, stay bit for bit the same.
+
+def _shortest(W: np.ndarray, mu: np.ndarray, norms2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(delta, T)``: the sup-norm shortest nonzero ``W[s] @ T[s]`` of every basis of an LLL-reduced stack.
+
+    The search starts from the column e_i0 of least sup s0, and ``_ball``
+    takes every t with |W t|_2^2 <= n s0^2 (1 + 1e-12), which holds every
+    shorter vector since |v|_inf <= |v|_2.  e_i0 stays unless a leaf is
+    strictly shorter; among equally short leaves the first in ``_ball``'s
+    order wins.
     """
-    n = W.shape[1]
-    for s in range(len(W)):
-        yield _shortest(W[s].copy(), norms2[s].tolist(), _mu_rows(mu[s].tolist(), n))
+    N, n, _ = W.shape
+    sups = np.abs(W).max(axis=1)
+    i0 = sups.argmin(axis=1)
+    delta = sups[np.arange(N), i0]
+    T = np.zeros((N, n), dtype=np.int64)
+    T[np.arange(N), i0] = 1
+    # a reduced basis's ball holds about twice the leaves per added dimension
+    chunk = max(1, _CHUNK >> max(n - 3, 0))
+    for start in range(0, N, chunk):
+        part = slice(start, start + chunk)
+        d, t = delta[part], T[part]  # views: the winners are written through them
+        owner, leaves = _ball(mu[part], norms2[part], n * d ** 2 * (1.0 + 1e-12))
+        leaf_sups = _leaf_sups(W[part], owner, leaves)
+        best = d.copy()
+        np.minimum.at(best, owner, leaf_sups)
+        wins = np.flatnonzero((leaf_sups < d[owner]) & (leaf_sups == best[owner]))
+        first = wins[np.diff(owner[wins], prepend=-1) != 0]
+        d[owner[first]] = leaf_sups[first]
+        t[owner[first]] = leaves[first]
+    return delta, T
 
 
 def reduce(bases) -> LatticeReductions:
-    """The lattice kernel over a stack ``(N, n, n)``: one LLL run, one ball enumeration per basis.
+    """The lattice kernel over a stack ``(N, n, n)``: one LLL run and one ball enumeration over all bases.
 
     The reduced bases, their integer transforms and the exact (to rounding)
     sup-norm shortest vectors all come from the same reduction, so callers
@@ -566,11 +568,8 @@ def reduce(bases) -> LatticeReductions:
     """
     B = _stack(bases, MAX_SVP_DIM)
     W, U, mu, norms2 = lll_reduce(B)
-    delta = np.empty(len(B))
-    coords = np.empty(B.shape[:2], dtype=U.dtype)
-    for s, (d, t) in enumerate(_shortest_each(W, mu, norms2)):
-        delta[s] = d
-        coords[s] = np.dot(U[s], np.array(t, dtype=U.dtype))
+    delta, T = _shortest(W, mu, norms2)
+    coords = np.matmul(U, T.astype(U.dtype)[:, :, None])[:, :, 0]
     return LatticeReductions(source=B, columns=W, preimage=U, delta=delta, coords=coords)
 
 
@@ -583,12 +582,12 @@ def shortest_sups(bases) -> np.ndarray:
     """
     W = _stack(bases, MAX_SVP_DIM)
     mu, norms2 = _lll_stack(W, None)
-    return np.fromiter((delta for delta, _ in _shortest_each(W, mu, norms2)), dtype=float, count=len(W))
+    return _shortest(W, mu, norms2)[0]
 
 
 def reduce_at(curve: Curve, x: float, params: ApproxParams) -> LatticeReduction:
     """``reduce`` of the scaled curve lattice g^{-1} G(x) Z^{n+1}, as a stack of one."""
-    return reduce(curve_lattice_basis(curve, x, params)[None])[0]
+    return reduce(curve_lattice_bases(curve, [x], params))[0]
 
 
 def shortest_sup(basis) -> tuple[float, np.ndarray]:
@@ -613,23 +612,13 @@ def reduced_basis(basis) -> LatticeBasis:
 def successive_minima_sup(basis) -> SuccessiveMinima:
     """Sup-norm successive minima by exhaustive enumeration (dim <= 6)."""
     B = _stack(np.asarray(basis, dtype=float)[None], MAX_MINIMA_DIM)
-    run = lll_reduce(B)
+    W, U, mu, norms2 = lll_reduce(B)
     dim = B.shape[1]
-    W, U, norms2, mu = run.W[0], run.U[0], run.norms2[0].tolist(), _mu_rows(run.mu[0].tolist(), dim)
     # every minimum is attained inside the ball that contains the basis itself
     S = float(np.max(np.abs(W)))
-    found: list[tuple[float, tuple[int, ...]]] = []
-
-    def radius2() -> float:
-        return dim * S * S * (1.0 + 1e-9)
-
-    def visit(t) -> None:
-        s = float(np.max(np.abs(W @ t)))
-        if s <= S * (1.0 + 1e-12):
-            found.append((s, tuple(t)))
-
-    _enumerate_ball(norms2, mu, radius2, visit)
-    found.sort(key=lambda item: (item[0], item[1]))
+    owner, T = _ball(mu, norms2, np.array([dim * S * S * (1.0 + 1e-9)]))
+    found = sorted((s, tuple(t)) for s, t in zip(_leaf_sups(W, owner, T).tolist(), T.tolist())
+                   if s <= S * (1.0 + 1e-12))
     values: list[float] = []
     chosen: list[tuple[int, ...]] = []
     reduced_rows: list[list] = []  # fraction-free elimination state
@@ -648,6 +637,6 @@ def successive_minima_sup(basis) -> SuccessiveMinima:
                 break
     if len(chosen) < dim:
         raise AssertionError("enumeration failed to reach full rank")
-    vecs = np.stack([np.dot(U, np.array(t, dtype=U.dtype)) for t in chosen], axis=1)
-    covol = float(np.prod(np.sqrt(norms2)))
+    vecs = np.stack([np.dot(U[0], np.array(t, dtype=U.dtype)) for t in chosen], axis=1)
+    covol = float(np.prod(np.sqrt(norms2[0])))
     return SuccessiveMinima(values=np.array(values), achieving_vectors=vecs, covolume=covol)

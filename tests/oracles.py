@@ -270,6 +270,91 @@ def incremental_lll(basis, max_swaps: Optional[int] = None):
     return B, U, mu, norms2
 
 
+def dfs_shortest(W, mu, norms2):
+    """``(|W t|_inf, t)`` for the sup-norm shortest nonzero W t, by a recursive ball search.
+
+    The scalar search that ``lattice.reduce`` ran basis by basis before it
+    enumerated whole stacks level by level, kept as the reference of the
+    stacked one: the same bounds, the same order and the same ``W @ t``.  ``W`` is one LLL-reduced basis, ``mu`` its packed
+    Gram-Schmidt coefficients and ``norms2`` its |b*_i|^2, as in one row of
+    ``lattice.LLLResult``.  The radius shrinks as shorter vectors are found,
+    and a leaf replaces the best only when it is strictly shorter.
+    """
+    dim = len(norms2)
+    packed = [float(v) for v in mu]
+    mu = [packed[i * (i - 1) // 2:i * (i - 1) // 2 + i] for i in range(dim)]
+    norms2 = [float(v) for v in norms2]
+    W = np.array(W, dtype=float)  # C-contiguous, as the per-basis search always had it
+    sups = np.max(np.abs(W), axis=0)
+    i0 = int(np.argmin(sups))
+    state = {"best": float(sups[i0]), "t": tuple(1 if i == i0 else 0 for i in range(dim))}
+    t = [0] * dim
+
+    def dfs(level: int, acc: float) -> None:
+        if level < 0:
+            if any(t):
+                s = float(np.max(np.abs(W @ t)))
+                if s < state["best"]:
+                    state["best"] = s
+                    state["t"] = tuple(t)
+            return
+        rem = dim * state["best"] ** 2 * (1.0 + 1e-12) - acc
+        if rem < 0:
+            return
+        center = -math.fsum(mu[j][level] * t[j] for j in range(level + 1, dim))
+        half = math.sqrt(rem / norms2[level])
+        lo = math.ceil(center - half - 1e-9)
+        hi = math.floor(center + half + 1e-9)
+        for ti in range(lo, hi + 1):
+            y = ti - center
+            t[level] = ti
+            dfs(level - 1, acc + norms2[level] * y * y)
+        t[level] = 0
+
+    dfs(dim - 1, 0.0)
+    return state["best"], state["t"]
+
+
+def exact_svp_sup(A):
+    """``(minimum, vectors)``: the exact sup-norm minimum of the integer lattice A Z^n.
+
+    ``A`` is an integer matrix whose columns span the lattice.  The basis is
+    reduced by ``naive_lll`` and its transform applied in Python ints, so the
+    reduced basis R is exact.  With s0 the least column sup of R, every
+    vector v = R t with |v|_inf <= s0 has |t_i| <= |row_i(R^-1)|_1 s0, where
+    the inverse is taken in Fractions.  That box is scanned in int64.
+    ``vectors`` lists the coordinates, in the columns of A, of every vector
+    that attains the minimum.
+    """
+    from fractions import Fraction
+    from itertools import product
+
+    A = [[int(v) for v in row] for row in np.asarray(A).tolist()]
+    n = len(A)
+    _, U = naive_lll(np.array(A, dtype=float))  # U: integer columns
+    R = [[sum(A[r][k] * U[c][k] for k in range(n)) for c in range(n)] for r in range(n)]
+    s0 = min(max(abs(R[r][c]) for r in range(n)) for c in range(n))
+    # Gauss-Jordan inverse of R in Fractions
+    aug = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(R)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [v / p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    bounds = [math.floor(sum(abs(v) for v in row[n:]) * s0) for row in aug]
+    grid = np.array(list(product(*(range(-b, b + 1) for b in bounds))), dtype=np.int64).T
+    grid = grid[:, np.any(grid != 0, axis=0)]
+    sups = np.abs(np.array(R, dtype=np.int64) @ grid).max(axis=0)
+    minimum = int(sups.min())
+    Ui = np.array(U, dtype=np.int64).T  # columns of the transform
+    vectors = [(Ui @ grid[:, k]).tolist() for k in np.flatnonzero(sups == minimum)]
+    return minimum, vectors
+
+
 def exact_lll_meets_tie(basis, delta=0.99):
     """Whether LLL meets an exact tie, run in exact rationals on the float entries.
 

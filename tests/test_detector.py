@@ -6,7 +6,6 @@ import pytest
 
 import nearcurve as nc
 from nearcurve.errors import PreconditionError
-from nearcurve.lattice import curve_lattice_basis
 from oracles import curve_delta_oracle
 
 

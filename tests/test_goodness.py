@@ -269,6 +269,19 @@ def test_qnd_ratio_definition(parabola):
     assert ratio == pytest.approx(frac / eps**0.5)
 
 
+def test_qnd_eps_grid_is_read_once(parabola):
+    # a generator is used up by the validation; the rows must still cover it
+    p = _params(parabola, c=1.0, Q=2000.0, psi=0.3, B=(0.1, 0.9))
+    grid = [0.1, 0.05, 0.01]
+    reports = [qnd_bound_check(parabola, (0.1, 0.9), p, 1.0 / 3.0, eps, samples=200)
+               for eps in (grid, np.array(grid), (e for e in grid))]
+    assert len(reports[0].rows) == 3
+    assert [e for e, _, _ in reports[0].rows] == grid
+    for rep in reports[1:]:
+        assert rep.rows == reports[0].rows
+        assert repr(rep.slope) == repr(reports[0].slope)
+
+
 def test_qnd_eps_grid_validation(parabola):
     p = _params(parabola, c=1.0, Q=2000.0, psi=0.3, B=(0.1, 0.9))
     with pytest.raises(ValueError):

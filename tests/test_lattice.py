@@ -7,8 +7,8 @@ import nearcurve as nc
 from nearcurve import lattice
 from nearcurve.curves import midpoint_grid
 from nearcurve.intlinalg import det_int
-from nearcurve.lattice import MAX_SVP_DIM, curve_lattice_basis, curve_lattice_bases, lll_reduce, scaling_diagonal
-from oracles import brute_svp_sup, exact_lll_meets_tie, incremental_lll, naive_gso, naive_lll
+from nearcurve.lattice import MAX_SVP_DIM, curve_lattice_bases, lll_reduce, scaling_diagonal
+from oracles import brute_svp_sup, dfs_shortest, exact_lll_meets_tie, exact_svp_sup, incremental_lll, naive_gso, naive_lll
 
 
 def _params(curve, **kw):
@@ -68,16 +68,26 @@ def test_build_h(parabola, rng):
             assert abs(abs(np.linalg.det(nc.build_h(parabola, float(x), pc))) - 1) < 1e-9
 
 
-def test_monge_frame_general_d():
-    from nearcurve.lattice import monge_frame_matrix
+def test_frame_matrices_match_scalar_jets():
+    # every row of the stacked builder is the d = 1 Monge frame of eval_jet's floats
+    xs = midpoint_grid(0.1, 0.9, 301).tolist() + [0.0, 0.5, -1.25]
+    for curve in (nc.parabola(), nc.veronese(3), nc.veronese(5), nc.resolve_curve("mixed")):
+        G = lattice.frame_matrices(curve, xs)
+        m = curve.n - 1
+        for x, Gx in zip(xs, G):
+            jet = nc.eval_jet(curve, x, 1).values
+            rows = [[float(jet[j, 0] - jet[j, 1] * x), float(jet[j, 1])] + [-1.0 if k == j else 0.0 for k in range(1, m + 1)]
+                    for j in range(1, m + 1)]
+            rows += [[x, -1.0] + [0.0] * m, [1.0] + [0.0] * (m + 1)]
+            assert Gx.tobytes() == np.array(rows).tobytes(), (curve.label, x)
+            assert np.array_equal(nc.build_G(curve, x), Gx)
 
-    # d = 2, m = 1 patch (x1, x2, x1*x2): jacobian (x2, x1)
-    x = (0.3, 0.7)
-    G = monge_frame_matrix(x, [0.21], [[0.7, 0.3]])
-    assert G.shape == (4, 4)
-    assert abs(abs(np.linalg.det(G)) - 1) < 1e-12
-    # g_1 = f - x . grad f = 0.21 - (0.3*0.7 + 0.7*0.3)
-    assert G[0, 0] == pytest.approx(0.21 - 0.42)
+
+def test_frame_matrices_domain_check(parabola):
+    with pytest.raises(ValueError, match="outside domain"):
+        lattice.frame_matrices(parabola, [0.5, 99.0])
+    with pytest.raises(ValueError, match="outside domain"):
+        nc.build_G(parabola, -10.5)
 
 
 def test_shortest_sup_examples():
@@ -155,7 +165,7 @@ def test_reduced_basis_spans_same_lattice(rng):
 
 def test_lll_handles_curve_scale_skew(parabola):
     p = _params(parabola, c=1.0, Q=10_000.0, psi=0.3)
-    A = curve_lattice_basis(parabola, 0.351, p)
+    A = curve_lattice_bases(parabola, [0.351], p)[0]
     run = lll_reduce(A[None])
     assert abs(det_int(run.U[0].tolist())) == 1
 
@@ -174,7 +184,7 @@ def test_views_agree_with_reduction_record(curve_name):
     p = _params(curve, c=0.01, Q=1000.0, psi=0.3, B=(0.1, 0.9))
     for x in (0.2371, 0.5, 0.7093):
         rec = nc.reduce_at(curve, x, p)
-        A = curve_lattice_basis(curve, x, p)
+        A = curve_lattice_bases(curve, [x], p)[0]
         assert np.array_equal(rec.source, A)
         delta, coords = nc.shortest_sup(A)
         assert delta == rec.delta and np.array_equal(coords, rec.coords)
@@ -220,7 +230,7 @@ def test_minkowski_product_on_good_lattice(parabola):
     p = _params(parabola, c=0.01, Q=1000.0, psi=0.3, B=(0.1, 0.9))
     hits = 0
     for x in (0.3371, 0.517, 0.7093):
-        A = curve_lattice_basis(parabola, x, p)
+        A = curve_lattice_bases(parabola, [x], p)[0]
         delta, _ = nc.shortest_sup(A)
         if delta < 1.0:
             continue
@@ -267,7 +277,7 @@ def test_lll_matches_naive_on_curve_bases():
                 for psi in (0.1, 0.3):
                     p = _params(curve, c=c, Q=Q, psi=psi, B=(0.1, 0.9))
                     for x in xs:
-                        ties += _check_lll_against_naive(curve_lattice_basis(curve, x, p))
+                        ties += _check_lll_against_naive(curve_lattice_bases(curve, [x], p)[0])
                         checked += 1
     assert checked == 304 and ties <= 16
 
@@ -306,23 +316,25 @@ def _assert_same_as_scalar(bases, run, max_swaps=None):
         assert run.norms2[s].tobytes() == np.array(norms0).tobytes(), s
 
 
-def _grid_bases(name, c, Q, psi, points, build):
+def _grid_bases(name, c, Q, psi, points, h=False):
+    """The bases g^{-1} G(x), or h(x) when ``h``, on the midpoint grid of B = (0.1, 0.9)."""
     curve = nc.resolve_curve(name)
     p = _params(curve, c=c, Q=Q, psi=psi, B=(0.1, 0.9))
-    return np.array([build(curve, float(x), p) for x in midpoint_grid(0.1, 0.9, points)])
+    bases = curve_lattice_bases(curve, midpoint_grid(0.1, 0.9, points), p)
+    return bases * p.h_scale if h else bases
 
 
 @pytest.mark.parametrize("name,samples", [("parabola", 8000), ("veronese:3", 3000)])
 def test_stacked_lll_matches_scalar_on_qnd_bases(name, samples):
     # every basis of qnd.cfg (parabola, 8000 samples) and of its veronese:3 run
-    bases = _grid_bases(name, 1.0, 10000.0, 0.3, samples, nc.build_h)
+    bases = _grid_bases(name, 1.0, 10000.0, 0.3, samples, h=True)
     _assert_same_as_scalar(bases, lll_reduce(bases))
 
 
 def test_stacked_lll_matches_scalar_on_detect_cells():
     for Q in (1000.0, 10000.0):
         for psi in (0.1, 0.3):
-            bases = _grid_bases("parabola", 0.01, Q, psi, 500, curve_lattice_basis)
+            bases = _grid_bases("parabola", 0.01, Q, psi, 500)
             _assert_same_as_scalar(bases, lll_reduce(bases))
 
 
@@ -364,7 +376,7 @@ def test_stacked_lll_max_swaps_stops_only_that_basis(parabola, caplog):
 
 
 def test_transform_reruns_in_python_ints_past_the_bound(monkeypatch):
-    bases = _grid_bases("parabola", 1.0, 10000.0, 0.3, 40, nc.build_h)
+    bases = _grid_bases("parabola", 1.0, 10000.0, 0.3, 40, h=True)
     expected = lattice.reduce(bases)
     assert expected.preimage.dtype == np.int64
     monkeypatch.setattr(lattice, "_U_BOUND", 4.0)  # every stack whose U outgrows 4 reruns
@@ -379,11 +391,79 @@ def test_transform_reruns_in_python_ints_past_the_bound(monkeypatch):
 @pytest.mark.parametrize("name,samples", [("parabola", 8000), ("veronese:3", 3000)])
 def test_shortest_sups_is_reduce_delta_in_place(name, samples):
     # the delta-only pass of qnd: same deltas bit for bit, the stack itself reduced
-    bases = _grid_bases(name, 1.0, 10000.0, 0.3, samples, nc.build_h)
+    bases = _grid_bases(name, 1.0, 10000.0, 0.3, samples, h=True)
     full = lattice.reduce(bases)
     deltas = lattice.shortest_sups(bases)
     assert deltas.tobytes() == full.delta.tobytes()
     assert bases.tobytes() == full.columns.tobytes()
+
+
+def _random_integer_basis(rng, dim, span):
+    A = rng.integers(-span, span + 1, size=(dim, dim))
+    while det_int(A.tolist()) == 0:
+        A = rng.integers(-span, span + 1, size=(dim, dim))
+    return A
+
+
+def _assert_same_as_dfs(bases):
+    """``reduce`` against the recursive search on every basis: bit-identical delta, equal coords."""
+    got = lattice.reduce(bases)
+    run = lll_reduce(bases)
+    for s in range(len(bases)):
+        delta, t = dfs_shortest(run.W[s], run.mu[s], run.norms2[s])
+        assert got.delta[s].tobytes() == np.float64(delta).tobytes(), s
+        assert got.coords[s].tolist() == np.dot(run.U[s], np.array(t, dtype=run.U.dtype)).tolist(), s
+    return run
+
+
+@pytest.mark.parametrize("name,samples", [("parabola", 8000), ("veronese:3", 3000)])
+def test_stacked_enumeration_matches_dfs_on_qnd_bases(name, samples):
+    run = _assert_same_as_dfs(_grid_bases(name, 1.0, 10000.0, 0.3, samples, h=True))
+    # each leaf's sup from the one stacked matmul is its basis's W @ t, bit for bit
+    n = run.W.shape[1]
+    s0 = np.abs(run.W).max(axis=1).min(axis=1)
+    owner, T = lattice._ball(run.mu, run.norms2, n * s0 ** 2 * (1.0 + 1e-12))
+    assert len(owner) > 2 * len(run.W)
+    expected = [np.max(np.abs(run.W[s] @ t)) for s, t in zip(owner.tolist(), T)]
+    assert lattice._leaf_sups(run.W, owner, T).tobytes() == np.array(expected).tobytes()
+
+
+def test_stacked_enumeration_matches_dfs_on_detect_cells():
+    for Q in (1000.0, 10000.0):
+        for psi in (0.1, 0.3):
+            _assert_same_as_dfs(_grid_bases("parabola", 0.01, Q, psi, 500))
+
+
+def test_stacked_enumeration_matches_dfs_in_dimensions_2_to_8(rng):
+    for dim in range(2, MAX_SVP_DIM + 1):
+        ints = [_random_integer_basis(rng, dim, span) for span in (3, 10**6) * 6]
+        _assert_same_as_dfs(np.array(ints, dtype=float))
+        if dim >= 5:  # veronese:4..7 curve bases
+            _assert_same_as_dfs(_grid_bases(f"veronese:{dim - 1}", 1.0, 10000.0, 0.3, 40, h=True))
+
+
+def test_reduce_finds_the_exact_minimum_in_dimensions_5_to_8(rng):
+    # the exact integer oracle reaches dimension 8, where brute_svp_sup's box
+    # cannot.  Random bases seldom have a vector shorter than every reduced
+    # column, so q-ary bases (columns (1, a) and 10^6 e_i) join them until two
+    # per dimension have one, as the oracle's own reduction decides
+    for dim in range(5, MAX_SVP_DIM + 1):
+        cases = [(A, *exact_svp_sup(A)) for A in (_random_integer_basis(rng, dim, span)
+                                                  for span in (3, 3, 10**6, 10**6))]
+        shorter = 0
+        while shorter < 2:
+            A = 10**6 * np.eye(dim, dtype=np.int64)
+            A[1:, 0], A[0, 0] = rng.integers(0, 10**6, size=dim - 1), 1
+            minimum, vectors = exact_svp_sup(A)
+            if minimum < np.abs(naive_lll(A)[0]).max(axis=0).min():
+                cases.append((A, minimum, vectors))
+                shorter += 1
+        for A, minimum, vectors in cases:
+            r = lattice.reduce(A[None].astype(float))[0]
+            assert r.delta == minimum, A.tolist()
+            coords = [int(v) for v in r.coords]
+            assert max(abs(sum(int(a) * c for a, c in zip(row, coords))) for row in A.tolist()) == minimum
+            assert coords in vectors
 
 
 def test_empty_stack_gives_empty_results():

@@ -8,9 +8,11 @@ and ``scaling`` once more on ``configs/scaling.cfg`` with ``curve = veronese:3``
 counting path is covered too.  Two more ``count`` runs at ``psi_list = 0.7``
 and ``Q_list = 256,512``, on parabola and on veronese:3 with ``M = 6``, write
 triples CSVs where a pair has several b (up to 4 triples per pair), so the
-expansion of pairs into triples is covered byte for byte.  Each run goes in a
-fresh interpreter and into
-a temporary directory.  Prints one ``<sha256>  <run>/<file>`` line per output
+expansion of pairs into triples is covered byte for byte.  ``qnd`` and
+``detect`` run once more with ``curve = veronese:3`` and ``M = 6`` (``qnd``
+at 3000 samples), so that the lattice outputs are covered in dimension 4 as
+well as 3.  Each run goes in a fresh interpreter and into a temporary
+directory.  Prints one ``<sha256>  <run>/<file>`` line per output
 file, sorted, so two checkouts compare with one diff:
 
     python3 tools/output_digest.py > after.txt
@@ -45,6 +47,8 @@ RUNS = (
     ("count-psi0.7", "count", "count.cfg", {"psi_list": "0.7", "Q_list": "256,512"}),
     ("count-veronese3-psi0.7", "count", "count.cfg",
      {"curve": "veronese:3", "M": "6", "psi_list": "0.7", "Q_list": "256,512"}),
+    ("qnd-veronese3", "qnd", "qnd.cfg", {"curve": "veronese:3", "M": "6", "qnd.samples": "3000"}),
+    ("detect-veronese3", "detect", "detect.cfg", {"curve": "veronese:3", "M": "6"}),
 )
 
 
