@@ -1,9 +1,9 @@
 """Constructive extraction of near-rational witnesses from good lattice points.
 
-For x in the good set (the scaled curve lattice has no sup-norm vector below
-1), a short solve against a reduced basis produces an integer vector
-``(q, a, b)`` whose three inequality families are then verified with exact
-rational arithmetic wherever the inputs are rational.
+At the good points x of a grid (the scaled curve lattice has no sup-norm
+vector below 1), ``detect_witnesses`` solves one stacked system against the
+reduced bases for integer vectors ``(q, a, b)``; ``verify_witness`` checks a
+witness's three inequality families, exactly wherever the inputs are rational.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
 from . import lattice as lat
-from .curves import Curve, eval_jet
+from .curves import Curve
 from .errors import PreconditionError
+from .intlinalg import is_unimodular
 from .lattice import ApproxParams
 
 log = logging.getLogger("nearcurve")
@@ -132,68 +133,81 @@ def in_good_set(curve: Curve, x: float, params: ApproxParams,
     return goodset_delta(curve, x, params) >= 1.0 - guard
 
 
-def detect_witness(curve: Curve, x: float, params: ApproxParams,
-                   guard: float = GOOD_SET_GUARD,
-                   reduction: Optional[lat.LatticeReduction] = None) -> RationalWitness:
-    """Construct the integer witness (q, a, b) at a good point x.
+def detect_witnesses(curve: Curve, xs: Sequence[float], params: ApproxParams,
+                     guard: float = GOOD_SET_GUARD) -> tuple[np.ndarray, list]:
+    """The witness (q, a, b) at every x of a grid, from one stacked reduction and one solve.
 
-    Preconditions: x lies in the rho-interior of params.B, psi is above its
-    admissibility floor, and x belongs to the good set.  The construction
-    solves for the real coordinates of a shifted target against a reduced
-    lattice basis and rounds them to integers (forcing a nonzero vector).
-    ``reduction``, when given, must be ``lattice.reduce_at(curve, x, params)``
-    or the record of x in a stacked ``lattice.reduce``, and the lattice is not
-    reduced again; without it, this call reduces it.
-
-    Sign convention: the target vector is (-w0, lambda - w0 x, gamma - w0 f(x))
-    with w0 = 3(n+1)Q, which lands q inside the stated positive range; the
-    plus-sign variant would produce q near -3(n+1)Q instead.
+    Returns ``(delta, outcomes)``: each x's shortest sup-norm vector length
+    (nan outside the rho-interior of params.B, where nothing is reduced) and
+    its ``RationalWitness`` or the ``PreconditionError`` it met.  The checks,
+    in order: psi above its admissibility floor (delta is computed even when
+    it is not), x in the rho-interior, x in the good set, and the exact
+    unimodularity of the LLL transform, whose failure raises AssertionError.
+    The real coordinates of the target (-w0, lambda - w0 x, gamma - w0 f(x)),
+    w0 = 3(n+1)Q, in the reduced basis are rounded to a nonzero integer t, and
+    the witness is U t.  This sign lands q inside the stated positive range;
+    the plus-sign variant would produce q near -3(n+1)Q instead.
     """
-    floor = psi_floor(params.Q, params.d, params.m)
-    if params.psi < floor * (1 - 1e-12):
-        raise PreconditionError(f"psi={params.psi} below the admissibility floor {floor:.3g}")
-    rho = _interior_rho(params.Q, params.psi, params.d, params.m, params.c)
+    xs = np.array(xs, dtype=float)
+    n, d = params.n, params.d
     lo, hi = params.B
-    if not (lo + rho <= x <= hi - rho):
-        raise PreconditionError(f"x={x} outside the rho-interior of B={params.B}")
-    if reduction is None:
-        reduction = lat.reduce_at(curve, x, params)
-    if reduction.delta < 1.0 - guard:
-        raise PreconditionError(f"x={x} not in the good set (delta={reduction.delta:.6g})")
-
-    reduction.assert_unimodular()
+    rho = _interior_rho(params.Q, params.psi, d, params.m, params.c)
+    interior = (lo + rho <= xs) & (xs <= hi - rho)
+    reduction = lat.reduce(lat.curve_lattice_bases(curve, xs[interior], params))
+    delta = np.full(len(xs), np.nan)
+    delta[interior] = reduction.delta
+    floor = psi_floor(params.Q, d, params.m)
+    if params.psi < floor * (1 - 1e-12):
+        return delta, [PreconditionError(f"psi={params.psi} below the admissibility floor {floor:.3g}")
+                       for _ in xs]
+    good = delta >= 1.0 - guard  # nan outside the interior compares False
+    rows = np.flatnonzero(good[interior])
+    B, W, U = reduction.source[rows], reduction.columns[rows], reduction.preimage[rows]
     inv_c = 1.0 / params.c
-    if reduction.max_sup > inv_c * (1 + 1e-9):
-        log.debug("reduced basis exceeds 1/c: max sup %.6g > %.6g (witness still attempted)",
-                  reduction.max_sup, inv_c)
-
-    n = params.n
-    jet = eval_jet(curve, x, 0)
-    f_vals = jet.values[1:, 0]
+    for u, max_sup in zip(U, np.abs(W).max(axis=(1, 2)).tolist()):
+        if not is_unimodular(u.tolist()):
+            raise AssertionError("LLL transform lost unimodularity")
+        if max_sup > inv_c * (1 + 1e-9):
+            log.debug("reduced basis exceeds 1/c: max sup %.6g > %.6g (witness still attempted)",
+                      max_sup, inv_c)
     lam, gam = params.theta
     omega0 = 3.0 * (n + 1) * params.Q
-    target_shift = np.concatenate((
-        [-omega0],
-        np.asarray(lam) - omega0 * np.asarray([x]),
-        np.asarray(gam) - omega0 * f_vals,
-    ))
-    rhs = -np.asarray(reduction.source, dtype=float) @ target_shift
-    eta = np.linalg.solve(np.asarray(reduction.columns, dtype=float), rhs)
+    xg = xs[good]
+    point = np.ones((len(xg), n + 1))  # (1, x, f(x)) at every good x
+    point[:, 1] = xg
+    for j, coord in enumerate(curve.coords):
+        point[:, 2 + j] = np.fromiter((coord.jet(x, 0)[0] for x in xg.tolist()), dtype=float, count=len(xg))
+    target = np.array((0.0, *lam, *gam)) - omega0 * point
+    eta = np.linalg.solve(W, np.matmul(-B, target[:, :, None]))[:, :, 0]
     t = np.rint(eta).astype(np.int64)
-    if not t.any():
-        i_star = int(np.argmax(np.abs(eta)))
-        t[i_star] = 1 if eta[i_star] > 0 else -1
-    p = np.dot(reduction.preimage, t.astype(reduction.preimage.dtype))
-    q = int(p[0])
-    if q < 0:
-        if any(v != 0.0 for v in lam) or any(v != 0.0 for v in gam):
-            raise PreconditionError("construction produced q < 0 in an inhomogeneous run")
-        p = -p  # exact symmetry of the homogeneous inequalities
-        q = int(p[0])
-    if q == 0:
-        raise PreconditionError("construction collapsed to q = 0")
-    return RationalWitness(q=q, a=tuple(int(v) for v in p[1 : 1 + params.d]),
-                           b=tuple(int(v) for v in p[1 + params.d :]))
+    zero = np.flatnonzero(~t.any(axis=1))
+    i_star = np.abs(eta[zero]).argmax(axis=1)
+    t[zero, i_star] = np.where(eta[zero, i_star] > 0, 1, -1)
+    witnesses = iter(np.matmul(U, t.astype(U.dtype)[:, :, None])[:, :, 0].tolist())
+    outcomes = []
+    for x, x_delta, inside, x_good in zip(xs.tolist(), delta.tolist(), interior.tolist(), good.tolist()):
+        p = next(witnesses) if x_good else None
+        if not inside:
+            outcomes.append(PreconditionError(f"x={x} outside the rho-interior of B={params.B}"))
+        elif not x_good:
+            outcomes.append(PreconditionError(f"x={x} not in the good set (delta={x_delta:.6g})"))
+        elif p[0] < 0 and any(lam + gam):
+            outcomes.append(PreconditionError("construction produced q < 0 in an inhomogeneous run"))
+        elif p[0] == 0:
+            outcomes.append(PreconditionError("construction collapsed to q = 0"))
+        else:
+            p = p if p[0] > 0 else [-v for v in p]  # exact symmetry of the homogeneous inequalities
+            outcomes.append(RationalWitness(q=p[0], a=tuple(p[1 : 1 + d]), b=tuple(p[1 + d :])))
+    return delta, outcomes
+
+
+def detect_witness(curve: Curve, x: float, params: ApproxParams,
+                   guard: float = GOOD_SET_GUARD) -> RationalWitness:
+    """``detect_witnesses`` at one x: its witness, or the ``PreconditionError`` it met, raised."""
+    (outcome,) = detect_witnesses(curve, [x], params, guard)[1]
+    if isinstance(outcome, PreconditionError):
+        raise outcome
+    return outcome
 
 
 def verify_witness(w: RationalWitness, curve: Curve, x: float, params: ApproxParams,

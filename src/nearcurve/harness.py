@@ -27,12 +27,11 @@ from .counting import (
     write_triples_csv,
 )
 from .curves import Curve, midpoint_grid, resolve_curve, second_derivative_bound
-from .detector import derive_constants, detect_witness, psi_floor, verify_witness
-from .errors import ConfigError, PreconditionError
+from .detector import RationalWitness, derive_constants, detect_witnesses, psi_floor, verify_witness
+from .errors import ConfigError
 from .goodness import MinorSpec, hodge_dual_basis, phi_closed_form, phi_minor, qnd_bound_check, scale_factor
 from .intlinalg import rank_int
-from .lattice import (ApproxParams, Shift, build_G, build_h, curve_lattice_bases, normalise_theta, reduce,
-                      shortest_sups)
+from .lattice import ApproxParams, Shift, build_G, build_h, curve_lattice_bases, normalise_theta, shortest_sups
 from .plots import svg_loglog
 
 
@@ -234,21 +233,19 @@ def _run_detect(cfg, curve, consts, theta, out, seed):
         rho = consts.interior_rho(Q, psi)
         xs = [float(x) for x in midpoint_grid(cfg.B[0], cfg.B[1], cfg.grid_points)
               if cfg.B[0] + rho <= x <= cfg.B[1] - rho]
-        reductions = reduce(curve_lattice_bases(curve, xs, params))
+        delta, outcomes = detect_witnesses(curve, xs, params, guard=cfg.guard)
         rows = []
-        for i, (x, delta) in enumerate(zip(xs, reductions.delta.tolist())):
-            good = delta >= 1.0 - cfg.guard
-            rec = [x, delta, "yes" if good else "no"]
+        for x, d, w in zip(xs, delta.tolist(), outcomes):
+            good = d >= 1.0 - cfg.guard
+            rec = [x, d, "yes" if good else "no"]
             if good:
                 n_good += 1
-                try:
-                    w = detect_witness(curve, x, params, guard=cfg.guard, reduction=reductions[i])
-                    rep = verify_witness(w, curve, x, params, consts)
-                    ok = rep.all_ok
+                if isinstance(w, RationalWitness):
+                    ok = verify_witness(w, curve, x, params, consts).all_ok
                     rec += [w.q, w.a[0], *w.b, "yes" if ok else "no"]
-                except PreconditionError as exc:
+                else:
                     ok = False
-                    rec += ["", "", *[""] * m, f"error:{exc}"]
+                    rec += ["", "", *[""] * m, f"error:{w}"]
                 if not ok:
                     n_fail += 1
             else:

@@ -127,10 +127,6 @@ class LatticeBasis:
     preimage: np.ndarray
     source: np.ndarray
 
-    @property
-    def max_sup(self) -> float:
-        return float(np.max(np.abs(self.columns)))
-
     def assert_unimodular(self) -> None:
         """Exact check that ``|det preimage| = 1``."""
         if not is_unimodular(self.preimage.tolist()):
@@ -205,6 +201,8 @@ def frame_matrices(curve: Curve, xs: Sequence[float]) -> np.ndarray:
     outside = np.flatnonzero(~((lo <= xs) & (xs <= hi)))
     if outside.size:
         raise ValueError(f"x={float(xs[outside[0]])} outside domain {curve.domain} of {curve.label}")
+    if curve.l_max < 1:
+        raise ValueError(f"order 1 exceeds l_max={curve.l_max}")
     N, m = len(xs), curve.n - 1
     points = xs.tolist()
     G = np.zeros((N, m + 2, m + 2))

@@ -8,6 +8,9 @@ from typing import Optional
 
 import numpy as np
 
+from nearcurve.curves import eval_jet
+from nearcurve.detector import RationalWitness, _interior_rho, psi_floor
+from nearcurve.errors import PreconditionError
 from nearcurve.lattice import LOVASZ
 
 log = logging.getLogger("nearcurve")
@@ -313,6 +316,54 @@ def dfs_shortest(W, mu, norms2):
 
     dfs(dim - 1, 0.0)
     return state["best"], state["t"]
+
+
+def detect_witness_oracle(curve, x, params, reduction, guard=1e-9):
+    """The witness (q, a, b) at one x, by the per-point solve ``detector.detect_witness`` ran.
+
+    The scalar reference of ``detector.detect_witnesses``: the same
+    preconditions in the same order, then one ``np.linalg.solve`` of the
+    shifted target against x's reduced basis.  ``reduction`` is x's
+    ``LatticeReduction``, from ``lattice.reduce_at`` or a row of a stacked
+    ``lattice.reduce``.  Raises ``PreconditionError`` where the kernel
+    returns one.
+    """
+    floor = psi_floor(params.Q, params.d, params.m)
+    if params.psi < floor * (1 - 1e-12):
+        raise PreconditionError(f"psi={params.psi} below the admissibility floor {floor:.3g}")
+    rho = _interior_rho(params.Q, params.psi, params.d, params.m, params.c)
+    lo, hi = params.B
+    if not (lo + rho <= x <= hi - rho):
+        raise PreconditionError(f"x={x} outside the rho-interior of B={params.B}")
+    if reduction.delta < 1.0 - guard:
+        raise PreconditionError(f"x={x} not in the good set (delta={reduction.delta:.6g})")
+    reduction.assert_unimodular()
+    n = params.n
+    f_vals = eval_jet(curve, x, 0).values[1:, 0]
+    lam, gam = params.theta
+    omega0 = 3.0 * (n + 1) * params.Q
+    target_shift = np.concatenate((
+        [-omega0],
+        np.asarray(lam) - omega0 * np.asarray([x]),
+        np.asarray(gam) - omega0 * f_vals,
+    ))
+    rhs = -np.asarray(reduction.source, dtype=float) @ target_shift
+    eta = np.linalg.solve(np.asarray(reduction.columns, dtype=float), rhs)
+    t = np.rint(eta).astype(np.int64)
+    if not t.any():
+        i_star = int(np.argmax(np.abs(eta)))
+        t[i_star] = 1 if eta[i_star] > 0 else -1
+    p = np.dot(reduction.preimage, t.astype(reduction.preimage.dtype))
+    q = int(p[0])
+    if q < 0:
+        if any(v != 0.0 for v in lam) or any(v != 0.0 for v in gam):
+            raise PreconditionError("construction produced q < 0 in an inhomogeneous run")
+        p = -p
+        q = int(p[0])
+    if q == 0:
+        raise PreconditionError("construction collapsed to q = 0")
+    return RationalWitness(q=q, a=tuple(int(v) for v in p[1 : 1 + params.d]),
+                           b=tuple(int(v) for v in p[1 + params.d :]))
 
 
 def exact_svp_sup(A):

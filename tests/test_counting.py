@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
-from nearcurve import counting
+from nearcurve import counting, lattice
 from nearcurve.counting import (
     count_R_psi_sweep,
     enumerate_R,
@@ -14,6 +14,7 @@ from nearcurve.counting import (
     witness_in_R,
     write_triples_csv,
 )
+from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
 from oracles import (
     grid_union_measure,
     naive_count_R,
@@ -331,15 +332,17 @@ def test_detector_counter_consistency(parabola):
     outer = enumerate_R(parabola, 1200, 0.9, (0.1, 0.9))
     triple_set = {tuple(r) for r in outer.triples.tolist()}
     xs = 0.1 + (np.arange(400) + 0.5) * 0.8 / 400
+    # the good set from one stacked reduction (in_good_set's deltas bit for
+    # bit), and a witness at every good point from one kernel call
+    delta = lattice.shortest_sups(lattice.curve_lattice_bases(parabola, xs, inner))
+    goods = xs[delta >= 1.0 - GOOD_SET_GUARD].tolist()
     checked = 0
-    for x in xs:
-        if not nc.in_good_set(parabola, float(x), inner):
-            continue
-        w = nc.detect_witness(parabola, float(x), inner)
+    for x, w in zip(goods, detect_witnesses(parabola, goods, inner)[1]):
+        assert isinstance(w, nc.RationalWitness), (x, w)
         assert witness_in_R(w, parabola, 1200.0, 0.9, (0.1, 0.9))
         assert (w.q, w.a[0], w.b[0]) in triple_set
         assert 0.5 * 1200 < w.q <= 1200
-        assert abs(w.a[0] / w.q - float(x)) <= rho
+        assert abs(w.a[0] / w.q - x) <= rho
         checked += 1
     assert checked >= 10
 

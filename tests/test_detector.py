@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
+from nearcurve import lattice
+from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
 from nearcurve.errors import PreconditionError
-from oracles import curve_delta_oracle
+from oracles import curve_delta_oracle, detect_witness_oracle
 
 
 def _params(curve, **kw):
@@ -16,9 +18,15 @@ def _params(curve, **kw):
 
 
 def _good_grid(curve, params, points=200):
+    """The good points of a midpoint grid on params.B, from one stacked reduction.
+
+    Its deltas are ``goodset_delta``'s bit for bit, so this is the grid
+    filtered by ``in_good_set``.
+    """
     lo, hi = params.B
     xs = lo + (np.arange(points) + 0.5) * (hi - lo) / points
-    return [float(x) for x in xs if nc.in_good_set(curve, float(x), params)]
+    delta = lattice.shortest_sups(lattice.curve_lattice_bases(curve, xs, params))
+    return xs[delta >= 1.0 - GOOD_SET_GUARD].tolist()
 
 
 def test_derive_constants_examples():
@@ -99,8 +107,7 @@ def test_good_set_monotone_in_c(parabola, rng):
 def test_good_set_fraction_large_at_small_c(parabola):
     # kappa = 1/3 level: with a suitable c the bad set occupies under a third
     p = _params(parabola, c=0.01, Q=10_000.0, psi=0.3, B=(0.1, 0.9))
-    xs = 0.1 + (np.arange(1000) + 0.5) * 0.8 / 1000
-    good = sum(nc.in_good_set(parabola, float(x), p) for x in xs)
+    good = len(_good_grid(parabola, p, points=1000))
     assert good / 1000 >= 2.0 / 3.0
 
 
@@ -142,8 +149,9 @@ def test_detect_witness_soundness_sweep(parabola):
                 consts = nc.derive_constants(2, 1, 1, 2.0, 0.01)
                 goods = _good_grid(parabola, p, points=60)
                 assert goods
-                for x in goods[::7]:
-                    w = nc.detect_witness(parabola, x, p)
+                # every good point carries a witness, all from one kernel call
+                for x, w in zip(goods, detect_witnesses(parabola, goods, p)[1]):
+                    assert isinstance(w, nc.RationalWitness), (Q, psi, lam, x, w)
                     rep = nc.verify_witness(w, parabola, x, p, consts)
                     assert rep.all_ok, (Q, psi, lam, x, w, rep)
 
@@ -179,37 +187,50 @@ def test_detect_witness_veronese_two_coordinates(veronese3):
         assert len(rep.f_bounds) == 2
 
 
-def test_detect_witness_same_with_passed_reduction(parabola, veronese3):
+def _grid_cells(parabola, veronese3):
+    """detect.cfg's four cells on parabola and veronese:3, and criterion 05's shifted cells (500 points each)."""
     for curve in (parabola, veronese3):
-        p = _params(curve, c=0.01, Q=1000.0, psi=0.3)
-        goods = _good_grid(curve, p, points=60)
-        assert goods
-        for x in goods[::15]:
-            rec = nc.reduce_at(curve, x, p)
-            assert nc.detect_witness(curve, x, p, reduction=rec) == nc.detect_witness(curve, x, p)
+        for Q in (1000.0, 10_000.0):
+            for psi in (0.1, 0.3):
+                yield curve, _params(curve, c=0.01, Q=Q, psi=psi, B=(0.1, 0.9))
+    for c in (1.0, 0.01):
+        for Q in (1000.0, 10_000.0):
+            for psi in (0.1, 0.3):
+                yield parabola, _params(parabola, c=c, Q=Q, psi=psi, B=(0.0, 1.0),
+                                        lam=0.5, gamma=(0.5,))
 
 
-def test_detect_witness_reduces_only_without_a_record(parabola, monkeypatch):
-    calls = []
-    original = nc.lattice.lll_reduce
+def test_detect_witnesses_match_the_scalar_oracle(parabola, veronese3, monkeypatch):
+    stacks = []
+    original = lattice._lll_stack
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(W, *args, **kwargs):
+        stacks.append(len(W))
+        return original(W, *args, **kwargs)
 
-    monkeypatch.setattr(nc.lattice, "lll_reduce", counted)
-    p = _params(parabola, c=0.01, Q=1000.0, psi=0.3)
-    x = _good_grid(parabola, p, points=40)[3]
-    calls.clear()
-    rec = nc.reduce_at(parabola, x, p)
-    w = nc.detect_witness(parabola, x, p, reduction=rec)
-    assert len(calls) == 1  # the passed record is not reduced again
-    assert nc.detect_witness(parabola, x, p) == w
-    assert len(calls) == 2
-    # no reduction is kept between calls
-    assert nc.goodset_delta(parabola, x, p) == rec.delta
-    assert nc.goodset_delta(parabola, x, p) == rec.delta
-    assert len(calls) == 4
+    monkeypatch.setattr(lattice, "_lll_stack", counted)
+    checked = 0
+    for curve, p in _grid_cells(parabola, veronese3):
+        lo, hi = p.B
+        xs = lo + (np.arange(500) + 0.5) * (hi - lo) / 500
+        stacks.clear()
+        delta, outcomes = detect_witnesses(curve, xs, p)
+        rho = nc.derive_constants(p.n, 1, p.m, 2.0, p.c).interior_rho(p.Q, p.psi)
+        inside = (lo + rho <= xs) & (xs <= hi - rho)
+        assert stacks == [np.count_nonzero(inside)]  # one reduction, of the rho-interior points
+        records = lattice.reduce(lattice.curve_lattice_bases(curve, xs[inside], p))
+        assert np.array_equal(delta[inside], records.delta) and np.isnan(delta[~inside]).all()
+        k = 0
+        for x, is_inside, outcome in zip(xs.tolist(), inside.tolist(), outcomes):
+            rec = records[k] if is_inside else None  # the oracle stops before it needs one
+            k += is_inside
+            try:
+                expected = detect_witness_oracle(curve, x, p, rec)
+                checked += 1
+            except PreconditionError as exc:
+                expected = str(exc)
+            assert (outcome if isinstance(outcome, nc.RationalWitness) else str(outcome)) == expected
+    assert checked > 5000
 
 
 def test_detect_witness_float_verification_path():

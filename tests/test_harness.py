@@ -196,6 +196,41 @@ def test_run_detect_cell_with_empty_interior(tmp_path, monkeypatch):
     assert outcome.checks_passed is True
 
 
+def test_run_detect_cell_below_the_psi_floor(tmp_path):
+    # psi = 0.0009 is below the floor Q^-1 = 0.001: every good row carries the
+    # floor error and its delta, and counts as a failure
+    cfg = _cfg(
+        f"""
+        curve = parabola
+        B = 0.1,0.9
+        c = 0.01
+        M = 2
+        psi_list = 0.0009
+        Q_list = 1000
+        grid.points = 20
+        output_dir = {tmp_path}/d
+        """
+    )
+    outcome = run_experiment(cfg, mode="detect")
+    assert outcome.summary == {"good_points": 16, "failures": 16}
+    assert outcome.checks_passed is False
+    rows = Path(f"{tmp_path}/d/detect_Q1000_psi0p0009.csv").read_text().splitlines()[1:]
+    xs = [float(r.split(",")[0]) for r in rows]
+    params = nc.ApproxParams.for_curve(nc.parabola(), c=0.01, Q=1000.0, psi=0.0009, B=(0.1, 0.9))
+    deltas = nc.lattice.shortest_sups(nc.lattice.curve_lattice_bases(nc.parabola(), xs, params))
+    good = 0
+    for row, delta in zip(rows, deltas.tolist()):
+        x, d, flag, *witness, all_ok = row.split(",")
+        assert d == repr(delta)
+        if flag == "yes":
+            good += 1
+            assert witness == ["", "", ""]
+            assert all_ok == "error:psi=0.0009 below the admissibility floor 0.001"
+        else:
+            assert (flag, witness, all_ok) == ("no", ["", "", ""], "")
+    assert good == 16
+
+
 def test_run_qnd_reduces_its_samples_as_one_stack(tmp_path, monkeypatch):
     stacks = _count_stacks(monkeypatch)
     cfg = _cfg(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,15 @@ def test_frame_matrices_domain_check(parabola):
         nc.build_G(parabola, -10.5)
 
 
+def test_frame_matrices_l_max_check(parabola):
+    # G(x) needs first derivatives: a curve with l_max = 0 has none, as in eval_jet
+    flat = dataclasses.replace(parabola, l_max=0)
+    for build in (lambda: lattice.frame_matrices(flat, [0.5]), lambda: nc.build_G(flat, 0.5),
+                  lambda: nc.eval_jet(flat, 0.5, 1)):
+        with pytest.raises(ValueError, match="order 1 exceeds l_max=0"):
+            build()
+
+
 def test_shortest_sup_examples():
     assert nc.shortest_sup(np.eye(3))[0] == pytest.approx(1.0)
     assert nc.shortest_sup(np.diag([2.0, 3.0, 5.0]))[0] == pytest.approx(2.0)
@@ -142,7 +152,7 @@ def test_shortest_sup_homogeneity(rng):
 
 def test_reduced_basis_identity_and_skew():
     rb = nc.reduced_basis(np.eye(3))
-    assert rb.max_sup == pytest.approx(1.0)
+    assert np.max(np.abs(rb.columns)) == pytest.approx(1.0)
     assert abs(det_int(rb.preimage.tolist())) == 1
     skew = np.array([[1.0, 0.0], [1e6, 1.0]])  # columns (1, 1e6), (0, 1)
     rb2 = nc.reduced_basis(skew)

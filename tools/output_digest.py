@@ -11,9 +11,13 @@ triples CSVs where a pair has several b (up to 4 triples per pair), so the
 expansion of pairs into triples is covered byte for byte.  ``qnd`` and
 ``detect`` run once more with ``curve = veronese:3`` and ``M = 6`` (``qnd``
 at 3000 samples), so that the lattice outputs are covered in dimension 4 as
-well as 3.  Each run goes in a fresh interpreter and into a temporary
-directory.  Prints one ``<sha256>  <run>/<file>`` line per output
-file, sorted, so two checkouts compare with one diff:
+well as 3.  ``detect`` runs twice more with a nonzero shift, on parabola
+(``theta.lambda = 0.5``, ``theta.gamma = 0.5``) and on veronese:3
+(``theta.lambda = 0.25``, ``theta.gamma = 0.5,0.75``), so that the
+inhomogeneous witness path is covered too.  Each run goes in a fresh
+interpreter and into a temporary directory.  Prints one
+``<sha256>  <run>/<file>`` line per output file, sorted, so two checkouts
+compare with one diff:
 
     python3 tools/output_digest.py > after.txt
     python3 tools/output_digest.py /path/to/other/checkout > before.txt
@@ -49,6 +53,9 @@ RUNS = (
      {"curve": "veronese:3", "M": "6", "psi_list": "0.7", "Q_list": "256,512"}),
     ("qnd-veronese3", "qnd", "qnd.cfg", {"curve": "veronese:3", "M": "6", "qnd.samples": "3000"}),
     ("detect-veronese3", "detect", "detect.cfg", {"curve": "veronese:3", "M": "6"}),
+    ("detect-shifted", "detect", "detect.cfg", {"theta.lambda": "0.5", "theta.gamma": "0.5"}),
+    ("detect-veronese3-shifted", "detect", "detect.cfg",
+     {"curve": "veronese:3", "M": "6", "theta.lambda": "0.25", "theta.gamma": "0.5,0.75"}),
 )
 
 
