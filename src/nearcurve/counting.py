@@ -57,7 +57,7 @@ class CountResult:
         if self.triples is None:
             raise ValueError("enumeration ran with collect=False")
         return [
-            RationalWitness(q=int(row[0]), a=(int(row[1]),), b=tuple(int(v) for v in row[2:]))
+            RationalWitness(q=int(row[0]), a=int(row[1]), b=tuple(int(v) for v in row[2:]))
             for row in self.triples
         ]
 
@@ -301,7 +301,7 @@ def witness_in_R(w: RationalWitness, curve: Curve, Q: float, psi: float,
                  B: tuple[float, float], theta=None) -> bool:
     """Direct membership test of a witness in the defining inequalities."""
     member = _membership(curve, Q, psi, B, normalise_theta(theta, curve.n - 1))
-    return member(w.q, w.a[0], w.b)
+    return member(w.q, w.a, w.b)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
     elif isinstance(witnesses, np.ndarray):
         pts = witnesses
     else:
-        pts = np.asarray([(w.a[0] + lam) / w.q for w in witnesses], dtype=float)
+        pts = np.asarray([(w.a + lam) / w.q for w in witnesses], dtype=float)
     if pts.size == 0:
         return 0.0
     intervals = np.empty((pts.size, 2))
@@ -408,7 +408,7 @@ class LowerBoundCheck:
 def lower_bound_check(count: int, B: tuple[float, float], C0: float, psi: float,
                       Q: float, n: int, K0: float) -> LowerBoundCheck:
     """count >= |B|/(4 C0) psi^{n-1} Q^2, guarded by the admissibility window."""
-    floor = psi_floor(Q, 1, n - 1, K0)
+    floor = psi_floor(Q, n - 1, K0)
     in_regime = floor <= psi < 1
     size = max(0.0, B[1] - B[0])
     bound = size / (4.0 * C0) * psi ** (n - 1) * Q**2

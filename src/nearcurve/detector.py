@@ -31,15 +31,12 @@ class RationalWitness:
     """Integer triple (q, a, b) certifying a shifted rational point near the curve."""
 
     q: int
-    a: tuple[int, ...]
+    a: int
     b: tuple[int, ...]
 
     def __post_init__(self):
         if self.q <= 0:
             raise ValueError("witness denominator q must be positive")
-
-    def point(self, lam: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple((ai + li) / self.q for ai, li in zip(self.a, lam))
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,6 @@ class DerivedConstants:
     """The explicit constants K0, C0 and the scale functions built from them."""
 
     n: int
-    d: int
     m: int
     M: float
     c: float
@@ -59,15 +55,15 @@ class DerivedConstants:
 
     def rho(self, Q: float, psi: float) -> float:
         """Ball radius of the coverage statement at the outer (tilde) scale."""
-        return self.C0 * (psi**self.m * Q ** (self.d + 1)) ** (-1.0 / self.d)
+        return self.C0 * (psi**self.m * Q ** 2) ** -1.0
 
     def interior_rho(self, Q: float, psi: float) -> float:
         """Interior margin required of x by the witness construction (inner scale)."""
-        return _interior_rho(Q, psi, self.d, self.m, self.c)
+        return _interior_rho(Q, psi, self.m, self.c)
 
     def taming_factor(self) -> float:
-        """(1 + M d^2 / 2c)(n+1)/c, the psi-rescaling between the two scales."""
-        return _taming_factor(self.n, self.d, self.M, self.c)
+        """(1 + M / 2c)(n+1)/c, the psi-rescaling between the two scales."""
+        return _taming_factor(self.n, self.M, self.c)
 
 
 @dataclass(frozen=True)
@@ -77,45 +73,44 @@ class WitnessReport:
     q: int
     q_range: tuple[float, float]
     q_range_ok: bool
-    x_bounds: tuple[tuple[float, float], ...]  # (value, limit) pairs
+    x_bounds: tuple[float, float]  # (value, limit)
     f_bounds: tuple[tuple[float, float], ...]
     all_ok: bool
-    point: tuple[float, ...]
+    point: float
 
 
-def _floor_exponent(d: int, m: int) -> float:
-    return (d + 2) / (2 * m + d)
+def _floor_exponent(m: int) -> float:
+    return 3 / (2 * m + 1)
 
 
-def psi_floor(Q: float, d: int, m: int, K0: float = 1.0) -> float:
-    """The admissibility floor K0 Q^{-(d+2)/(2m+d)} of psi.
+def psi_floor(Q: float, m: int, K0: float = 1.0) -> float:
+    """The admissibility floor K0 Q^{-3/(2m+1)} of psi.
 
     K0 = 1 at the inner scale of the witness construction; the derived K0 at
     the outer scale of the counting statements.
     """
-    return K0 * Q ** -_floor_exponent(d, m)
+    return K0 * Q ** -_floor_exponent(m)
 
 
-def _taming_factor(n: int, d: int, M: float, c: float) -> float:
-    return (1.0 + M * d**2 / (2.0 * c)) * (n + 1) / c
+def _taming_factor(n: int, M: float, c: float) -> float:
+    return (1.0 + M / (2.0 * c)) * (n + 1) / c
 
 
-def _interior_rho(Q: float, psi: float, d: int, m: int, c: float) -> float:
-    return (psi**m * Q ** (d + 1)) ** (-1.0 / d) / (2.0 * c)
+def _interior_rho(Q: float, psi: float, m: int, c: float) -> float:
+    return (psi**m * Q ** 2) ** -1.0 / (2.0 * c)
 
 
-def derive_constants(n: int, d: int, m: int, M: float, c: float) -> DerivedConstants:
-    """K0 at its minimal allowed value and C0 exactly per its defining formula."""
-    if n != d + m:
-        raise ValueError("n must equal d + m")
-    if min(n, d, m) < 1 or c <= 0:
-        raise ValueError("dimensions must be >= 1 and c > 0")
+def derive_constants(n: int, M: float, c: float) -> DerivedConstants:
+    """K0 at its minimal allowed value and C0 exactly per its defining formula, with m = n - 1."""
+    if n < 2 or c <= 0:
+        raise ValueError("n must be >= 2 and c > 0")
     if M < 0:
         raise ValueError("M must be nonnegative")
-    fac = _taming_factor(n, d, M, c)
-    K0 = (4.0 * (n + 1)) ** _floor_exponent(d, m) * fac
-    C0 = ((4.0 * (n + 1)) ** (d + 1) * fac**m) ** (1.0 / d) / (2.0 * c)
-    return DerivedConstants(n=n, d=d, m=m, M=float(M), c=float(c), K0=K0, C0=C0)
+    m = n - 1
+    fac = _taming_factor(n, M, c)
+    K0 = (4.0 * (n + 1)) ** _floor_exponent(m) * fac
+    C0 = (4.0 * (n + 1)) ** 2 * fac**m / (2.0 * c)
+    return DerivedConstants(n=n, m=m, M=float(M), c=float(c), K0=K0, C0=C0)
 
 
 def goodset_delta(curve: Curve, x: float, params: ApproxParams) -> float:
@@ -149,14 +144,14 @@ def detect_witnesses(curve: Curve, xs: Sequence[float], params: ApproxParams,
     the plus-sign variant would produce q near -3(n+1)Q instead.
     """
     xs = np.array(xs, dtype=float)
-    n, d = params.n, params.d
+    n = params.n
     lo, hi = params.B
-    rho = _interior_rho(params.Q, params.psi, d, params.m, params.c)
+    rho = _interior_rho(params.Q, params.psi, params.m, params.c)
     interior = (lo + rho <= xs) & (xs <= hi - rho)
     reduction = lat.reduce(lat.curve_lattice_bases(curve, xs[interior], params))
     delta = np.full(len(xs), np.nan)
     delta[interior] = reduction.delta
-    floor = psi_floor(params.Q, d, params.m)
+    floor = psi_floor(params.Q, params.m)
     if params.psi < floor * (1 - 1e-12):
         return delta, [PreconditionError(f"psi={params.psi} below the admissibility floor {floor:.3g}")
                        for _ in xs]
@@ -177,7 +172,7 @@ def detect_witnesses(curve: Curve, xs: Sequence[float], params: ApproxParams,
     point[:, 1] = xg
     for j, coord in enumerate(curve.coords):
         point[:, 2 + j] = np.fromiter((coord.jet(x, 0)[0] for x in xg.tolist()), dtype=float, count=len(xg))
-    target = np.array((0.0, *lam, *gam)) - omega0 * point
+    target = np.array((0.0, lam, *gam)) - omega0 * point
     eta = np.linalg.solve(W, np.matmul(-B, target[:, :, None]))[:, :, 0]
     t = np.rint(eta).astype(np.int64)
     zero = np.flatnonzero(~t.any(axis=1))
@@ -191,13 +186,13 @@ def detect_witnesses(curve: Curve, xs: Sequence[float], params: ApproxParams,
             outcomes.append(PreconditionError(f"x={x} outside the rho-interior of B={params.B}"))
         elif not x_good:
             outcomes.append(PreconditionError(f"x={x} not in the good set (delta={x_delta:.6g})"))
-        elif p[0] < 0 and any(lam + gam):
+        elif p[0] < 0 and any((lam, *gam)):
             outcomes.append(PreconditionError("construction produced q < 0 in an inhomogeneous run"))
         elif p[0] == 0:
             outcomes.append(PreconditionError("construction collapsed to q = 0"))
         else:
             p = p if p[0] > 0 else [-v for v in p]  # exact symmetry of the homogeneous inequalities
-            outcomes.append(RationalWitness(q=p[0], a=tuple(p[1 : 1 + d]), b=tuple(p[1 + d :])))
+            outcomes.append(RationalWitness(q=p[0], a=p[1], b=tuple(p[2:])))
     return delta, outcomes
 
 
@@ -218,7 +213,7 @@ def verify_witness(w: RationalWitness, curve: Curve, x: float, params: ApproxPar
     f-inequalities of coordinates with exact rational evaluators; it falls
     back to double precision otherwise.  Failures are reported, never raised.
     """
-    n, d, m = params.n, params.d, params.m
+    n, m = params.n, params.m
     lam, gam = params.theta
     q_lo = 2.0 * (n + 1) * params.Q
     q_hi = 4.0 * (n + 1) * params.Q
@@ -227,48 +222,43 @@ def verify_witness(w: RationalWitness, curve: Curve, x: float, params: ApproxPar
     x_limit = (n + 1) / params.c * params.x_scale
     f_limit = consts.taming_factor() * params.psi
 
-    xF = Fraction(x)
-    x_bounds = []
-    x_ok = True
-    for i in range(d):
-        val = abs(w.q * xF - w.a[i] - Fraction(lam[i]))
-        x_ok &= val < Fraction(x_limit)
-        x_bounds.append((float(val), x_limit))
+    x_val = abs(w.q * Fraction(x) - w.a - Fraction(lam))
+    x_ok = x_val < Fraction(x_limit)
 
-    points_exact = [(Fraction(w.a[i]) + Fraction(lam[i])) / w.q for i in range(d)]
-    point_float = tuple(float(p) for p in points_exact)
+    point_exact = (Fraction(w.a) + Fraction(lam)) / w.q
+    point = float(point_exact)
     f_bounds = []
     f_ok = True
     for j in range(1, m + 1):
         exact = curve.exact_coord(j)
         if exact is not None:
-            fv = exact(points_exact[0])
+            fv = exact(point_exact)
             val = abs(w.q * fv - w.b[j - 1] - Fraction(gam[j - 1]))
             f_ok &= val < Fraction(f_limit)
             f_bounds.append((float(val), f_limit))
         else:
-            fv = float(curve.coord_values(j, point_float[0]))
+            fv = float(curve.coord_values(j, point))
             val_f = abs(w.q * fv - w.b[j - 1] - gam[j - 1])
             f_ok &= val_f < f_limit
             f_bounds.append((val_f, f_limit))
 
     all_ok = bool(q_range_ok and x_ok and f_ok)
     return WitnessReport(q=w.q, q_range=(q_lo, q_hi), q_range_ok=bool(q_range_ok),
-                         x_bounds=tuple(x_bounds), f_bounds=tuple(f_bounds),
-                         all_ok=all_ok, point=point_float)
+                         x_bounds=(float(x_val), x_limit), f_bounds=tuple(f_bounds),
+                         all_ok=all_ok, point=point)
 
 
 def corollary_map(params: ApproxParams, consts: DerivedConstants) -> tuple[float, float, float]:
     """Translate outer (tilde) parameters into the inner (Q, psi, rho) triple.
 
-    Q = Q~/(4(n+1)), psi = psi~ / ((1 + M d^2/2c)(n+1)/c), and rho satisfies
-    rho = (1/2c)(psi^m Q^{d+1})^{-1/d} = C0 (psi~^m Q~^{d+1})^{-1/d}.
+    Q = Q~/(4(n+1)), psi = psi~ / ((1 + M/2c)(n+1)/c), and rho satisfies
+    rho = (1/2c)(psi^m Q^2)^{-1} = C0 (psi~^m Q~^2)^{-1}.
     """
     n = params.n
-    floor = psi_floor(params.Q, params.d, params.m, consts.K0)
+    floor = psi_floor(params.Q, params.m, consts.K0)
     if params.psi < floor * (1 - 1e-12):
         raise PreconditionError(
-            f"psi~={params.psi} below K0 * Q~^(-(d+2)/(2m+d)) = {floor:.3g}")
+            f"psi~={params.psi} below K0 * Q~^(-3/(2m+1)) = {floor:.3g}")
     Q = params.Q / (4.0 * (n + 1))
     psi = params.psi / consts.taming_factor()
-    return Q, psi, _interior_rho(Q, psi, params.d, params.m, consts.c)
+    return Q, psi, _interior_rho(Q, psi, params.m, consts.c)

@@ -160,7 +160,7 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
     except ValueError as exc:
         raise ConfigError(f"theta.gamma must have length {m} for this curve") from exc
     M = cfg.M if cfg.M is not None else second_derivative_bound(curve, cfg.B)
-    consts = derive_constants(curve.n, 1, m, M, cfg.c)
+    consts = derive_constants(curve.n, M, cfg.c)
 
     runner = {
         "count": _run_count,
@@ -242,7 +242,7 @@ def _run_detect(cfg, curve, consts, theta, out, seed):
                 n_good += 1
                 if isinstance(w, RationalWitness):
                     ok = verify_witness(w, curve, x, params, consts).all_ok
-                    rec += [w.q, w.a[0], *w.b, "yes" if ok else "no"]
+                    rec += [w.q, w.a, *w.b, "yes" if ok else "no"]
                 else:
                     ok = False
                     rec += ["", "", *[""] * m, f"error:{w}"]
@@ -270,7 +270,7 @@ def _run_coverage(cfg, curve, consts, theta, out, seed):
         del res  # frees the triples: the union needs only the points
         cov = delta_coverage(pts, rho, cfg.B)
         del pts
-        in_regime = psi >= psi_floor(Q, consts.d, consts.m, consts.K0)
+        in_regime = psi >= psi_floor(Q, consts.m, consts.K0)
         ok = cov >= 0.5 * size
         rows.append((Q, psi, rho, count, cov, 0.5 * size,
                      "yes" if in_regime else "no", "yes" if ok else "no"))

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .curves import Curve
-from .intlinalg import is_unimodular
+from .intlinalg import is_unimodular, rank_int
 
 log = logging.getLogger("nearcurve")
 
@@ -45,15 +45,13 @@ Shift = tuple[float, tuple[float, ...]]  # (lambda, gamma_1..gamma_m), d = 1
 def normalise_theta(theta, m: int) -> Shift:
     """The shift theta = (lambda, gamma) of a curve with m coordinates, as floats.
 
-    ``None`` or ``0`` is the zero shift.  lambda may be a number or a 1-tuple;
-    gamma may be a number, empty (all zero), one value (repeated m times) or
-    m values.  Any other gamma length raises ValueError.
+    ``None`` or ``0`` is the zero shift.  lambda is a number; gamma may be a
+    number, empty (all zero), one value (repeated m times) or m values.  Any
+    other gamma length raises ValueError.
     """
     if theta is None or (isinstance(theta, (int, float)) and theta == 0):
         return 0.0, (0.0,) * m
     lam, gam = theta
-    if isinstance(lam, (tuple, list)):
-        lam = lam[0]
     gam = tuple(float(v) for v in ((gam,) if isinstance(gam, (int, float)) else gam))
     if len(gam) <= 1:  # no gamma, or one value for every coordinate
         gam = (gam or (0.0,)) * m
@@ -64,15 +62,14 @@ def normalise_theta(theta, m: int) -> Shift:
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Full parameter record (c, Q, psi, d, m, B, theta) of one experiment cell."""
+    """Full parameter record (c, Q, psi, m, B, theta) of one experiment cell of a curve (d = 1)."""
 
     c: float
     Q: float
     psi: float
-    d: int
     m: int
     B: tuple[float, float]
-    theta: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
+    theta: Optional[Shift] = None
 
     def __post_init__(self):
         if self.c <= 0:
@@ -81,23 +78,18 @@ class ApproxParams:
             raise ValueError("Q must be >= 1")
         if not (0 < self.psi <= 1):
             raise ValueError("psi must lie in (0, 1]")
-        if self.d < 1 or self.m < 1:
-            raise ValueError("d and m must be >= 1")
-        if self.theta is None:
-            object.__setattr__(self, "theta", ((0.0,) * self.d, (0.0,) * self.m))
-        lam, gam = self.theta
-        if len(lam) != self.d or len(gam) != self.m:
-            raise ValueError("theta parts must have lengths d and m")
-        object.__setattr__(self, "theta", (tuple(float(v) for v in lam), tuple(float(v) for v in gam)))
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
+        object.__setattr__(self, "theta", normalise_theta(self.theta, self.m))
 
     @property
     def n(self) -> int:
-        return self.d + self.m
+        return self.m + 1
 
     @property
     def x_scale(self) -> float:
-        """(psi^m Q)^(-1/d), the x-block of the scaling diagonal g."""
-        return (self.psi ** self.m * self.Q) ** (-1.0 / self.d)
+        """(psi^m Q)^(-1), the x-entry of the scaling diagonal g."""
+        return (self.psi ** self.m * self.Q) ** -1.0
 
     @property
     def h_scale(self) -> float:
@@ -108,10 +100,8 @@ class ApproxParams:
     def for_curve(cls, curve: Curve, c: float, Q: float, psi: float,
                   B: tuple[float, float], lam: float = 0.0,
                   gamma: Optional[Sequence[float]] = None) -> "ApproxParams":
-        m = curve.n - 1
-        lam, gam = normalise_theta((lam, () if gamma is None else gamma), m)
-        return cls(c=c, Q=Q, psi=psi, d=1, m=m, B=(float(B[0]), float(B[1])),
-                   theta=((lam,), gam))
+        return cls(c=c, Q=Q, psi=psi, m=curve.n - 1, B=(float(B[0]), float(B[1])),
+                   theta=(lam, () if gamma is None else gamma))
 
 
 @dataclass(frozen=True)
@@ -224,8 +214,8 @@ def build_G(curve: Curve, x: float) -> np.ndarray:
 
 
 def scaling_diagonal(params: ApproxParams) -> np.ndarray:
-    """Diagonal of g(c, Q, psi): m copies of psi, d copies of (psi^m Q)^(-1/d), then cQ."""
-    diag = [params.psi] * params.m + [params.x_scale] * params.d + [params.c * params.Q]
+    """Diagonal of g(c, Q, psi): m copies of psi, then (psi^m Q)^(-1) and cQ."""
+    diag = [params.psi] * params.m + [params.x_scale, params.c * params.Q]
     return np.asarray(diag, dtype=float)
 
 
@@ -619,16 +609,8 @@ def successive_minima_sup(basis) -> SuccessiveMinima:
                    if s <= S * (1.0 + 1e-12))
     values: list[float] = []
     chosen: list[tuple[int, ...]] = []
-    reduced_rows: list[list] = []  # fraction-free elimination state
     for s, t in found:
-        row = [int(v) for v in t]
-        for piv in reduced_rows:
-            lead = next(i for i, v in enumerate(piv) if v != 0)
-            if row[lead] != 0:
-                f1, f2 = piv[lead], row[lead]
-                row = [f1 * a - f2 * b for a, b in zip(row, piv)]
-        if any(row):
-            reduced_rows.append(row)
+        if rank_int(chosen + [t]) > len(chosen):
             chosen.append(t)
             values.append(s)
             if len(chosen) == dim:

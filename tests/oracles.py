@@ -115,7 +115,7 @@ def curve_delta_oracle(fvals_fn, x, c, Q, psi, cap=1.3):
     f, fp = fvals_fn(x)
     g1 = [fv - x * dv for fv, dv in zip(f, fp)]
     m = len(f)
-    midscale = psi**m * Q  # the (psi^m Q)^{1/d} row scale at d = 1
+    midscale = psi**m * Q  # the psi^m Q row scale
     assert midscale > cap and 1.0 / psi > cap and cap * psi < 0.5
     best = math.inf
     qmax = int(math.floor(cap * c * Q)) + 1
@@ -328,10 +328,10 @@ def detect_witness_oracle(curve, x, params, reduction, guard=1e-9):
     ``lattice.reduce``.  Raises ``PreconditionError`` where the kernel
     returns one.
     """
-    floor = psi_floor(params.Q, params.d, params.m)
+    floor = psi_floor(params.Q, params.m)
     if params.psi < floor * (1 - 1e-12):
         raise PreconditionError(f"psi={params.psi} below the admissibility floor {floor:.3g}")
-    rho = _interior_rho(params.Q, params.psi, params.d, params.m, params.c)
+    rho = _interior_rho(params.Q, params.psi, params.m, params.c)
     lo, hi = params.B
     if not (lo + rho <= x <= hi - rho):
         raise PreconditionError(f"x={x} outside the rho-interior of B={params.B}")
@@ -344,7 +344,7 @@ def detect_witness_oracle(curve, x, params, reduction, guard=1e-9):
     omega0 = 3.0 * (n + 1) * params.Q
     target_shift = np.concatenate((
         [-omega0],
-        np.asarray(lam) - omega0 * np.asarray([x]),
+        np.asarray([lam]) - omega0 * np.asarray([x]),
         np.asarray(gam) - omega0 * f_vals,
     ))
     rhs = -np.asarray(reduction.source, dtype=float) @ target_shift
@@ -356,14 +356,13 @@ def detect_witness_oracle(curve, x, params, reduction, guard=1e-9):
     p = np.dot(reduction.preimage, t.astype(reduction.preimage.dtype))
     q = int(p[0])
     if q < 0:
-        if any(v != 0.0 for v in lam) or any(v != 0.0 for v in gam):
+        if lam != 0.0 or any(v != 0.0 for v in gam):
             raise PreconditionError("construction produced q < 0 in an inhomogeneous run")
         p = -p
         q = int(p[0])
     if q == 0:
         raise PreconditionError("construction collapsed to q = 0")
-    return RationalWitness(q=q, a=tuple(int(v) for v in p[1 : 1 + params.d]),
-                           b=tuple(int(v) for v in p[1 + params.d :]))
+    return RationalWitness(q=q, a=int(p[1]), b=tuple(int(v) for v in p[2:]))
 
 
 def exact_svp_sup(A):

@@ -145,7 +145,7 @@ def test_criterion_05_detector_soundness():
     # first theorem caps delta at 1, so membership needs a critical lattice),
     # plus c = 0.01 cells where nearly every grid point carries a witness
     for c in (1.0, 0.01):
-        consts = nc.derive_constants(2, 1, 1, 2.0, c)
+        consts = nc.derive_constants(2, 2.0, c)
         for Q in (1000.0, 10_000.0):
             for psi in (0.1, 0.3):
                 for lam, gam in ((0.0, (0.0,)), (0.5, (0.5,))):
@@ -190,10 +190,10 @@ def test_criterion_06_counting_exponents(sweeps):
 
 def test_criterion_07_corollary_lower_bound(sweeps):
     t0 = time.monotonic()
-    consts2 = nc.derive_constants(2, 1, 1, 2.0, 1.0)
+    consts2 = nc.derive_constants(2, 2.0, 1.0)
     assert consts2.K0 == 72.0 and consts2.C0 == 432.0
     v3_M = nc.second_derivative_bound(nc.veronese(3), (0.0, 1.0), safety=1.0)
-    consts3 = nc.derive_constants(3, 1, 2, v3_M, 1.0)
+    consts3 = nc.derive_constants(3, v3_M, 1.0)
     checked = 0
     all_ok = True
     for Q, count in zip(Q_SWEEP, sweeps["q"]):

@@ -116,7 +116,7 @@ def test_count_psi_sweep_validates_like_enumerate(parabola):
 
 
 BLOCK_CURVES = ("parabola", "veronese:3", "mixed")
-BLOCK_SHIFTS = (None, (0.25, (0.4,)), ((-0.35,), (-0.15,)))
+BLOCK_SHIFTS = (None, (0.25, (0.4,)), (-0.35, (-0.15,)))
 BLOCK_WINDOWS = ((0.0, 1.0), (0.1, 0.9), (0.3, 0.7), (0.7, 0.2))
 BLOCK_PSIS = (0.1, 0.3, 0.5, 0.62, 0.9)
 
@@ -211,18 +211,18 @@ def test_witnesses_property(parabola):
 def test_membership_decides_ties_exactly(parabola):
     # 6720^2 - 5735 * 7875 = -0.6 * 7875: the exact distance 3/5 exceeds the double 0.6,
     # while the double evaluation of q f(a/q) - b lands inside
-    w = nc.RationalWitness(q=7875, a=(6720,), b=(5735,))
+    w = nc.RationalWitness(q=7875, a=6720, b=(5735,))
     assert not witness_in_R(w, parabola, 8192, 0.6, (0.0, 1.0))
     tie = counting.CountResult(Q=8192, psi=0.6, B=(0.0, 1.0), theta=(0.0, (0.0,)), count=1,
                                boundary=0, triples=np.array([[7875, 6720, 5735]]))
     assert not recheck_triples(parabola, tie)
-    inside = nc.RationalWitness(q=7875, a=(6720,), b=(5734,))  # distance 2/5
+    inside = nc.RationalWitness(q=7875, a=6720, b=(5734,))  # distance 2/5
     assert witness_in_R(inside, parabola, 8192, 0.6, (0.0, 1.0))
     assert not witness_in_R(inside, parabola, 8192, 0.3, (0.0, 1.0))
 
 
 def test_delta_coverage_examples():
-    w = nc.RationalWitness(q=2, a=(1,), b=(0,))
+    w = nc.RationalWitness(q=2, a=1, b=(0,))
     assert nc.delta_coverage([w], 0.1, (0.0, 1.0)) == pytest.approx(0.2)
     assert nc.delta_coverage([w, w], 0.1, (0.0, 1.0)) == pytest.approx(0.2)
     with pytest.raises(ValueError):
@@ -240,7 +240,7 @@ def test_delta_coverage_monotone(parabola):
 
 def test_delta_coverage_shifted_points():
     # with lambda = 0.5 the single witness q=2, a=0 sits at x = 0.25
-    w = nc.RationalWitness(q=2, a=(0,), b=(0,))
+    w = nc.RationalWitness(q=2, a=0, b=(0,))
     cov = nc.delta_coverage([w], 0.1, (0.0, 1.0), lam=0.5)
     assert cov == pytest.approx(0.2)
     res = enumerate_R(nc.parabola(), 32, 0.4, (0.0, 1.0), (0.5, (0.0,)))
@@ -250,7 +250,7 @@ def test_delta_coverage_shifted_points():
     assert cov > 0
     # the points of the result give the same double, shift included
     assert nc.delta_coverage(pts, 1e-3, (0.0, 1.0)) == cov
-    witnesses = [nc.RationalWitness(q=int(q), a=(int(a),), b=(0,)) for q, a, _ in res.triples]
+    witnesses = [nc.RationalWitness(q=int(q), a=int(a), b=(0,)) for q, a, _ in res.triples]
     assert nc.delta_coverage(witnesses, 1e-3, (0.0, 1.0), lam=0.5) == cov
 
 
@@ -325,7 +325,7 @@ def test_lower_bound_check_examples():
 
 def test_detector_counter_consistency(parabola):
     # witnesses extracted at the inner scale are members of the outer set
-    consts = nc.derive_constants(2, 1, 1, 2.0, 0.5)
+    consts = nc.derive_constants(2, 2.0, 0.5)
     pt = nc.ApproxParams.for_curve(parabola, c=0.5, Q=1200.0, psi=0.9, B=(0.1, 0.9))
     Q, psi, rho = nc.corollary_map(pt, consts)
     inner = nc.ApproxParams.for_curve(parabola, c=0.5, Q=Q, psi=psi, B=(0.1, 0.9))
@@ -340,9 +340,9 @@ def test_detector_counter_consistency(parabola):
     for x, w in zip(goods, detect_witnesses(parabola, goods, inner)[1]):
         assert isinstance(w, nc.RationalWitness), (x, w)
         assert witness_in_R(w, parabola, 1200.0, 0.9, (0.1, 0.9))
-        assert (w.q, w.a[0], w.b[0]) in triple_set
+        assert (w.q, w.a, w.b[0]) in triple_set
         assert 0.5 * 1200 < w.q <= 1200
-        assert abs(w.a[0] / w.q - x) <= rho
+        assert abs(w.a / w.q - x) <= rho
         checked += 1
     assert checked >= 10
 

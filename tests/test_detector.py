@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
-from nearcurve import lattice
+from nearcurve import detector, lattice
 from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
 from nearcurve.errors import PreconditionError
 from oracles import curve_delta_oracle, detect_witness_oracle
@@ -30,24 +31,24 @@ def _good_grid(curve, params, points=200):
 
 
 def test_derive_constants_examples():
-    consts = nc.derive_constants(2, 1, 1, 2.0, 1.0)
+    consts = nc.derive_constants(2, 2.0, 1.0)
     assert consts.K0 == pytest.approx(72.0)
     assert consts.C0 == pytest.approx(432.0)
     assert consts.omega0(10.0) == pytest.approx(90.0)
     assert consts.rho(100.0, 0.1) == pytest.approx(0.432)
-    flat = nc.derive_constants(2, 1, 1, 0.0, 1.0)
-    assert flat.K0 == pytest.approx(36.0)  # the (1 + M d^2/2c) factor collapses to 1
+    flat = nc.derive_constants(2, 0.0, 1.0)
+    assert flat.K0 == pytest.approx(36.0)  # the (1 + M/2c) factor collapses to 1
     assert flat.C0 == pytest.approx(216.0)
     with pytest.raises(ValueError):
-        nc.derive_constants(3, 1, 1, 2.0, 1.0)
+        nc.derive_constants(1, 2.0, 1.0)
     with pytest.raises(ValueError):
-        nc.derive_constants(2, 1, 1, 2.0, 0.0)
+        nc.derive_constants(2, 2.0, 0.0)
     with pytest.raises(ValueError):
-        nc.derive_constants(2, 1, 1, -1.0, 1.0)
+        nc.derive_constants(2, -1.0, 1.0)
 
 
 def test_corollary_map_examples(parabola):
-    consts = nc.derive_constants(2, 1, 1, 2.0, 1.0)
+    consts = nc.derive_constants(2, 2.0, 1.0)
     pt = _params(parabola, c=1.0, Q=1200.0, psi=0.9, B=(0.0, 1.0))
     Q, psi, rho = nc.corollary_map(pt, consts)
     assert Q == pytest.approx(100.0)
@@ -60,7 +61,7 @@ def test_corollary_map_rho_identity_random(parabola, rng):
     for _ in range(50):
         c = float(rng.uniform(0.05, 1.0))
         M = float(rng.uniform(0.0, 4.0))
-        consts = nc.derive_constants(2, 1, 1, M, c)
+        consts = nc.derive_constants(2, M, c)
         Qt = float(rng.uniform(500, 5000))
         floor = consts.K0 * Qt ** (-1.0)
         psit = float(rng.uniform(min(floor * 1.01, 0.99), 1.0))
@@ -72,7 +73,7 @@ def test_corollary_map_rho_identity_random(parabola, rng):
 
 
 def test_corollary_map_precondition(parabola):
-    consts = nc.derive_constants(2, 1, 1, 2.0, 1.0)
+    consts = nc.derive_constants(2, 2.0, 1.0)
     pt = _params(parabola, c=1.0, Q=1200.0, psi=0.01, B=(0.0, 1.0))
     with pytest.raises(PreconditionError):
         nc.corollary_map(pt, consts)
@@ -126,18 +127,18 @@ def test_detect_witness_preconditions(parabola):
 def test_detect_witness_conclusions(parabola):
     # q-range and x-bound of the witness construction at parameters with good points
     p = _params(parabola, c=0.5, Q=1000.0, psi=0.05, B=(0.1, 0.9))
-    consts = nc.derive_constants(2, 1, 1, 2.0, 0.5)
+    consts = nc.derive_constants(2, 2.0, 0.5)
     goods = _good_grid(parabola, p)
     assert goods, "expected a nonempty good set at c = 0.5"
     x_limit = (2 + 1) / 0.5 * (0.05 * 1000.0) ** -1.0
     for x in goods[:25]:
         w = nc.detect_witness(parabola, x, p)
         assert 6000 < w.q < 12000
-        assert abs(w.q * x - w.a[0]) < x_limit
+        assert abs(w.q * x - w.a) < x_limit
         rep = nc.verify_witness(w, parabola, x, p, consts)
         assert rep.all_ok
         # the shifted rational point lies within the interior margin of x
-        assert abs(rep.point[0] - x) <= consts.interior_rho(1000.0, 0.05) * (1 + 1e-9)
+        assert abs(rep.point - x) <= consts.interior_rho(1000.0, 0.05) * (1 + 1e-9)
 
 
 def test_detect_witness_soundness_sweep(parabola):
@@ -146,7 +147,7 @@ def test_detect_witness_soundness_sweep(parabola):
             for lam, gam in ((0.0, (0.0,)), (0.5, (0.5,))):
                 p = _params(parabola, c=0.01, Q=Q, psi=psi, B=(0.1, 0.9),
                             lam=lam, gamma=gam)
-                consts = nc.derive_constants(2, 1, 1, 2.0, 0.01)
+                consts = nc.derive_constants(2, 2.0, 0.01)
                 goods = _good_grid(parabola, p, points=60)
                 assert goods
                 # every good point carries a witness, all from one kernel call
@@ -159,7 +160,7 @@ def test_detect_witness_soundness_sweep(parabola):
 def test_verify_witness_perturbation(parabola):
     # f-limit below 1/2 makes a +1 shift of b a guaranteed failure
     p = _params(parabola, c=0.5, Q=1000.0, psi=0.02, B=(0.1, 0.9))
-    consts = nc.derive_constants(2, 1, 1, 2.0, 0.5)
+    consts = nc.derive_constants(2, 2.0, 0.5)
     assert consts.taming_factor() * 0.02 < 0.5
     goods = _good_grid(parabola, p)
     assert goods
@@ -176,7 +177,7 @@ def test_detect_witness_veronese_two_coordinates(veronese3):
     # m = 2: both f-inequalities verified, one per coordinate
     p = nc.ApproxParams.for_curve(veronese3, c=0.01, Q=1000.0, psi=0.3,
                                   B=(0.1, 0.9), lam=0.25, gamma=(0.5, 0.75))
-    consts = nc.derive_constants(3, 1, 2, 6.0, 0.01)
+    consts = nc.derive_constants(3, 6.0, 0.01)
     goods = _good_grid(veronese3, p, points=80)
     assert goods
     for x in goods[::11]:
@@ -215,7 +216,7 @@ def test_detect_witnesses_match_the_scalar_oracle(parabola, veronese3, monkeypat
         xs = lo + (np.arange(500) + 0.5) * (hi - lo) / 500
         stacks.clear()
         delta, outcomes = detect_witnesses(curve, xs, p)
-        rho = nc.derive_constants(p.n, 1, p.m, 2.0, p.c).interior_rho(p.Q, p.psi)
+        rho = nc.derive_constants(p.n, 2.0, p.c).interior_rho(p.Q, p.psi)
         inside = (lo + rho <= xs) & (xs <= hi - rho)
         assert stacks == [np.count_nonzero(inside)]  # one reduction, of the rho-interior points
         records = lattice.reduce(lattice.curve_lattice_bases(curve, xs[inside], p))
@@ -233,12 +234,56 @@ def test_detect_witnesses_match_the_scalar_oracle(parabola, veronese3, monkeypat
     assert checked > 5000
 
 
+@pytest.mark.parametrize("lam, gam", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)])
+def test_detect_witnesses_q_below_and_at_zero(parabola, monkeypatch, lam, gam):
+    """The q < 0 and q = 0 branches, reached through a reduced basis with large entries.
+
+    Each reduction's preimage becomes V = [[1, K, 0], [0, 1, 0], [0, 0, 1]] and
+    its columns source @ V: the real reduction right-multiplied by the
+    unimodular U^{-1} V, so still a basis of the same lattice.  The witness is
+    then V rint(V^{-1} z) for z = w0 (1, x, x^2) - (0, lambda, gamma), whose q is
+    w0 - rint(K e) with e = w0 x - lambda - N and N the integer nearest to
+    w0 x - lambda; its a is N.
+    """
+    w0, K = 90, 360  # w0 = 3(n+1)Q at Q = 10
+    V = np.array([[1, K, 0], [0, 1, 0], [0, 0, 1]])
+    real = lattice.reduce
+
+    def reduce(bases):
+        r = real(bases)
+        U = np.broadcast_to(V, r.preimage.shape).astype(r.preimage.dtype)
+        return dataclasses.replace(r, columns=np.matmul(r.source, V.astype(float)), preimage=U)
+
+    monkeypatch.setattr(detector.lat, "reduce", reduce)
+    p = _params(parabola, c=0.3, Q=10.0, psi=0.5, B=(0.1, 0.9), lam=lam, gamma=(gam,))
+    for e, q in ((0.25, 0), (0.4, -54), (-0.1, 126)):
+        xs = np.array([(N + e + lam) / w0 for N in range(9, 82)])
+        delta, outcomes = detect_witnesses(parabola, xs, p)
+        good = np.flatnonzero(delta >= 1.0 - GOOD_SET_GUARD)
+        assert good.size > 5
+        records = lattice.reduce(lattice.curve_lattice_bases(parabola, xs[good], p))
+        for k, i in enumerate(good.tolist()):
+            x, outcome = float(xs[i]), outcomes[i]
+            try:
+                expected = detect_witness_oracle(parabola, x, p, records[k])
+            except PreconditionError as exc:
+                expected = str(exc)
+            assert (outcome if isinstance(outcome, nc.RationalWitness) else str(outcome)) == expected
+            N = round(w0 * x - lam)
+            if q == 0:
+                assert expected == "construction collapsed to q = 0"
+            elif q < 0 and (lam or gam):
+                assert expected == "construction produced q < 0 in an inhomogeneous run"
+            else:  # a homogeneous q < 0 is negated whole
+                assert (outcome.q, outcome.a) == (abs(q), N if q > 0 else -N)
+
+
 def test_detect_witness_float_verification_path():
     # the exp coordinate has no exact rational evaluator: float fallback
     mixed = nc.resolve_curve("mixed")
     p = nc.ApproxParams.for_curve(mixed, c=0.01, Q=1000.0, psi=0.3, B=(0.1, 0.9))
     M = nc.second_derivative_bound(mixed, (0.1, 0.9))
-    consts = nc.derive_constants(3, 1, 2, M, 0.01)
+    consts = nc.derive_constants(3, M, 0.01)
     goods = _good_grid(mixed, p, points=60)
     assert goods
     w = nc.detect_witness(mixed, goods[0], p)
@@ -248,26 +293,26 @@ def test_detect_witness_float_verification_path():
 
 def test_verify_witness_q_range(parabola):
     p = _params(parabola, c=1.0, Q=1000.0, psi=0.3, B=(0.0, 1.0))
-    consts = nc.derive_constants(2, 1, 1, 2.0, 1.0)
-    w = nc.RationalWitness(q=1000, a=(400,), b=(160,))
+    consts = nc.derive_constants(2, 2.0, 1.0)
+    w = nc.RationalWitness(q=1000, a=400, b=(160,))
     rep = nc.verify_witness(w, parabola, 0.4, p, consts)
     assert not rep.q_range_ok and not rep.all_ok
 
 
 def test_witness_validation():
     with pytest.raises(ValueError):
-        nc.RationalWitness(q=0, a=(1,), b=(1,))
+        nc.RationalWitness(q=0, a=1, b=(1,))
     with pytest.raises(ValueError):
-        nc.RationalWitness(q=-3, a=(1,), b=(1,))
+        nc.RationalWitness(q=-3, a=1, b=(1,))
 
 
 def test_verify_witness_exact_arithmetic(parabola):
     # a slack within 1e-13 of the limit must be judged by exact rationals
     p = _params(parabola, c=0.5, Q=1000.0, psi=0.02, B=(0.1, 0.9))
-    consts = nc.derive_constants(2, 1, 1, 2.0, 0.5)
+    consts = nc.derive_constants(2, 2.0, 0.5)
     goods = _good_grid(parabola, p)
     x = goods[0]
     w = nc.detect_witness(parabola, x, p)
     rep = nc.verify_witness(w, parabola, x, p, consts)
-    val = Fraction(w.q) * (Fraction(w.a[0]) / w.q) ** 2 - w.b[0]
+    val = Fraction(w.q) * (Fraction(w.a) / w.q) ** 2 - w.b[0]
     assert float(abs(val)) == pytest.approx(rep.f_bounds[0][0], rel=1e-12, abs=1e-15)

@@ -161,7 +161,7 @@ def test_run_detect_reduces_each_cell_as_one_stack(tmp_path, monkeypatch):
     )
     outcome = run_experiment(cfg, mode="detect")
     assert outcome.summary["good_points"] > 0
-    consts = nc.derive_constants(2, 1, 1, 2.0, 0.01)
+    consts = nc.derive_constants(2, 2.0, 0.01)
     xs = 0.1 + (np.arange(30) + 0.5) * (0.8 / 30)
     interior = [int(np.count_nonzero((xs >= 0.1 + rho) & (xs <= 0.9 - rho)))
                 for rho in (consts.interior_rho(Q, 0.3) for Q in (40, 1000))]

@@ -20,13 +20,17 @@ def _params(curve, **kw):
 
 def test_approx_params_validation(parabola):
     with pytest.raises(ValueError):
-        nc.ApproxParams(c=-1, Q=10, psi=0.5, d=1, m=1, B=(0, 1))
+        nc.ApproxParams(c=-1, Q=10, psi=0.5, m=1, B=(0, 1))
     with pytest.raises(ValueError):
-        nc.ApproxParams(c=1, Q=0.5, psi=0.5, d=1, m=1, B=(0, 1))
+        nc.ApproxParams(c=1, Q=0.5, psi=0.5, m=1, B=(0, 1))
     with pytest.raises(ValueError):
-        nc.ApproxParams(c=1, Q=10, psi=1.5, d=1, m=1, B=(0, 1))
+        nc.ApproxParams(c=1, Q=10, psi=1.5, m=1, B=(0, 1))
+    with pytest.raises(ValueError):
+        nc.ApproxParams(c=1, Q=10, psi=0.5, m=0, B=(0, 1))
+    with pytest.raises(TypeError):  # a curve has d = 1, and there is no field for it
+        nc.ApproxParams(c=1, Q=10, psi=0.5, d=2, m=1, B=(0, 1))
     p = _params(parabola, lam=0.5, gamma=(0.25,))
-    assert p.theta == ((0.5,), (0.25,))
+    assert p.theta == (0.5, (0.25,))
     assert p.n == 2
 
 

@@ -13,9 +13,11 @@ expansion of pairs into triples is covered byte for byte.  ``qnd`` and
 at 3000 samples), so that the lattice outputs are covered in dimension 4 as
 well as 3.  ``detect`` runs twice more with a nonzero shift, on parabola
 (``theta.lambda = 0.5``, ``theta.gamma = 0.5``) and on veronese:3
-(``theta.lambda = 0.25``, ``theta.gamma = 0.5,0.75``), so that the
-inhomogeneous witness path is covered too.  Each run goes in a fresh
-interpreter and into a temporary directory.  Prints one
+(``theta.lambda = 0.25``, ``theta.gamma = 0.5,0.75``), and ``count`` and
+``coverage`` once more each with ``theta.lambda = 0.25`` and
+``theta.gamma = 0.5``, so that the shift's path through the witness
+construction and through the counting half is covered too.  Each run goes
+in a fresh interpreter and into a temporary directory.  Prints one
 ``<sha256>  <run>/<file>`` line per output file, sorted, so two checkouts
 compare with one diff:
 
@@ -56,6 +58,8 @@ RUNS = (
     ("detect-shifted", "detect", "detect.cfg", {"theta.lambda": "0.5", "theta.gamma": "0.5"}),
     ("detect-veronese3-shifted", "detect", "detect.cfg",
      {"curve": "veronese:3", "M": "6", "theta.lambda": "0.25", "theta.gamma": "0.5,0.75"}),
+    ("count-shifted", "count", "count.cfg", {"theta.lambda": "0.25", "theta.gamma": "0.5"}),
+    ("coverage-shifted", "coverage", "coverage.cfg", {"theta.lambda": "0.25", "theta.gamma": "0.5"}),
 )
 
 
