@@ -33,9 +33,11 @@ from .detector import (
     corollary_map,
     derive_constants,
     detect_witness,
+    detect_witnesses,
     goodset_delta,
     in_good_set,
     verify_witness,
+    verify_witnesses,
 )
 from .counting import (
     CountResult,
@@ -75,11 +77,11 @@ __all__ = [
     "PreconditionError", "RationalWitness", "ScalingFit", "SuccessiveMinima",
     "WitnessReport", "aux_g", "build_G", "build_h", "build_scaling",
     "ca_good_ratio", "corollary_map", "delta_coverage", "derive_constants",
-    "detect_witness", "dim_exponent", "divergence_partial_sum", "enumerate_R",
-    "eval_jet", "goodset_delta", "hodge_dual_basis", "in_good_set",
+    "detect_witness", "detect_witnesses", "dim_exponent", "divergence_partial_sum",
+    "enumerate_R", "eval_jet", "goodset_delta", "hodge_dual_basis", "in_good_set",
     "interval_union_measure", "lower_bound_check", "nondegeneracy_order",
     "parabola", "phi_closed_form", "phi_minor", "qnd_bound_check",
     "reduce_at", "reduced_basis", "resolve_curve", "run_experiment", "scale_factor",
-    "scaling_fit", "second_derivative_bound", "shortest_sup",
-    "skew_gradient", "successive_minima_sup", "verify_witness", "veronese",
+    "scaling_fit", "second_derivative_bound", "shortest_sup", "skew_gradient",
+    "successive_minima_sup", "verify_witness", "verify_witnesses", "veronese",
 ]

@@ -2,15 +2,15 @@
 
 At the good points x of a grid (the scaled curve lattice has no sup-norm
 vector below 1), ``detect_witnesses`` solves one stacked system against the
-reduced bases for integer vectors ``(q, a, b)``; ``verify_witness`` checks a
-witness's three inequality families, exactly wherever the inputs are rational.
+reduced bases for integer vectors ``(q, a, b)``; ``verify_witnesses`` decides
+their three inequality families in one integer pass, exactly for polynomials.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -205,47 +205,58 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
     return outcome
 
 
+def verify_witnesses(witnesses: Sequence[RationalWitness], curve: Curve, xs: Sequence[float],
+                     params: ApproxParams, consts: DerivedConstants) -> list[WitnessReport]:
+    """Every witness's three inequality families at its x, decided in one integer pass.
+
+    x, lambda, gamma_j and both limits are read as the dyadic rationals they
+    hold.  Each polynomial coordinate, scaled once to integer coefficients, is
+    evaluated at P/D = (a + lambda)/q by homogeneous integer Horner, and each
+    strict inequality by cross-multiplying ints; other coordinates are taken
+    in doubles at the rounded point.  Reports round exact values correctly.
+    """
+    n = params.n
+    q_lo, q_hi = 2.0 * (n + 1) * params.Q, 4.0 * (n + 1) * params.Q
+    x_limit, f_limit = (n + 1) / params.c * params.x_scale, consts.taming_factor() * params.psi
+    (xl_num, xl_den), (fl_num, fl_den) = x_limit.as_integer_ratio(), f_limit.as_integer_ratio()
+    l_num, l_den = params.theta[0].as_integer_ratio()
+    coords = []  # j, gamma_j, gamma_j = G/E, and the E c_k high order first (None on the double path)
+    for j, (coord, g) in enumerate(zip(curve.coords, params.theta[1]), start=1):
+        cs, (g_num, g_den) = getattr(coord, "coeffs", None), g.as_integer_ratio()
+        E = math.lcm(g_den, *(c.denominator for c in cs or ()))
+        C = None if cs is None else [c.numerator * (E // c.denominator) for c in reversed(cs)]
+        coords.append((j, g, g_num * (E // g_den), E, C))
+    reports = []
+    for w, x in zip(witnesses, xs):
+        x_num, x_den = float(x).as_integer_ratio()
+        P, D = w.a * l_den + l_num, w.q * l_den
+        x_top, x_bot = abs(w.q * x_num * l_den - P * x_den), x_den * l_den
+        f_ok, f_bounds = True, []
+        for (j, g, G, E, C), b in zip(coords, w.b):
+            if C is None:
+                val = abs(w.q * float(curve.coord_values(j, P / D)) - b - g)
+                f_ok &= val < f_limit
+            else:
+                N, Dk = C[0], 1  # at the end, Dk = D^deg and f_j(P/D) = N / (E Dk)
+                for c in C[1:]:
+                    Dk *= D
+                    N = N * P + c * Dk
+                top, bot = abs(w.q * N - (b * E + G) * Dk), E * Dk
+                f_ok &= top * fl_den < fl_num * bot
+                val = top / bot
+            f_bounds.append((val, f_limit))
+        q_range_ok = q_lo < w.q < q_hi
+        reports.append(WitnessReport(q=w.q, q_range=(q_lo, q_hi), q_range_ok=q_range_ok,
+                                     x_bounds=(x_top / x_bot, x_limit), f_bounds=tuple(f_bounds),
+                                     all_ok=q_range_ok and x_top * xl_den < xl_num * x_bot and f_ok,
+                                     point=P / D))
+    return reports
+
+
 def verify_witness(w: RationalWitness, curve: Curve, x: float, params: ApproxParams,
                    consts: DerivedConstants) -> WitnessReport:
-    """Evaluate the three witness inequality families and report their slacks.
-
-    Arithmetic is exact (Fraction) for the q-range and x-inequalities and for
-    f-inequalities of coordinates with exact rational evaluators; it falls
-    back to double precision otherwise.  Failures are reported, never raised.
-    """
-    n, m = params.n, params.m
-    lam, gam = params.theta
-    q_lo = 2.0 * (n + 1) * params.Q
-    q_hi = 4.0 * (n + 1) * params.Q
-    q_range_ok = q_lo < w.q < q_hi
-
-    x_limit = (n + 1) / params.c * params.x_scale
-    f_limit = consts.taming_factor() * params.psi
-
-    x_val = abs(w.q * Fraction(x) - w.a - Fraction(lam))
-    x_ok = x_val < Fraction(x_limit)
-
-    point_exact = (Fraction(w.a) + Fraction(lam)) / w.q
-    point = float(point_exact)
-    f_bounds = []
-    f_ok = True
-    for j in range(1, m + 1):
-        exact = curve.exact_coord(j)
-        if exact is not None:
-            fv = exact(point_exact)
-            val = abs(w.q * fv - w.b[j - 1] - Fraction(gam[j - 1]))
-            f_ok &= val < Fraction(f_limit)
-            f_bounds.append((float(val), f_limit))
-        else:
-            fv = float(curve.coord_values(j, point))
-            val_f = abs(w.q * fv - w.b[j - 1] - gam[j - 1])
-            f_ok &= val_f < f_limit
-            f_bounds.append((val_f, f_limit))
-
-    all_ok = bool(q_range_ok and x_ok and f_ok)
-    return WitnessReport(q=w.q, q_range=(q_lo, q_hi), q_range_ok=bool(q_range_ok),
-                         x_bounds=(float(x_val), x_limit), f_bounds=tuple(f_bounds),
-                         all_ok=all_ok, point=point)
+    """``verify_witnesses`` at one witness: its three inequality families and their slacks."""
+    return verify_witnesses([w], curve, [x], params, consts)[0]
 
 
 def corollary_map(params: ApproxParams, consts: DerivedConstants) -> tuple[float, float, float]:

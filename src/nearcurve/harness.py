@@ -27,7 +27,7 @@ from .counting import (
     write_triples_csv,
 )
 from .curves import Curve, midpoint_grid, resolve_curve, second_derivative_bound
-from .detector import RationalWitness, derive_constants, detect_witnesses, psi_floor, verify_witness
+from .detector import RationalWitness, derive_constants, detect_witnesses, psi_floor, verify_witnesses
 from .errors import ConfigError
 from .goodness import MinorSpec, hodge_dual_basis, phi_closed_form, phi_minor, qnd_bound_check, scale_factor
 from .intlinalg import rank_int
@@ -234,6 +234,8 @@ def _run_detect(cfg, curve, consts, theta, out, seed):
         xs = [float(x) for x in midpoint_grid(cfg.B[0], cfg.B[1], cfg.grid_points)
               if cfg.B[0] + rho <= x <= cfg.B[1] - rho]
         delta, outcomes = detect_witnesses(curve, xs, params, guard=cfg.guard)
+        found = [(w, x) for x, w in zip(xs, outcomes) if isinstance(w, RationalWitness)]
+        reports = iter(verify_witnesses([w for w, _ in found], curve, [x for _, x in found], params, consts))
         rows = []
         for x, d, w in zip(xs, delta.tolist(), outcomes):
             good = d >= 1.0 - cfg.guard
@@ -241,7 +243,7 @@ def _run_detect(cfg, curve, consts, theta, out, seed):
             if good:
                 n_good += 1
                 if isinstance(w, RationalWitness):
-                    ok = verify_witness(w, curve, x, params, consts).all_ok
+                    ok = next(reports).all_ok
                     rec += [w.q, w.a, *w.b, "yes" if ok else "no"]
                 else:
                     ok = False

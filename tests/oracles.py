@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from nearcurve.curves import eval_jet
-from nearcurve.detector import RationalWitness, _interior_rho, psi_floor
+from nearcurve.detector import RationalWitness, WitnessReport, _interior_rho, psi_floor
 from nearcurve.errors import PreconditionError
 from nearcurve.lattice import LOVASZ
 
@@ -363,6 +363,51 @@ def detect_witness_oracle(curve, x, params, reduction, guard=1e-9):
     if q == 0:
         raise PreconditionError("construction collapsed to q = 0")
     return RationalWitness(q=q, a=int(p[1]), b=tuple(int(v) for v in p[2:]))
+
+
+def verify_witness_oracle(w, curve, x, params, consts):
+    """The witness report of one point, by the ``Fraction`` body ``detector.verify_witness`` ran.
+
+    The reference of ``detector.verify_witnesses``: the q-range and the
+    x-inequality in ``Fraction``, and so each f-inequality of a coordinate
+    with an exact rational evaluator; other coordinates in double precision
+    at the rounded point.  Failures are reported, never raised.
+    """
+    from fractions import Fraction
+
+    n, m = params.n, params.m
+    lam, gam = params.theta
+    q_lo = 2.0 * (n + 1) * params.Q
+    q_hi = 4.0 * (n + 1) * params.Q
+    q_range_ok = q_lo < w.q < q_hi
+
+    x_limit = (n + 1) / params.c * params.x_scale
+    f_limit = consts.taming_factor() * params.psi
+
+    x_val = abs(w.q * Fraction(x) - w.a - Fraction(lam))
+    x_ok = x_val < Fraction(x_limit)
+
+    point_exact = (Fraction(w.a) + Fraction(lam)) / w.q
+    point = float(point_exact)
+    f_bounds = []
+    f_ok = True
+    for j in range(1, m + 1):
+        exact = curve.exact_coord(j)
+        if exact is not None:
+            fv = exact(point_exact)
+            val = abs(w.q * fv - w.b[j - 1] - Fraction(gam[j - 1]))
+            f_ok &= val < Fraction(f_limit)
+            f_bounds.append((float(val), f_limit))
+        else:
+            fv = float(curve.coord_values(j, point))
+            val_f = abs(w.q * fv - w.b[j - 1] - gam[j - 1])
+            f_ok &= val_f < f_limit
+            f_bounds.append((val_f, f_limit))
+
+    all_ok = bool(q_range_ok and x_ok and f_ok)
+    return WitnessReport(q=w.q, q_range=(q_lo, q_hi), q_range_ok=bool(q_range_ok),
+                         x_bounds=(float(x_val), x_limit), f_bounds=tuple(f_bounds),
+                         all_ok=all_ok, point=point)
 
 
 def exact_svp_sup(A):

@@ -9,7 +9,7 @@ import nearcurve as nc
 from nearcurve import detector, lattice
 from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
 from nearcurve.errors import PreconditionError
-from oracles import curve_delta_oracle, detect_witness_oracle
+from oracles import curve_delta_oracle, detect_witness_oracle, verify_witness_oracle
 
 
 def _params(curve, **kw):
@@ -316,3 +316,59 @@ def test_verify_witness_exact_arithmetic(parabola):
     rep = nc.verify_witness(w, parabola, x, p, consts)
     val = Fraction(w.q) * (Fraction(w.a) / w.q) ** 2 - w.b[0]
     assert float(abs(val)) == pytest.approx(rep.f_bounds[0][0], rel=1e-12, abs=1e-15)
+
+
+def _moved(w, q_out):
+    """The witness itself, then with b_1, a and q moved; q by q_out = 2(n+1)Q lands above, then below, the range."""
+    yield w
+    yield nc.RationalWitness(q=w.q, a=w.a, b=(w.b[0] + 1, *w.b[1:]))
+    yield nc.RationalWitness(q=w.q, a=w.a + 1, b=w.b)
+    yield nc.RationalWitness(q=w.q + q_out, a=w.a, b=w.b)
+    yield nc.RationalWitness(q=w.q - q_out, a=w.a, b=w.b)
+
+
+@pytest.mark.parametrize("name, M, shifts", [
+    ("parabola", 2.0, [(0.0, 0.0), (0.1, (0.3,)), (0.25, (0.5,))]),
+    ("veronese:3", 6.0, [(0.0, 0.0), (0.1, (0.3,)), (0.25, (0.5, 0.75))]),
+    ("poly:1/3,0,2/7", 2.0, [(0.0, 0.0), (0.1, (0.3,))]),
+    ("mixed", None, [(0.0, 0.0), (0.1, (0.3,))]),  # the exp coordinate takes the double path
+])
+def test_verify_witnesses_match_the_fraction_oracle(name, M, shifts):
+    # 0.1 and 0.3 are not dyadic: their doubles carry denominators 2^55 and 2^54
+    curve = nc.resolve_curve(name)
+    consts = nc.derive_constants(curve.n, M or nc.second_derivative_bound(curve, (0.1, 0.9)), 0.01)
+    reports = []
+    for Q in (1000.0, 10_000.0):
+        for psi in (0.1, 0.3):
+            for lam, gam in shifts:
+                p = _params(curve, c=0.01, Q=Q, psi=psi, lam=lam, gamma=gam)
+                xs = (0.1 + (np.arange(120) + 0.5) * 0.8 / 120).tolist()
+                pairs = [(v, x) for x, w in zip(xs, detect_witnesses(curve, xs, p)[1])
+                         if isinstance(w, nc.RationalWitness) for v in _moved(w, 2 * (curve.n + 1) * int(Q))]
+                got = nc.verify_witnesses([w for w, _ in pairs], curve, [x for _, x in pairs], p, consts)
+                assert got == [verify_witness_oracle(w, curve, x, p, consts) for w, x in pairs], (Q, psi, lam)
+                reports += got
+    assert len(reports) > 1000
+    assert {r.all_ok for r in reports} == {True, False}
+    assert {r.q_range_ok for r in reports} == {True, False}
+
+
+@pytest.mark.parametrize("family, w, x, gamma", [
+    ("x", nc.RationalWitness(q=8192, a=3000, b=(1099,)), (3000 + 3 / 256) / 8192, 0.0),
+    ("f", nc.RationalWitness(q=8192, a=3000, b=(1089,)), 3000 / 8192, 81 / 128),
+])
+def test_verify_witnesses_fail_an_exact_tie(parabola, family, w, x, gamma):
+    """A slack equal to its limit as a rational fails that family: the inequalities are strict.
+
+    At c = psi = 1/2 and Q = 1024 the limits are x_limit = 3/256 and
+    f_limit = 9.  The x tie has q x - a = 3/256; the f tie has
+    q (a/q)^2 - b - gamma = 9000000/8192 - 1089 - 81/128 = 9.
+    """
+    p = _params(parabola, c=0.5, Q=1024.0, psi=0.5, gamma=(gamma,))
+    consts = nc.derive_constants(2, 2.0, 0.5)
+    (rep,) = nc.verify_witnesses([w], parabola, [x], p, consts)
+    assert rep == verify_witness_oracle(w, parabola, x, p, consts)
+    assert rep.x_bounds[1] == 3 / 256 and rep.f_bounds[0][1] == 9.0
+    tie, other = (rep.x_bounds, rep.f_bounds[0]) if family == "x" else (rep.f_bounds[0], rep.x_bounds)
+    assert tie[0] == tie[1] and other[0] < other[1] and rep.q_range_ok
+    assert not rep.all_ok

@@ -16,7 +16,10 @@ well as 3.  ``detect`` runs twice more with a nonzero shift, on parabola
 (``theta.lambda = 0.25``, ``theta.gamma = 0.5,0.75``), and ``count`` and
 ``coverage`` once more each with ``theta.lambda = 0.25`` and
 ``theta.gamma = 0.5``, so that the shift's path through the witness
-construction and through the counting half is covered too.  Each run goes
+construction and through the counting half is covered too.  ``detect`` runs
+once more with ``theta.lambda = 0.1`` and ``theta.gamma = 0.3``, decimals
+whose doubles have denominators 2^55 and 2^54, so that the witness
+verification is covered on shifts that are not short dyadics.  Each run goes
 in a fresh interpreter and into a temporary directory.  Prints one
 ``<sha256>  <run>/<file>`` line per output file, sorted, so two checkouts
 compare with one diff:
@@ -58,6 +61,7 @@ RUNS = (
     ("detect-shifted", "detect", "detect.cfg", {"theta.lambda": "0.5", "theta.gamma": "0.5"}),
     ("detect-veronese3-shifted", "detect", "detect.cfg",
      {"curve": "veronese:3", "M": "6", "theta.lambda": "0.25", "theta.gamma": "0.5,0.75"}),
+    ("detect-shifted-decimal", "detect", "detect.cfg", {"theta.lambda": "0.1", "theta.gamma": "0.3"}),
     ("count-shifted", "count", "count.cfg", {"theta.lambda": "0.25", "theta.gamma": "0.5"}),
     ("coverage-shifted", "coverage", "coverage.cfg", {"theta.lambda": "0.25", "theta.gamma": "0.5"}),
 )
