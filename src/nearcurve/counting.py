@@ -4,10 +4,12 @@ The set under study collects integer triples (q, a, b) with Q/2 < q <= Q,
 (a + lambda)/q inside a window B, and every |q f_j((a+lambda)/q) - gamma_j - b_j|
 strictly below psi.  Enumeration is O(Q^2) per configuration, for Q up to
 ``Q_CAP`` = 65536.  The q-range and the a-range of every q are decided in
-exact integers; the (q, a) pairs then run in flat, cache-sized blocks, and a
-psi sweep counts every psi of a Q from the same block of curve values.
+exact integers; the (q, a) pairs then run in flat, cache-sized blocks.  A psi
+sweep bins them by the 2^-16 cells of the fractional parts of their y, which
+give ``_window``'s answer (below) off the cells next to a cut s, 1 - s, 0 or 1
+because the float error of y is far below a cell (``count_R_psi_sweep``).
 
-The b-window is decided in doubles, in one function, ``_window``: the
+The b-window is decided in doubles, by one predicate, ``_window``: the
 integers b with |y - b| < psi - 1e-12, with y = q f_j(x) - gamma_j, and
 triples within the 1e-12 guard band of the boundary are tallied as
 ``boundary``.  That keeps exact ties out only while the float error of y,
@@ -33,6 +35,8 @@ GUARD = 1e-12
 Q_CAP = 1 << 16
 _CSV_BLOCK = 1 << 13  # rows turned into text at a time; bounds the memory of a write
 _BLOCK = 1 << 13  # (q, a) pairs per counting block; 64 KiB per float64 array, so it stays in cache
+_CELLS = 1 << 16  # fractional-part cells of a psi sweep, far wider than the float error of y
+_Y_LIMIT = float(1 << 30)  # the |y| below which that error stays under 2^-23
 
 
 @dataclass
@@ -226,27 +230,83 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
                        boundary=boundary, triples=triples)
 
 
+def _cell_states(ss: Sequence[float], m: int):
+    """The cells' int16 states, their number, and per joint state the b-counts and the ties.
+
+    Cell c holds d = y - floor(y) in [c, c + 1) / ``_CELLS``; its state counts the
+    cuts s, 1 - s (s in (0, 1)) below it, or is the last, tie, within a cell of a cut,
+    0 or 1.  A d in state i has [d < s] + [d > 1 - s] b with |y - b| < s (0 if tie or
+    s <= 0).  Joint states are m states in base ``states``.  None for an s >= 1 or too many bins.
+    """
+    inner = [s for s in ss if 0 < s < 1]
+    cuts = np.array(sorted(set(inner + [1 - s for s in inner])), dtype=float)
+    tie = len(cuts) + 1
+    if max(ss) >= 1 or len(ss) * (tie + 1)**m > _CELLS:
+        return None
+    first = np.ceil(cuts * _CELLS).astype(np.int64)  # the first cell at or above each cut
+    table = np.repeat(np.arange(tie, dtype=np.int16), np.diff(first, prepend=0, append=_CELLS))
+    for u in np.floor(np.concatenate((cuts, (0.0, 1.0))) * _CELLS).astype(np.int64):
+        table[max(u - 1, 0):u + 2] = tie
+    state, s = np.arange(tie + 1), np.array(ss)[:, None]
+    rows = (state <= np.searchsorted(cuts, s)) * 1 + (state > np.searchsorted(cuts, 1 - s))
+    rows *= (state < tie) & (0 < s) & (s < 1)
+    weights, tied = np.ones((len(ss), 1), dtype=np.int64), np.zeros(1, dtype=bool)
+    for _ in range(m):
+        weights = (weights[:, :, None] * rows[:, None, :]).reshape(len(ss), -1)
+        tied = (tied[:, None] | (state == tie)).ravel()
+    return table, tie + 1, weights, tied
+
+
 def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
                       theta=None) -> list[int]:
-    """Counts of enumerate_R for several psi at one Q, sharing the curve values.
+    """Counts of enumerate_R for several psi at one Q, from one histogram of cells.
 
-    Raises ValueError wherever enumerate_R would for one of the psi.  Per
-    psi, the ``_window`` counts of the coordinates are multiplied and summed;
-    float64 holds these small integers, their products and block sums
-    exactly, so every count is the integer enumerate_R gives.
+    Raises ValueError wherever enumerate_R would for one of the psi.  Each pair
+    is binned once by the joint ``_cell_states`` of its y, which give ``_window``'s
+    answer as its float error, below 2^-23 for |y| < 2^30, can change it only in a
+    tie cell; ``_window`` counts tie pairs, blocks with |y| >= 2^30 or nan, and unbinned calls.
     """
     _, _, _, blocks = _blocks(curve, Q, psis, B, theta)
+    if not psis:
+        return []
+    m, ss = curve.n - 1, [psi - GUARD for psi in psis]
+    binned = _cell_states(ss, m)
     totals = [0] * len(psis)
-    counts, upper, lower = np.empty((3, _BLOCK))  # reused by every block
-    for _, a, ys in blocks:
-        size = len(a)
-        n, hi, lo = counts[:size], upper[:size], lower[:size]
-        for k, psi in enumerate(psis):
+    work = np.empty((3, _BLOCK))  # reused by every block
+    cell_buf, index_buf = np.empty((2, _BLOCK), dtype=np.int64)
+    tie_buf, held = np.empty((m, _BLOCK)), 0  # the ys of the tie pairs not yet counted
+
+    def by_window(ys: np.ndarray) -> None:  # ys: m by at most _BLOCK pairs
+        n, hi, lo = work[:, :ys.shape[1]]
+        for k, s in enumerate(ss):
             for j, y in enumerate(ys):
-                _window(y, psi - GUARD, hi if j else n, lo)  # the first one starts the product
+                _window(y, s, hi if j else n, lo)  # the first one starts the product
                 if j:
                     np.multiply(n, hi, out=n)
             totals[k] += int(n.sum())
+
+    if binned:
+        table, states, weights, tied = binned
+        hist = np.zeros(len(tied), dtype=np.int64)
+    for _, a, ys in blocks:
+        if not (binned and -_Y_LIMIT < ys.min() and ys.max() < _Y_LIMIT):  # also false for nan
+            by_window(ys)
+            continue
+        index, cell, yc = index_buf[:a.size], cell_buf[:a.size], work[0, :a.size]
+        for j, y in enumerate(ys):
+            np.copyto(cell, np.floor(np.multiply(y, _CELLS, out=yc), out=yc), casting="unsafe")
+            np.bitwise_and(cell, _CELLS - 1, out=cell)  # floor(y * _CELLS) mod _CELLS, exactly
+            np.add(index * states if j else 0, table[cell], out=index)
+        hist += np.bincount(index, minlength=len(hist))
+        ties = np.flatnonzero(tied[index])
+        if held + len(ties) > _BLOCK:
+            by_window(tie_buf[:, :held])
+            held = 0
+        tie_buf[:, held:held + len(ties)] = ys[:, ties]
+        held += len(ties)
+    if binned:
+        by_window(tie_buf[:, :held])
+        totals = [total + int(w) for total, w in zip(totals, weights @ hist)]
     return totals
 
 

@@ -149,6 +149,69 @@ def test_block_kernel_matches_row_oracle(monkeypatch, name, block):
                     assert np.array_equal(res.triples, triples)
 
 
+EDGE_PSI_LISTS = (
+    (0.62, 0.1, 0.5, 0.1, 0.3, 0.62),  # unsorted, with duplicates
+    (0.4, 0.6, 0.5),  # psi and 1 - psi both present: the cuts s and 1 - s meet
+    (0.3, 0.3 + 2**-17),  # two psi half a cell apart
+    (1e-6, 0.999999),
+    (),
+)
+
+
+@pytest.mark.parametrize("block", [1, 7, counting._BLOCK])
+@pytest.mark.parametrize("name", ["parabola", "veronese:3", "veronese:4", "mixed"])
+def test_sweep_histogram_on_edge_psi_lists(monkeypatch, name, block):
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    curve = nc.resolve_curve(name)
+    for theta in BLOCK_SHIFTS:
+        for psis in EDGE_PSI_LISTS:
+            for Q in (24, 61):
+                counts = count_R_psi_sweep(curve, Q, list(psis), (0.0, 1.0), theta)
+                assert counts == naive_sweep(curve, Q, psis, (0.0, 1.0), theta)
+    assert count_R_psi_sweep(curve, 24, [], (0.0, 1.0)) == []
+
+
+def test_sweep_falls_back_to_the_window(monkeypatch):
+    # |y| up to 3e11 (3e14) puts the blocks with large x past the cells' float bound
+    psis = [0.1, 0.15, 0.3, 0.5, 0.62, 0.9]
+    for steep in ("poly:0,0,1e9", "poly:0,0,1e12"):
+        steep = nc.resolve_curve(steep)
+        for block in (7, counting._BLOCK):
+            monkeypatch.setattr(counting, "_BLOCK", block)
+            assert count_R_psi_sweep(steep, 300, psis, (0.0, 1.0)) == \
+                naive_sweep(steep, 300, psis, (0.0, 1.0))
+    # six coordinates with 8 psi have too many joint states to bin
+    v7 = nc.resolve_curve("veronese:7")
+    psis = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+    assert counting._cell_states([psi - counting.GUARD for psi in psis], 6) is None
+    assert count_R_psi_sweep(v7, 40, psis, (0.0, 1.0)) == naive_sweep(v7, 40, psis, (0.0, 1.0))
+
+
+def test_cell_states_agree_with_the_window_off_the_tie_cells(rng):
+    # y on every cut, on 0 and on 1, and up to two cells and a few ulp off them, at
+    # magnitudes up to the bound: the cells next to the tie cells must count as _window does
+    # 0.25 + 2e-12 puts the cut 1 - s 1e-12 below a cell edge: at y = n + 3/4, the cell
+    # above that edge, y + s rounds down to n + 1 and _window finds no b
+    ss = [psi - counting.GUARD for psi in (0.1, 0.3, 0.5, 0.62, 1e-6, 0.999999, 0.25 + 2e-12)]
+    table, states, rows, tied = counting._cell_states(ss, 1)  # one coordinate: rows = weights
+    tie = states - 1
+    assert tied.tolist() == [False] * tie + [True]
+    marks = np.array([0.0, 1.0] + ss + [1 - s for s in ss])
+    whole = np.concatenate(([0.0, 1.0, 4500.0, -4501.0, 2.0**29, -(2.0**29)],
+                            rng.integers(-2**29, 2**29, size=40).astype(float)))
+    cells = np.arange(-2, 3) / counting._CELLS
+    y = (whole[:, None, None] + marks[None, :, None] + cells[None, None, :]).ravel()
+    y = np.concatenate([y + k * np.spacing(y) for k in range(-8, 9)]
+                       + [rng.uniform(-2.0**30 + 1, 2.0**30 - 1, size=20000)])
+    y = y[np.abs(y) < counting._Y_LIMIT]
+    state = table[np.floor(y * counting._CELLS).astype(np.int64) & (counting._CELLS - 1)]
+    assert 10000 < (state == tie).sum() < len(y) - 10000
+    count, lo = np.empty((2, len(y)))
+    for k, s in enumerate(ss):
+        counting._window(y, s, count, lo)
+        assert np.array_equal(count[state != tie], rows[k, state[state != tie]])
+
+
 def test_sweep_keeps_the_known_float_fault(parabola):
     # scaling.cfg at Q = 8192: psi = 0.6 counts 30,171,993 triples, 7 above the exact
     # 30,171,986, because |y - b| < psi - GUARD is tested in floats (see the module docstring)

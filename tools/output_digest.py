@@ -19,10 +19,15 @@ well as 3.  ``detect`` runs twice more with a nonzero shift, on parabola
 construction and through the counting half is covered too.  ``detect`` runs
 once more with ``theta.lambda = 0.1`` and ``theta.gamma = 0.3``, decimals
 whose doubles have denominators 2^55 and 2^54, so that the witness
-verification is covered on shifts that are not short dyadics.  Each run goes
-in a fresh interpreter and into a temporary directory.  Prints one
-``<sha256>  <run>/<file>`` line per output file, sorted, so two checkouts
-compare with one diff:
+verification is covered on shifts that are not short dyadics.  ``scaling``
+runs twice more: ``scaling-shifted`` with ``theta.lambda = 0.25``,
+``theta.gamma = 0.5`` and ``Q_list = 512,1024,2048``, and ``scaling-ties`` on
+veronese:3 (``M = 6``, ``Q_list = 1024,2048,4096``) with
+``psi_list = 0.6,0.4,0.5,0.5,0.3000001``: unsorted, a duplicate, and psi and
+1 - psi together, so that the sweep's histogram is covered where its cuts
+meet.  Each run goes in a fresh interpreter and into a temporary directory.
+Prints one ``<sha256>  <run>/<file>`` line per output file, sorted, so two
+checkouts compare with one diff:
 
     python3 tools/output_digest.py > after.txt
     python3 tools/output_digest.py /path/to/other/checkout > before.txt
@@ -64,6 +69,11 @@ RUNS = (
     ("detect-shifted-decimal", "detect", "detect.cfg", {"theta.lambda": "0.1", "theta.gamma": "0.3"}),
     ("count-shifted", "count", "count.cfg", {"theta.lambda": "0.25", "theta.gamma": "0.5"}),
     ("coverage-shifted", "coverage", "coverage.cfg", {"theta.lambda": "0.25", "theta.gamma": "0.5"}),
+    ("scaling-shifted", "scaling", "scaling.cfg",
+     {"theta.lambda": "0.25", "theta.gamma": "0.5", "Q_list": "512,1024,2048"}),
+    ("scaling-ties", "scaling", "scaling.cfg",
+     {"curve": "veronese:3", "M": "6", "Q_list": "1024,2048,4096",
+      "psi_list": "0.6,0.4,0.5,0.5,0.3000001"}),
 )
 
 
