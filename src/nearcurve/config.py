@@ -125,6 +125,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     q_list = resolved["Q_list"]
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise ConfigError("Q_list must be strictly ascending")
+    if len(set(resolved["psi_list"])) < len(resolved["psi_list"]):
+        raise ConfigError("psi_list must not repeat a value")
     if resolved["B"][0] >= resolved["B"][1]:
         raise ConfigError("B must be a nonempty interval lo,hi")
     for key in ("grid.points", "qnd.samples", "identities.draws"):

@@ -4,10 +4,15 @@ The set under study collects integer triples (q, a, b) with Q/2 < q <= Q,
 (a + lambda)/q inside a window B, and every |q f_j((a+lambda)/q) - gamma_j - b_j|
 strictly below psi.  Enumeration is O(Q^2) per configuration, for Q up to
 ``Q_CAP`` = 65536.  The q-range and the a-range of every q are decided in
-exact integers; the (q, a) pairs then run in flat, cache-sized blocks.  A psi
-sweep bins them by the 2^-16 cells of the fractional parts of their y, which
-give ``_window``'s answer (below) off the cells next to a cut s, 1 - s, 0 or 1
-because the float error of y is far below a cell (``count_R_psi_sweep``).
+exact integers.  ``enumerate_R`` runs the (q, a) pairs in flat, cache-sized
+blocks of their canonical double y (``_blocks``).  A psi sweep bins each pair
+by the 2^-16 cells of the fractional parts of its y, which give ``_window``'s
+answer (below) off the cells next to a cut s, 1 - s, 0 or 1.  It does not
+build the canonical y for that: per q-row segment, a producer gives 2^16 y
+from a table of the powers (a + lambda)^k and scalars fixed per row, within
+half a cell of the canonical double by an error bound taken once per call
+(``_row_terms``).  Only the pairs in tie cells get their canonical y and
+``_window`` (``count_R_psi_sweep``).
 
 The b-window is decided in doubles, by one predicate, ``_window``: the
 integers b with |y - b| < psi - 1e-12, with y = q f_j(x) - gamma_j, and
@@ -37,6 +42,7 @@ _CSV_BLOCK = 1 << 13  # rows turned into text at a time; bounds the memory of a 
 _BLOCK = 1 << 13  # (q, a) pairs per counting block; 64 KiB per float64 array, so it stays in cache
 _CELLS = 1 << 16  # fractional-part cells of a psi sweep, far wider than the float error of y
 _Y_LIMIT = float(1 << 30)  # the |y| below which that error stays under 2^-23
+_UNIT = Fraction(1, 1 << 53)  # the unit roundoff of a double
 
 
 @dataclass
@@ -120,6 +126,19 @@ def _window(y: np.ndarray, s: float, count: np.ndarray, lo: np.ndarray) -> None:
     np.maximum(count, 0.0, out=count)
 
 
+def _ys(curve: Curve, q: np.ndarray, a: np.ndarray, lam: float, gam: Sequence[float],
+        ys: np.ndarray) -> None:
+    """The canonical doubles ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j``, in place.
+
+    ``q`` and ``a`` are int64 arrays; these are the y that ``_window`` decides on.
+    """
+    x = ys[-1]  # the last coordinate's y overwrites x only once f_m(x) is taken
+    np.divide(np.add(a, lam, out=x), q, out=x)  # the same doubles as (a + lam) / q
+    for j, y in enumerate(ys, start=1):
+        np.multiply(q, np.asarray(curve.coord_values(j, x), dtype=float), out=y)
+        np.subtract(y, gam[j - 1], out=y)
+
+
 def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
             theta) -> tuple[int, tuple[float, float], Shift, Iterator]:
     """The pair kernel of R: validated ``(Q, B, theta)`` and an iterator of (q, a) blocks.
@@ -157,17 +176,13 @@ def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
             stop = min(start + _BLOCK, total)
             size = stop - start
             q, a, ys = q_buf[:size], a_buf[:size], y_buf[:, :size]
-            x = ys[-1]  # the last coordinate's y overwrites x only once f_m(x) is taken
             first, last = np.searchsorted(ends, (start, stop - 1), side="right")
             rows = slice(first, last + 1)  # the rows of q this block touches
             repeats = np.minimum(ends[rows], stop) - np.maximum(starts[rows], start)
             q[:] = np.repeat(np.arange(q0 + first, q0 + last + 1, dtype=np.int64), repeats)
             a[:] = np.arange(start, stop, dtype=np.int64)
             a -= np.repeat(offset[rows], repeats)
-            np.divide(np.add(a, lam, out=x), q, out=x)  # the same doubles as (a + lam) / q
-            for j, y in enumerate(ys, start=1):
-                np.multiply(q, np.asarray(curve.coord_values(j, x), dtype=float), out=y)
-                np.subtract(y, gam[j - 1], out=y)
+            _ys(curve, q, a, lam, gam, ys)
             yield q, a, ys
 
     return Q, (lo, hi), (lam, gam), blocks()
@@ -257,24 +272,65 @@ def _cell_states(ss: Sequence[float], m: int):
     return table, tie + 1, weights, tied
 
 
+def _row_terms(curve: Curve, Q: int, B: tuple[float, float], gam: Sequence[float]):
+    """Per coordinate, its nonzero terms ``(k, c_k)`` in doubles, or None without ``coeffs``.
+
+    The whole result is None when a polynomial's producer is not safe at this Q.
+    It gives 2^16 y from the power t^k = (a + lambda)^k as a sum of ``c_k 2^16
+    q^(1 - k) t^k``, and it and the canonical 2^16 y both round 2^16 (q f(x) -
+    gamma) at the exact x = (a + lambda)/q with f's double coefficients: the
+    canonical y in at most 4K + 2 roundings per term (x; Horner or x^k; q f; -
+    gamma), the producer in at most 3K + 3 (t^k; the row's scalar; its product;
+    the sum), K the degree.  So they lie at most 2^16 g_n S apart (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3), with n = 8(K + 1),
+    g_n = n u/(1 - n u), u = 2^-53 and S = Q sum_k |c_k| X^k + |gamma| for X the
+    larger |B_i|.  That must lie below half a cell, and S with it below
+    ``_Y_LIMIT``.  The sizes are summed exactly, in Fractions.
+    """
+    X = max(abs(Fraction(B[0])), abs(Fraction(B[1])))
+    terms = []
+    for coord, g in zip(curve.coords, gam):
+        if getattr(coord, "coeffs", None) is None:
+            terms.append(None)
+            continue
+        cs = [float(c) for c in coord.coeffs]
+        n = 8 * len(cs) * _UNIT
+        size = Q * sum(abs(Fraction(c)) * X**k for k, c in enumerate(cs)) + abs(Fraction(g))
+        error = size * n / (1 - n)  # in y; a cell is 1/_CELLS
+        if 2 * _CELLS * error >= 1 or size + error >= _Y_LIMIT:
+            return None
+        terms.append([(k, c) for k, c in enumerate(cs) if c or (k == 0 and g)])
+    return terms
+
+
 def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
                       theta=None) -> list[int]:
     """Counts of enumerate_R for several psi at one Q, from one histogram of cells.
 
-    Raises ValueError wherever enumerate_R would for one of the psi.  Each pair
-    is binned once by the joint ``_cell_states`` of its y, which give ``_window``'s
-    answer as its float error, below 2^-23 for |y| < 2^30, can change it only in a
-    tie cell; ``_window`` counts tie pairs, blocks with |y| >= 2^30 or nan, and unbinned calls.
+    Raises ValueError wherever enumerate_R would for one of the psi.  The pairs
+    go in batches of at most ``_BLOCK``, which may split a q-row.  Per row
+    segment, a producer writes 2^16 y: a polynomial coordinate sums the scalars
+    ``c_k 2^16 q^(1 - k)`` of its row times slices of a table of t^k, t = a +
+    lambda, built once per call (one multiply per segment for x^p and no
+    shift); any other coordinate writes 2^16 times its canonical y.  A batch
+    is binned by the joint ``_cell_states`` of those values in one
+    ``np.bincount``.  The producer lies within half a cell of 2^16 times the
+    canonical double y (``_row_terms``), and a cell off the tie cells lies a
+    whole cell from every cut, 0 and 1, while ``_window``'s own float error is
+    below 2^-23 for |y| < 2^30.  So off the tie cells the cell gives
+    ``_window``'s answer.  The (q, a) of a pair in a tie cell, or with a
+    non-polynomial |y| >= 2^30 or nan, go into a buffer of ``_BLOCK`` pairs;
+    when it fills, and at the end, it is flushed through their canonical y
+    (``_ys``) and ``_window``.  A call with too many joint states, or with a
+    polynomial coordinate that ``_row_terms`` rejects at this Q, runs every
+    pair through ``_blocks`` and ``_window`` instead.
     """
-    _, _, _, blocks = _blocks(curve, Q, psis, B, theta)
+    Q, B, (lam, gam), blocks = _blocks(curve, Q, psis, B, theta)
     if not psis:
         return []
     m, ss = curve.n - 1, [psi - GUARD for psi in psis]
-    binned = _cell_states(ss, m)
     totals = [0] * len(psis)
-    work = np.empty((3, _BLOCK))  # reused by every block
-    cell_buf, index_buf = np.empty((2, _BLOCK), dtype=np.int64)
-    tie_buf, held = np.empty((m, _BLOCK)), 0  # the ys of the tie pairs not yet counted
+    work = np.empty((3, _BLOCK))  # reused by every call of by_window
 
     def by_window(ys: np.ndarray) -> None:  # ys: m by at most _BLOCK pairs
         n, hi, lo = work[:, :ys.shape[1]]
@@ -285,29 +341,103 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
                     np.multiply(n, hi, out=n)
             totals[k] += int(n.sum())
 
-    if binned:
-        table, states, weights, tied = binned
-        hist = np.zeros(len(tied), dtype=np.int64)
-    for _, a, ys in blocks:
-        if not (binned and -_Y_LIMIT < ys.min() and ys.max() < _Y_LIMIT):  # also false for nan
+    binned = _cell_states(ss, m)
+    terms = _row_terms(curve, Q, B, gam) if binned else None
+    if terms is None:
+        for _, _, ys in blocks:
             by_window(ys)
-            continue
-        index, cell, yc = index_buf[:a.size], cell_buf[:a.size], work[0, :a.size]
-        for j, y in enumerate(ys):
-            np.copyto(cell, np.floor(np.multiply(y, _CELLS, out=yc), out=yc), casting="unsafe")
-            np.bitwise_and(cell, _CELLS - 1, out=cell)  # floor(y * _CELLS) mod _CELLS, exactly
-            np.add(index * states if j else 0, table[cell], out=index)
-        hist += np.bincount(index, minlength=len(hist))
-        ties = np.flatnonzero(tied[index])
+        return totals
+
+    table, states, weights, tied = binned
+    q0 = Q // 2 + 1
+    ends, starts, offset = _pair_rows(range(q0, Q + 1), B, lam)
+    a_lo, sizes = (starts - offset).tolist(), np.diff(ends, prepend=0).tolist()
+    rows = [r for r, size in enumerate(sizes) if size]
+    if not rows:
+        return totals
+    a_min = min(a_lo[r] for r in rows)
+    t = np.add(np.arange(a_min, max(a_lo[r] + sizes[r] for r in rows), dtype=np.int64), lam)
+    powers = [None, t]  # powers[k][a - a_min] = (a + lambda)^k, the doubles of _ys for k = 1
+    for _ in range(max([k for ts in terms if ts for k, _ in ts] + [1]) - 1):
+        powers.append(powers[-1] * t)
+    qf = np.arange(q0, Q + 1, dtype=float)
+
+    vs, spare = np.empty((m, _BLOCK)), np.empty(_BLOCK)  # 2^16 y per coordinate, and a term
+    cell, index = np.empty((2, _BLOCK), dtype=np.int64)
+    hist = np.zeros(len(tied), dtype=np.int64)
+    tie_q, tie_a = np.empty((2, _BLOCK), dtype=np.int64)  # the tie pairs not yet counted
+    tie_ys, held = np.empty((m, _BLOCK)), 0
+
+    def producer(j: int, ts):
+        """``fill(r, lo, hi, out)``: 2^16 y_j of the pairs of row r with a - a_min in [lo, hi)."""
+        g = gam[j]
+        if ts is None:
+            def fill(r, lo, hi, out):
+                q, x = q0 + r, spare[:hi - lo]
+                np.divide(t[lo:hi], q, out=x)
+                np.multiply(q, np.asarray(curve.coord_values(j + 1, x), dtype=float), out=out)
+                np.subtract(out, g, out=out)
+                out[~(np.abs(out) < _Y_LIMIT)] = 0.0  # past the bound or nan: cell 0 is a tie
+                np.multiply(out, _CELLS, out=out)
+            return fill
+        # per row, the scalars c_k 2^16 q^(1 - k), and 2^16 (c_0 q - gamma) for k = 0
+        const = next((((qf * c - g) * _CELLS).tolist() for k, c in ts if k == 0), None)
+        parts = [(powers[k], ((_CELLS * c) / qf**(k - 1)).tolist()) for k, c in ts if k]
+
+        def fill(r, lo, hi, out):
+            if not parts:
+                out.fill(const[r] if const else 0.0)
+                return
+            (p, w), *rest = parts
+            np.multiply(p[lo:hi], w[r], out=out)
+            for p, w in rest:
+                np.add(out, np.multiply(p[lo:hi], w[r], out=spare[:hi - lo]), out=out)
+            if const:
+                np.add(out, const[r], out=out)
+        return fill
+
+    fills = [producer(j, ts) for j, ts in enumerate(terms)]
+
+    def flush() -> None:
+        ys = tie_ys[:, :held]
+        _ys(curve, tie_q[:held], tie_a[:held], lam, gam, ys)
+        by_window(ys)
+
+    def bin_batch(start: int, size: int) -> None:  # the pairs start, ..., start + size - 1
+        nonlocal hist, held
+        idx, cl = index[:size], cell[:size]
+        for j, v in enumerate(vs[:, :size]):
+            np.floor(v, out=v)
+            np.copyto(cl, v, casting="unsafe")
+            np.bitwise_and(cl, _CELLS - 1, out=cl)  # floor(2^16 y) mod _CELLS
+            np.add(idx * states if j else 0, table[cl], out=idx)
+        hist += np.bincount(idx, minlength=len(hist))
+        ties = np.flatnonzero(tied[idx])
         if held + len(ties) > _BLOCK:
-            by_window(tie_buf[:, :held])
+            flush()
             held = 0
-        tie_buf[:, held:held + len(ties)] = ys[:, ties]
+        ties += start
+        row = np.searchsorted(ends, ties, side="right")
+        tie_q[held:held + len(ties)] = row + q0
+        tie_a[held:held + len(ties)] = ties - offset[row]
         held += len(ties)
-    if binned:
-        by_window(tie_buf[:, :held])
-        totals = [total + int(w) for total, w in zip(totals, weights @ hist)]
-    return totals
+
+    pos = 0  # pairs in the batch
+    for r in rows:
+        a, left = a_lo[r], sizes[r]
+        while left:
+            size = min(left, _BLOCK - pos)
+            lo = a - a_min
+            for fill, out in zip(fills, vs[:, pos:pos + size]):
+                fill(r, lo, lo + size, out)
+            pos, a, left = pos + size, a + size, left - size
+            if pos == _BLOCK:
+                bin_batch(ends[r] - left - pos, pos)
+                pos = 0
+    if pos:
+        bin_batch(ends[-1] - pos, pos)
+    flush()
+    return [total + int(w) for total, w in zip(totals, weights @ hist)]
 
 
 def _membership(curve: Curve, Q: float, psi: float, B: tuple[float, float], theta: Shift):

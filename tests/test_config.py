@@ -73,6 +73,9 @@ def test_bad_mode_and_lists():
         parse_config_text(MINIMAL + "mode = tally\n")
     with pytest.raises(ConfigError, match="ascending"):
         parse_config_text(MINIMAL + "Q_list = 512,256\n")
+    with pytest.raises(ConfigError, match="repeat"):
+        parse_config_text(MINIMAL + "psi_list = 0.6,0.4,0.5,0.50,0.3\n")
+    assert parse_config_text(MINIMAL + "psi_list = 0.6,0.4\n").psi_list == (0.6, 0.4)  # unsorted is fine
     with pytest.raises(ConfigError, match="nonempty"):
         parse_config_text(MINIMAL + "B = 0.9,0.1\n")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
-from nearcurve import counting, lattice
+from nearcurve import counting, jets, lattice
 from nearcurve.counting import (
     count_R_psi_sweep,
     enumerate_R,
@@ -14,6 +14,7 @@ from nearcurve.counting import (
     witness_in_R,
     write_triples_csv,
 )
+from nearcurve.curves import CallableCoordinate, Curve, MonomialCoordinate
 from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
 from oracles import (
     grid_union_measure,
@@ -185,6 +186,63 @@ def test_sweep_falls_back_to_the_window(monkeypatch):
     psis = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
     assert counting._cell_states([psi - counting.GUARD for psi in psis], 6) is None
     assert count_R_psi_sweep(v7, 40, psis, (0.0, 1.0)) == naive_sweep(v7, 40, psis, (0.0, 1.0))
+
+
+PRODUCER_CASES = (
+    # x < 0 in B: t = a + lambda < 0 in the power table
+    ("parabola", (-0.7, 0.9), BLOCK_PSIS, (24, 61)),
+    ("veronese:3", (-0.7, 0.9), BLOCK_PSIS, (24, 61)),
+    # six coordinates; t^7 is not exact in doubles at t = a - 0.35, nor at t = a + 1/4 from a = 48.
+    # Two distinct psi give 2 * 6^6 joint states, too many to bin, so the pair repeats one psi
+    ("veronese:7", (0.0, 1.0), (0.62,), (24, 61)),
+    ("veronese:7", (0.0, 1.0), (0.3, 0.3), (24, 61)),
+    # terms of 1e6 that cancel to |f| <= 1/4 + 1/2, so the bound is far above the values
+    ("poly:0.5,-1e6,1e6", (0.0, 1.0), BLOCK_PSIS, (24, 61)),
+    # x^2 from the power table and e^x from its canonical y
+    ("mixed", (-0.7, 0.9), BLOCK_PSIS, (24, 61)),
+)
+
+
+@pytest.mark.parametrize("block", [1, 7, counting._BLOCK])
+@pytest.mark.parametrize("name, B, psis, Qs", PRODUCER_CASES)
+def test_sweep_producers_match_the_row_oracle(monkeypatch, name, B, psis, Qs, block):
+    # every q-row holds more than 7 pairs, so batches of 7 split rows
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    curve = nc.resolve_curve(name)
+    assert counting._cell_states([psi - counting.GUARD for psi in psis], curve.n - 1) is not None
+    for theta in BLOCK_SHIFTS:
+        _, gam = lattice.normalise_theta(theta, curve.n - 1)
+        for Q in Qs:
+            assert counting._row_terms(curve, Q, B, gam) is not None  # binned, not the window path
+            assert count_R_psi_sweep(curve, Q, list(psis), B, theta) == \
+                naive_sweep(curve, Q, psis, B, theta)
+
+
+def test_sweep_sends_large_non_polynomial_y_to_the_window():
+    # 1e11 e^(4x) crosses 2^30 inside every row, and reaches 3e14 at Q = 61, where an ulp of y
+    # is far above a cell: those pairs must take the canonical y and _window, pair by pair
+    steep = Curve(n=3, domain=(-10.0, 10.0), label="steep",
+                  coords=(CallableCoordinate(lambda t: 1e11 * jets.exp(4 * t)), MonomialCoordinate(2)))
+    _, gam = lattice.normalise_theta(None, 2)
+    assert counting._row_terms(steep, 61, (0.0, 1.0), gam) == [None, [(2, 1.0)]]
+    for Q in (24, 61):
+        assert count_R_psi_sweep(steep, Q, BLOCK_PSIS, (0.0, 1.0)) == \
+            naive_sweep(steep, Q, BLOCK_PSIS, (0.0, 1.0))
+
+
+def test_row_terms_bound_the_producer_error():
+    # parabola and veronese:7 bin up to the cap; poly:0,0,1e9 has |y| up to 3e11 at Q = 300
+    for name in ("parabola", "veronese:7"):
+        curve = nc.resolve_curve(name)
+        assert counting._row_terms(curve, counting.Q_CAP, (0.0, 1.0), (0.5,) * (curve.n - 1))
+    assert counting._row_terms(nc.resolve_curve("poly:0,0,1e9"), 300, (0.0, 1.0), (0.0,)) is None
+    # degree 8: 2^16 g_72 S reaches half a cell at S = 2^36 / 72, about 9.5e8, below 2^30
+    steep = nc.resolve_curve("poly:0,0,0,0,0,0,0,0,1e6")
+    assert counting._row_terms(steep, 900, (0.0, 1.0), (0.0,)) == [[(8, 1e6)]]
+    assert counting._row_terms(steep, 1000, (0.0, 1.0), (0.0,)) is None
+    psis, B = [0.1, 0.3, 0.5, 0.62], (0.5, 0.55)
+    for Q in (900, 1000):
+        assert count_R_psi_sweep(steep, Q, psis, B) == naive_sweep(steep, Q, psis, B)
 
 
 def test_cell_states_agree_with_the_window_off_the_tie_cells(rng):

@@ -23,9 +23,14 @@ verification is covered on shifts that are not short dyadics.  ``scaling``
 runs twice more: ``scaling-shifted`` with ``theta.lambda = 0.25``,
 ``theta.gamma = 0.5`` and ``Q_list = 512,1024,2048``, and ``scaling-ties`` on
 veronese:3 (``M = 6``, ``Q_list = 1024,2048,4096``) with
-``psi_list = 0.6,0.4,0.5,0.5,0.3000001``: unsorted, a duplicate, and psi and
-1 - psi together, so that the sweep's histogram is covered where its cuts
-meet.  Each run goes in a fresh interpreter and into a temporary directory.
+``psi_list = 0.6,0.4,0.5,0.3000001``: unsorted, and psi and 1 - psi
+together, so that the sweep's histogram is covered where its cuts meet.
+``scaling-mixed`` (``curve = mixed``, ``Q_list = 512,1024,2048``) covers a
+coordinate without coefficients next to a power-table one, and
+``scaling-veronese4-shifted`` (``curve = veronese:4``, ``M = 8``,
+``B = -0.5,0.9``, ``theta.lambda = 0.1``, ``theta.gamma = 0.3,0.5,0.7``,
+``Q_list = 256,512,1024``) covers negative x and non-dyadic shifts in the
+sweep's power tables.  Each run goes in a fresh interpreter and into a temporary directory.
 Prints one ``<sha256>  <run>/<file>`` line per output file, sorted, so two
 checkouts compare with one diff:
 
@@ -73,7 +78,11 @@ RUNS = (
      {"theta.lambda": "0.25", "theta.gamma": "0.5", "Q_list": "512,1024,2048"}),
     ("scaling-ties", "scaling", "scaling.cfg",
      {"curve": "veronese:3", "M": "6", "Q_list": "1024,2048,4096",
-      "psi_list": "0.6,0.4,0.5,0.5,0.3000001"}),
+      "psi_list": "0.6,0.4,0.5,0.3000001"}),
+    ("scaling-mixed", "scaling", "scaling.cfg", {"curve": "mixed", "Q_list": "512,1024,2048"}),
+    ("scaling-veronese4-shifted", "scaling", "scaling.cfg",
+     {"curve": "veronese:4", "M": "8", "B": "-0.5,0.9", "theta.lambda": "0.1",
+      "theta.gamma": "0.3,0.5,0.7", "Q_list": "256,512,1024"}),
 )
 
 
