@@ -239,8 +239,12 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
 
     triples = None
     if collect:
-        triples = (np.concatenate(collected, axis=0) if collected
-                   else np.empty((0, 2 + m), dtype=np.int64))
+        # each block is dropped once it is copied, so the triples are not held twice
+        triples, start = np.empty((total, 2 + m), dtype=np.int64), 0
+        for i, block in enumerate(collected):
+            triples[start:start + len(block)] = block
+            start += len(block)
+            collected[i] = None
     return CountResult(Q=Q, psi=psi, B=B, theta=theta, count=total,
                        boundary=boundary, triples=triples)
 
@@ -611,43 +615,40 @@ def lower_bound_check(count: int, B: tuple[float, float], C0: float, psi: float,
 
 
 def _csv_text(columns: Sequence[np.ndarray]) -> str:
-    """The CSV lines, each ending in LF, of equal-length int or float columns.
+    """The CSV lines, each ending in LF, of equal-length int64 or float64 columns.
 
-    A list's repr formats every int and float with its own repr, which is what
-    ``csv`` writes through ``str()``, and a number never holds a delimiter,
-    quote or newline, so the text is byte for byte ``csv.writer``'s.
+    The bytes are ``csv.writer``'s: each int as ``str`` and each float as its
+    ``repr`` writes it, from one numpy text kernel per block
+    (``nearcurve.csvtext``).  The kernel is imported here, and only here, so
+    that no other path pays for compiling it.
     """
-    if not len(columns[0]):
-        return ""
-    texts = [repr(col.tolist())[1:-1].split(", ") for col in columns]
-    return "\n".join(map(",".join, zip(*texts))) + "\n"
+    from .csvtext import csv_text
+
+    return csv_text(columns)
 
 
 def write_triples_csv(path, curve: Curve, result: CountResult) -> None:
     """Columns q,a,b1..bm,x_point,slack_f1..fm with LF endings and a header row.
 
-    The rows go out ``_CSV_BLOCK`` at a time, each block turned into text a
-    column at a time; most of the time is spent in ``float.__repr__``.
+    The rows go out ``_CSV_BLOCK`` at a time: each block's x-points and slacks
+    are taken from its triples, elementwise as ``CountResult.points`` does, and
+    turned into text by ``_csv_text``, so a write holds no more than a block of
+    them at once.
     """
     if result.triples is None:
         raise ValueError("enumeration ran with collect=False")
     m = curve.n - 1
-    gam = result.theta[1]
+    lam, gam = result.theta
     header = ["q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["x_point"] + [
         f"slack_f{j}" for j in range(1, m + 1)
     ]
-    rows = result.triples
-    pts = result.points() if len(rows) else np.empty(0)
-    slacks = []
-    for j in range(1, m + 1):
-        if len(rows):
-            y = rows[:, 0] * np.asarray(curve.coord_values(j, pts), dtype=float) - gam[j - 1]
-            slacks.append(result.psi - np.abs(y - rows[:, 1 + j]))
-        else:
-            slacks.append(np.empty(0))
-    columns = [rows[:, k] for k in range(m + 2)] + [pts] + slacks
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK):
-            block = slice(start, start + _CSV_BLOCK)
-            fh.write(_csv_text([col[block] for col in columns]))
+        for start in range(0, len(result.triples), _CSV_BLOCK):
+            rows = result.triples[start:start + _CSV_BLOCK]
+            pts = (rows[:, 1] + lam) / rows[:, 0]
+            columns = [rows[:, k] for k in range(m + 2)] + [pts]
+            for j in range(1, m + 1):
+                y = rows[:, 0] * np.asarray(curve.coord_values(j, pts), dtype=float) - gam[j - 1]
+                columns.append(result.psi - np.abs(y - rows[:, 1 + j]))
+            fh.write(_csv_text(columns))

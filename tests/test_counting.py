@@ -150,6 +150,22 @@ def test_block_kernel_matches_row_oracle(monkeypatch, name, block):
                     assert np.array_equal(res.triples, triples)
 
 
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_collected_blocks_fill_one_array(monkeypatch, veronese3, block):
+    # cells of no block (an empty B), of blocks without a triple, of one block and of many
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    theta = (0.25, (0.4, 0.1))
+    for B, psi, any_triples in (((0.7, 0.2), 0.3, False), ((0.0, 1.0), 1e-6, False),
+                                ((0.0, 1.0), 0.62, True), ((-0.4, 0.9), 0.9, True)):
+        res = enumerate_R(veronese3, 30, psi, B, theta)
+        count, boundary, triples = naive_enumerate(veronese3, 30, psi, B, theta)
+        assert (res.count, res.boundary) == (count, boundary)
+        assert (count > 0) == any_triples
+        assert res.triples.shape == (count, 4) and res.triples.dtype == np.int64
+        assert res.triples.flags.c_contiguous
+        assert np.array_equal(res.triples, triples)
+
+
 EDGE_PSI_LISTS = (
     (0.62, 0.1, 0.5, 0.1, 0.3, 0.62),  # unsorted, with duplicates
     (0.4, 0.6, 0.5),  # psi and 1 - psi both present: the cuts s and 1 - s meet

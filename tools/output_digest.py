@@ -30,7 +30,11 @@ coordinate without coefficients next to a power-table one, and
 ``scaling-veronese4-shifted`` (``curve = veronese:4``, ``M = 8``,
 ``B = -0.5,0.9``, ``theta.lambda = 0.1``, ``theta.gamma = 0.3,0.5,0.7``,
 ``Q_list = 256,512,1024``) covers negative x and non-dyadic shifts in the
-sweep's power tables.  Each run goes in a fresh interpreter and into a temporary directory.
+sweep's power tables.  ``count-wide`` (``curve = poly:0.5,-3,1e9``,
+``B = -0.5,0.9``, ``theta.lambda = 0.1``, ``theta.gamma = 0.3``,
+``Q_list = 256,512``) writes triples CSVs whose fields are wider than the
+shipped ones: negative x-points, b of 11 and 12 digits and short dyadic
+slacks.  Each run goes in a fresh interpreter and into a temporary directory.
 Prints one ``<sha256>  <run>/<file>`` line per output file, sorted, so two
 checkouts compare with one diff:
 
@@ -83,6 +87,9 @@ RUNS = (
     ("scaling-veronese4-shifted", "scaling", "scaling.cfg",
      {"curve": "veronese:4", "M": "8", "B": "-0.5,0.9", "theta.lambda": "0.1",
       "theta.gamma": "0.3,0.5,0.7", "Q_list": "256,512,1024"}),
+    ("count-wide", "count", "count.cfg",
+     {"curve": "poly:0.5,-3,1e9", "B": "-0.5,0.9", "theta.lambda": "0.1", "theta.gamma": "0.3",
+      "Q_list": "256,512"}),
 )
 
 
