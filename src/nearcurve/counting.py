@@ -188,6 +188,28 @@ def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
     return Q, (lo, hi), (lam, gam), blocks()
 
 
+def _kept(blocks: Iterator, psi: float, m: int) -> Iterator:
+    """Per block of ``_blocks``, its kept pairs: ``(q, a, keep, reps, inside, lo, boundary)``.
+
+    ``keep`` indexes the pairs with a triple and ``reps`` holds their int64 numbers
+    of triples; ``inside[j]`` and ``lo[j]`` are ``_window``'s at psi - GUARD, and
+    ``boundary`` counts the triples within psi + GUARD but not psi - GUARD.
+    """
+    # per coordinate, reused by every block: b-counts at psi +- GUARD, floor(y - psi + GUARD)
+    wide_buf, inside_buf, lo_buf = np.empty((3, m, _BLOCK))
+    for q, a, ys in blocks:
+        size = len(a)
+        wide, inside, lo = wide_buf[:, :size], inside_buf[:, :size], lo_buf[:, :size]
+        for j, y in enumerate(ys):
+            _window(y, psi + GUARD, wide[j], lo[j])
+            _window(y, psi - GUARD, inside[j], lo[j])
+        counts, wide_counts = ((inside[0], wide[0]) if m == 1
+                               else (inside.prod(axis=0), wide.prod(axis=0)))
+        keep = np.flatnonzero(counts)
+        reps = counts[keep].astype(np.int64)
+        yield q, a, keep, reps, inside, lo, int(wide_counts.sum()) - int(reps.sum())
+
+
 def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
                 theta=None, *, collect: bool = True) -> CountResult:
     """All integer triples of the near-curve set at height Q and width psi.
@@ -206,23 +228,10 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
     total = 0
     boundary = 0
     collected: list[np.ndarray] = []
-    # per coordinate: the b-counts within psi + GUARD and within psi - GUARD, and
-    # floor(y - psi + GUARD); reused by every block
-    wide_buf, inside_buf, lo_buf = np.empty((3, m, _BLOCK))
-    for q, a, ys in blocks:
-        size = len(a)
-        wide, inside, lo = wide_buf[:, :size], inside_buf[:, :size], lo_buf[:, :size]
-        for j, y in enumerate(ys):
-            _window(y, psi + GUARD, wide[j], lo[j])
-            _window(y, psi - GUARD, inside[j], lo[j])
-        counts, wide_counts = ((inside[0], wide[0]) if m == 1
-                               else (inside.prod(axis=0), wide.prod(axis=0)))
-        inside_total = int(counts.sum())
-        total += inside_total
-        boundary += int(wide_counts.sum()) - inside_total
-        if collect and inside_total:
-            keep = np.flatnonzero(counts)
-            reps = counts[keep].astype(np.int64)
+    for q, a, keep, reps, inside, lo, grazing in _kept(blocks, psi, m):
+        total += int(reps.sum())
+        boundary += grazing
+        if collect and len(keep):
             pair = np.repeat(keep, reps)
             # index of each triple within its pair, split into mixed-radix digits
             digit = np.arange(len(pair), dtype=np.int64)
@@ -247,6 +256,13 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
             collected[i] = None
     return CountResult(Q=Q, psi=psi, B=B, theta=theta, count=total,
                        boundary=boundary, triples=triples)
+
+
+def _kept_points(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta=None) -> np.ndarray:
+    """The doubles of ``enumerate_R(...).points()`` in its order, from the kept pairs: no triples."""
+    _, _, (lam, _), blocks = _blocks(curve, Q, (psi,), B, theta)
+    return np.concatenate([np.empty(0)] + [np.repeat((a[keep] + lam) / q[keep], reps)
+                                           for q, a, keep, reps, *_ in _kept(blocks, psi, curve.n - 1)])
 
 
 def _cell_states(ss: Sequence[float], m: int):
@@ -502,9 +518,29 @@ def witness_in_R(w: RationalWitness, curve: Curve, Q: float, psi: float,
 # interval unions and coverage
 
 
+def _swept(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Length of the union of intervals in sweep order; in place, on the caller's copies."""
+    keep = hi > lo
+    if not keep.all():
+        lo = lo[keep]  # one statement per array: each old copy goes before the next new one
+        hi = hi[keep]
+    if lo.size == 0:
+        return 0.0
+    # interval i adds M_i - max(lo_i, M_{i-1}), M_i the running maximum of hi: that is
+    # hi_i - max(lo_i, M_{i-1}) > 0 where hi_i > M_{i-1}, and exactly 0 elsewhere
+    np.maximum.accumulate(hi, out=hi)
+    if hi[-1] == np.inf:  # an unbounded interval; past it the terms would be inf - inf
+        return float("inf")
+    np.maximum(lo[1:], hi[:-1], out=lo[1:])
+    return float(np.sum(np.subtract(hi, lo, out=hi)))
+
+
 def interval_union_measure(intervals: Iterable[tuple[float, float]],
                            clip: Optional[tuple[float, float]] = None) -> float:
-    """Length of the union of intervals, optionally clipped; sweep-line exact."""
+    """Length of the union of intervals, optionally clipped; sweep-line exact.
+
+    Swept in one stable ``argsort`` of clipped lo: ties keep their input order, which sets the last bits.
+    """
     if isinstance(intervals, np.ndarray):
         if intervals.size and (intervals.ndim != 2 or intervals.shape[1] != 2):
             raise ValueError("an interval array must have shape (k, 2)")
@@ -517,21 +553,10 @@ def interval_union_measure(intervals: Iterable[tuple[float, float]],
     if clip is not None:
         lo = np.maximum(lo, clip[0])
         hi = np.minimum(hi, clip[1])
-    keep = hi > lo
-    lo = lo[keep]  # one statement per array: each old copy goes before the next new one
-    hi = hi[keep]
-    if lo.size == 0:
-        return 0.0
     order = np.argsort(lo, kind="stable")
     lo = lo[order]
     hi = hi[order]
-    # interval i adds M_i - max(lo_i, M_{i-1}), M_i the running maximum of hi: that is
-    # hi_i - max(lo_i, M_{i-1}) > 0 where hi_i > M_{i-1}, and exactly 0 elsewhere
-    np.maximum.accumulate(hi, out=hi)
-    if hi[-1] == np.inf:  # an unbounded interval; past it the terms would be inf - inf
-        return float("inf")
-    np.maximum(lo[1:], hi[:-1], out=lo[1:])
-    return float(np.sum(np.subtract(hi, lo, out=hi)))
+    return _swept(lo, hi)
 
 
 def delta_coverage(witnesses, rho: float, B: tuple[float, float],
@@ -539,9 +564,13 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
     """Measure of the union of rho-balls around the shifted rational points, inside B.
 
     ``witnesses`` is a collected ``CountResult``, a float array of the points
-    (a + lam)/q, or an iterable of witnesses.
+    (a + lam)/q, or an iterable of witnesses.  It is ``interval_union_measure``'s
+    double on the balls in the given order, from one value sort for its ``argsort``:
+    the clipped lo = max(fl(x - rho), B_0) is nondecreasing in x, so sorted points
+    keep its order where lo differ, and equal x give equal balls.  A run of equal lo
+    whose hi differ (at B_0, rarely inside B) takes back its points in input order.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     if isinstance(witnesses, CountResult):
         pts = witnesses.points()
@@ -549,13 +578,23 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
         pts = witnesses
     else:
         pts = np.asarray([(w.a + lam) / w.q for w in witnesses], dtype=float)
-    if pts.size == 0:
-        return 0.0
-    intervals = np.empty((pts.size, 2))
-    np.subtract(pts, rho, out=intervals[:, 0])
-    np.add(pts, rho, out=intervals[:, 1])
-    del pts  # one float64 per point fewer at the union's peak, unless the caller holds them
-    return interval_union_measure(intervals, clip=B)
+    x = np.sort(pts)
+    lo, hi = x - rho, x + rho  # clipped in place: no third copy of the points at the peak
+    np.maximum(lo, B[0], out=lo)
+    np.minimum(hi, B[1], out=hi)
+    runs = np.unique(lo[1:][(lo[1:] == lo[:-1]) & (hi[1:] != hi[:-1])])
+    if runs.size:
+        first, stop = np.searchsorted(lo, runs, "left"), np.searchsorted(lo, runs, "right")
+        # run k holds the points with x[first_k] <= x <= x[stop_k - 1], as lo is monotone in x
+        held = pts[(pts >= x[first[0]]) & (pts <= x[stop[-1] - 1])]
+        k = np.searchsorted(x[first], held, side="right") - 1
+        inside = held <= x[stop - 1][k]
+        held = held[inside][np.argsort(k[inside], kind="stable")]  # by run, then input order
+        at = np.arange(len(held)) + np.repeat(stop - np.cumsum(stop - first), stop - first)
+        lo[at] = np.maximum(held - rho, B[0])
+        hi[at] = np.minimum(held + rho, B[1])
+    del x
+    return _swept(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .config import MODES, ExperimentConfig
 from .counting import (
+    _kept_points,
     count_R_psi_sweep,
     delta_coverage,
     enumerate_R,
@@ -267,11 +268,9 @@ def _run_coverage(cfg, curve, consts, theta, out, seed):
     checks = None
     for Q, psi in _cells(cfg):
         rho = consts.rho(Q, psi) * cfg.coverage_rho_scale
-        res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=True)
-        count, pts = res.count, res.points()
-        del res  # frees the triples: the union needs only the points
-        cov = delta_coverage(pts, rho, cfg.B)
-        del pts
+        pts = _kept_points(curve, Q, psi, cfg.B, theta)
+        count, cov = len(pts), delta_coverage(pts, rho, cfg.B)
+        del pts  # before the next cell's points are made
         in_regime = psi >= psi_floor(Q, consts.m, consts.K0)
         ok = cov >= 0.5 * size
         rows.append((Q, psi, rho, count, cov, 0.5 * size,

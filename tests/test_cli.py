@@ -41,6 +41,16 @@ def test_zero_samples_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "z").exists()
 
 
+def test_bad_rho_scale_is_a_config_error(tmp_path, capsys):
+    # 0 used to fail mid-run (exit 2); nan and inf used to run and write a coverage of 0 or 1
+    for value in ("0", "-1", "nan", "inf"):
+        cfg = _write(tmp_path, "rho.cfg", f"curve = parabola\ncoverage.rho_scale = {value}\n"
+                     f"Q_list = 64\noutput_dir = {tmp_path}/r\n")
+        assert main(["coverage", "--config", cfg]) == 1
+        assert "config error: key 'coverage.rho_scale' must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["count", "--config", str(tmp_path / "nope.cfg")]) == 1
 

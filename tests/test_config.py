@@ -80,6 +80,13 @@ def test_bad_mode_and_lists():
         parse_config_text(MINIMAL + "B = 0.9,0.1\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "-inf"])
+def test_rho_scale_must_be_finite_and_positive(value):
+    with pytest.raises(ConfigError, match="coverage.rho_scale.*finite and > 0"):
+        parse_config_text(MINIMAL + f"coverage.rho_scale = {value}\n")
+    assert parse_config_text(MINIMAL + "coverage.rho_scale = 1e-7\n").coverage_rho_scale == 1e-7
+
+
 @pytest.mark.parametrize("key", ["grid.points", "qnd.samples", "identities.draws"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_counts_below_one_are_rejected(key, value):

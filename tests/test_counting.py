@@ -391,6 +391,72 @@ def test_delta_coverage_shifted_points():
     assert nc.delta_coverage(witnesses, 1e-3, (0.0, 1.0), lam=0.5) == cov
 
 
+@pytest.mark.parametrize("block", [1, 7, counting._BLOCK])
+@pytest.mark.parametrize("name", BLOCK_CURVES)
+def test_kept_points_match_the_collected_points(monkeypatch, name, block):
+    # the points of the coverage path come from the kept pairs, with no triples array
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    curve = nc.resolve_curve(name)
+    several = False
+    for theta in BLOCK_SHIFTS:
+        for B in ((0.0, 1.0), (0.1, 0.9), (0.7, 0.2)):
+            for psi in (0.3, 0.7):
+                res = enumerate_R(curve, 40, psi, B, theta)
+                pts = counting._kept_points(curve, 40, psi, B, theta)
+                assert len(pts) == res.count and pts.dtype == np.float64
+                assert np.array_equal(pts, res.points())
+                several |= len(np.unique(res.triples[:, :2], axis=0)) < res.count
+    assert several  # psi = 0.7 gives pairs with more than one triple
+
+
+def _balls_oracle(pts, rho, B):
+    """The union of the clipped balls in the input order of the points, by the reference sweep."""
+    return sweep_union_measure([(x - rho, x + rho) for x in pts.tolist()], clip=B)
+
+
+COVERAGE_CELLS = (
+    # (curve, M, Q, psi, B, theta, rho scale, runs of equal lo whose hi differ,
+    #  whether the sorted points alone give another double)
+    # veronese:3 on (0.1, 0.9): about 49,000 balls reach below B_0 and share lo = 0.1
+    ("veronese:3", 6, 1024, 0.3, (0.1, 0.9), None, 1.0, 1, True),
+    ("veronese:3", 6, 1024, 0.3, (0.1, 0.9), (0.1, (0.3,)), 1.0, 1, True),
+    # a decimal shift and wide balls give a run of equal lo inside B as well
+    ("parabola", 2, 512, 0.7, (0.0, 1.0), (0.1, (0.3,)), 10.0, 2, False),
+    ("parabola", 2, 512, 0.3, (0.0, 1.0), None, 1e6, 0, False),  # every ball covers B
+)
+
+
+@pytest.mark.parametrize("name, M, Q, psi, B, theta, scale, runs, reordered", COVERAGE_CELLS)
+def test_delta_coverage_keeps_the_input_order_of_equal_lo(name, M, Q, psi, B, theta, scale, runs,
+                                                          reordered):
+    curve = nc.resolve_curve(name)
+    rho = nc.derive_constants(curve.n, M, 1.0).rho(Q, psi) * scale
+    pts = counting._kept_points(curve, Q, psi, B, theta)
+    given = pts.copy()
+    cov = nc.delta_coverage(pts, rho, B)
+    assert cov == _balls_oracle(pts, rho, B)
+    assert np.array_equal(pts, given)
+    assert (_balls_oracle(np.sort(pts), rho, B) != cov) == reordered
+    x = np.sort(pts)
+    lo, hi = np.maximum(x - rho, B[0]), np.minimum(x + rho, B[1])
+    assert len(np.unique(lo[1:][(lo[1:] == lo[:-1]) & (hi[1:] != hi[:-1])])) == runs
+
+
+def test_delta_coverage_edge_points():
+    assert nc.delta_coverage(np.empty(0), 0.1, (0.0, 1.0)) == 0.0
+    pts = counting._kept_points(nc.parabola(), 64, 0.3, (0.0, 1.0))
+    assert nc.delta_coverage(pts, math.inf, (0.0, 1.0)) == _balls_oracle(pts, math.inf, (0.0, 1.0)) == 1.0
+    for rho in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            nc.delta_coverage(pts, rho, (0.0, 1.0))
+    # distinct x with one fl(x - rho) but two fl(x + rho): their input order sets the last bit
+    x1, x2 = -0.4184473826364872, -0.4184473826364871
+    assert x1 < x2 and x1 - 0.6 == x2 - 0.6 and x1 + 0.6 != x2 + 0.6
+    for pair, expected in (([x1, x2], 1.1999999999999997), ([x2, x1], 1.2)):
+        pair = np.array(pair)
+        assert nc.delta_coverage(pair, 0.6, (-1.5, 1.5)) == _balls_oracle(pair, 0.6, (-1.5, 1.5)) == expected
+
+
 def test_interval_union_examples():
     assert nc.interval_union_measure([(0, 1), (0.5, 2)], clip=(0, 1.5)) == pytest.approx(1.5)
     assert nc.interval_union_measure([]) == 0.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from fractions import Fraction
@@ -260,6 +261,52 @@ def test_run_coverage_and_rho_scale(tmp_path):
     assert ok.checks_passed is True
     doomed = run_experiment(_cfg(base + "coverage.rho_scale = 1e-7\n"), mode="coverage")
     assert doomed.checks_passed is False
+
+
+def test_coverage_builds_no_triples_and_sorts_no_points_by_lo(tmp_path, monkeypatch):
+    # coverage takes its points from the kept pairs and orders them by one value sort
+    from nearcurve import counting, harness
+    from oracles import sweep_union_measure
+
+    cfg = _cfg(f"""
+    curve = parabola
+    B = 0,1
+    M = 2
+    psi_list = 0.3,0.7
+    Q_list = 256,512
+    theta.lambda = 0.1
+    theta.gamma = 0.3
+    output_dir = {tmp_path}/cov
+    """)
+    curve, theta = nc.resolve_curve("parabola"), (0.1, (0.3,))
+    consts = nc.derive_constants(2, 2, 1.0)
+    expected = []
+    for Q in (256, 512):
+        for psi in (0.3, 0.7):
+            res = counting.enumerate_R(curve, Q, psi, (0.0, 1.0), theta)
+            rho = consts.rho(Q, psi)
+            balls = [(x - rho, x + rho) for x in res.points().tolist()]
+            expected.append([str(Q), str(psi), res.count, sweep_union_measure(balls, clip=(0.0, 1.0))])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the coverage path must not build triples or sort intervals")
+
+    sorted_sizes, real_argsort = [], np.argsort
+
+    def argsort(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return real_argsort(a, *args, **kwargs)
+
+    for module, name in ((harness, "enumerate_R"), (counting, "enumerate_R"),
+                         (counting, "interval_union_measure"), (counting.CountResult, "points")):
+        monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(np, "argsort", argsort)
+    run_experiment(cfg, mode="coverage")
+    monkeypatch.undo()
+    rows = list(csv.DictReader((tmp_path / "cov" / "coverage.csv").read_text().splitlines()))
+    got = [[r["Q"], r["psi"], int(r["count"]), float(r["coverage"])] for r in rows]
+    assert got == expected
+    assert max(sorted_sizes, default=0) < min(count for _, _, count, _ in expected) // 10
 
 
 def test_count_and_coverage_agree_on_regime(tmp_path):

@@ -34,7 +34,13 @@ sweep's power tables.  ``count-wide`` (``curve = poly:0.5,-3,1e9``,
 ``B = -0.5,0.9``, ``theta.lambda = 0.1``, ``theta.gamma = 0.3``,
 ``Q_list = 256,512``) writes triples CSVs whose fields are wider than the
 shipped ones: negative x-points, b of 11 and 12 digits and short dyadic
-slacks.  Each run goes in a fresh interpreter and into a temporary directory.
+slacks.  Two more ``coverage`` runs meet balls that share a clipped lower end
+but not an upper one, where the order of the sweep sets the last bits:
+``coverage-veronese3-window`` (``curve = veronese:3``, ``M = 6``,
+``B = 0.1,0.9``, ``Q_list = 256,512,1024``) at B's lower end, and
+``coverage-decimal-psi0.7`` (``psi_list = 0.7``, ``theta.lambda = 0.1``,
+``theta.gamma = 0.3``, ``coverage.rho_scale = 10``, ``Q_list = 256,512,1024``)
+inside B as well.  Each run goes in a fresh interpreter and into a temporary directory.
 Prints one ``<sha256>  <run>/<file>`` line per output file, sorted, so two
 checkouts compare with one diff:
 
@@ -90,6 +96,11 @@ RUNS = (
     ("count-wide", "count", "count.cfg",
      {"curve": "poly:0.5,-3,1e9", "B": "-0.5,0.9", "theta.lambda": "0.1", "theta.gamma": "0.3",
       "Q_list": "256,512"}),
+    ("coverage-veronese3-window", "coverage", "coverage.cfg",
+     {"curve": "veronese:3", "M": "6", "B": "0.1,0.9", "Q_list": "256,512,1024"}),
+    ("coverage-decimal-psi0.7", "coverage", "coverage.cfg",
+     {"psi_list": "0.7", "theta.lambda": "0.1", "theta.gamma": "0.3", "coverage.rho_scale": "10",
+      "Q_list": "256,512,1024"}),
 )
 
 
