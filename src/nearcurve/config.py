@@ -56,14 +56,10 @@ def _parse_value(kind: str, raw: str, key: str):
                 return False
             raise ValueError(raw)
         if kind == "interval":
-            parts = [float(v) for v in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError(raw)
-            return (parts[0], parts[1])
-        if kind == "floats":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if kind == "ints":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
+            lo, hi = map(float, raw.split(","))
+            return (lo, hi)
+        if kind in ("floats", "ints"):
+            return tuple(map(float if kind == "floats" else int, filter(str.strip, raw.split(","))))
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from exc
     raise ConfigError(f"key {key!r}: unknown type tag {kind}")
@@ -122,6 +118,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     if resolved["mode"] is not None and resolved["mode"] not in MODES:
         raise ConfigError(f"unknown mode {resolved['mode']!r}; expected one of {MODES}")
+    for key in ("Q_list", "psi_list"):
+        if not resolved[key]:
+            raise ConfigError(f"key {key!r} must hold at least one value")
     q_list = resolved["Q_list"]
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise ConfigError("Q_list must be strictly ascending")

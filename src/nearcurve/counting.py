@@ -7,12 +7,12 @@ strictly below psi.  Enumeration is O(Q^2) per configuration, for Q up to
 exact integers.  ``enumerate_R`` runs the (q, a) pairs in flat, cache-sized
 blocks of their canonical double y (``_blocks``).  A psi sweep bins each pair
 by the 2^-16 cells of the fractional parts of its y, which give ``_window``'s
-answer (below) off the cells next to a cut s, 1 - s, 0 or 1.  It does not
-build the canonical y for that: per q-row segment, a producer gives 2^16 y
-from a table of the powers (a + lambda)^k and scalars fixed per row, within
-half a cell of the canonical double by an error bound taken once per call
-(``_row_terms``).  Only the pairs in tie cells get their canonical y and
-``_window`` (``count_R_psi_sweep``).
+answer (below) off the tie cells next to a cut s, 1 - s, 0 or 1.  A polynomial
+coordinate takes its cells from a table of the powers (a + lambda)^k and
+scalars fixed per row, where an error bound keeps them within half a cell of
+the canonical y (``_row_terms``); any other coordinate takes the canonical y.
+A pair with a coordinate in a tie cell gets its canonical y and ``_window``
+(``count_R_psi_sweep``).
 
 The b-window is decided in doubles, by one predicate, ``_window``: the
 integers b with |y - b| < psi - 1e-12, with y = q f_j(x) - gamma_j, and
@@ -126,17 +126,14 @@ def _window(y: np.ndarray, s: float, count: np.ndarray, lo: np.ndarray) -> None:
     np.maximum(count, 0.0, out=count)
 
 
-def _ys(curve: Curve, q: np.ndarray, a: np.ndarray, lam: float, gam: Sequence[float],
-        ys: np.ndarray) -> None:
-    """The canonical doubles ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j``, in place.
+def _y(curve: Curve, j: int, q, t: np.ndarray, g: float, out: np.ndarray) -> None:
+    """The canonical doubles ``out = q f_j(t/q) - g``, t = a + lambda: the y ``_window`` decides on.
 
-    ``q`` and ``a`` are int64 arrays; these are the y that ``_window`` decides on.
+    ``out`` may be ``t`` itself, which is read only before it is written.
     """
-    x = ys[-1]  # the last coordinate's y overwrites x only once f_m(x) is taken
-    np.divide(np.add(a, lam, out=x), q, out=x)  # the same doubles as (a + lam) / q
-    for j, y in enumerate(ys, start=1):
-        np.multiply(q, np.asarray(curve.coord_values(j, x), dtype=float), out=y)
-        np.subtract(y, gam[j - 1], out=y)
+    np.divide(t, q, out=out)  # the same doubles as (a + lam) / q
+    np.multiply(q, np.asarray(curve.coord_values(j, out), dtype=float), out=out)
+    np.subtract(out, g, out=out)
 
 
 def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
@@ -182,7 +179,9 @@ def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
             q[:] = np.repeat(np.arange(q0 + first, q0 + last + 1, dtype=np.int64), repeats)
             a[:] = np.arange(start, stop, dtype=np.int64)
             a -= np.repeat(offset[rows], repeats)
-            _ys(curve, q, a, lam, gam, ys)
+            t = np.add(a, lam, out=ys[-1])  # in the last y's buffer, which is written last
+            for j, y in enumerate(ys, start=1):
+                _y(curve, j, q, t, gam[j - 1], y)
             yield q, a, ys
 
     return Q, (lo, hi), (lam, gam), blocks()
@@ -269,22 +268,23 @@ def _cell_states(ss: Sequence[float], m: int):
     """The cells' int16 states, their number, and per joint state the b-counts and the ties.
 
     Cell c holds d = y - floor(y) in [c, c + 1) / ``_CELLS``; its state counts the
-    cuts s, 1 - s (s in (0, 1)) below it, or is the last, tie, within a cell of a cut,
+    cuts s, 1 - s (every s < 1) below it, or is the last, tie, within a cell of a cut,
     0 or 1.  A d in state i has [d < s] + [d > 1 - s] b with |y - b| < s (0 if tie or
-    s <= 0).  Joint states are m states in base ``states``.  None for an s >= 1 or too many bins.
+    s <= 0).  Joint states are m states in base ``states``; past 2^16 psi times
+    joint states, every cell holds the one state, tie.
     """
-    inner = [s for s in ss if 0 < s < 1]
+    inner = [s for s in ss if s > 0]
     cuts = np.array(sorted(set(inner + [1 - s for s in inner])), dtype=float)
     tie = len(cuts) + 1
-    if max(ss) >= 1 or len(ss) * (tie + 1)**m > _CELLS:
-        return None
+    if len(ss) * (tie + 1)**m > _CELLS:
+        return np.zeros(_CELLS, np.int16), 1, np.zeros((len(ss), 1), np.int64), np.ones(1, bool)
     first = np.ceil(cuts * _CELLS).astype(np.int64)  # the first cell at or above each cut
     table = np.repeat(np.arange(tie, dtype=np.int16), np.diff(first, prepend=0, append=_CELLS))
     for u in np.floor(np.concatenate((cuts, (0.0, 1.0))) * _CELLS).astype(np.int64):
         table[max(u - 1, 0):u + 2] = tie
     state, s = np.arange(tie + 1), np.array(ss)[:, None]
     rows = (state <= np.searchsorted(cuts, s)) * 1 + (state > np.searchsorted(cuts, 1 - s))
-    rows *= (state < tie) & (0 < s) & (s < 1)
+    rows *= (state < tie) & (s > 0)
     weights, tied = np.ones((len(ss), 1), dtype=np.int64), np.zeros(1, dtype=bool)
     for _ in range(m):
         weights = (weights[:, :, None] * rows[:, None, :]).reshape(len(ss), -1)
@@ -293,11 +293,10 @@ def _cell_states(ss: Sequence[float], m: int):
 
 
 def _row_terms(curve: Curve, Q: int, B: tuple[float, float], gam: Sequence[float]):
-    """Per coordinate, its nonzero terms ``(k, c_k)`` in doubles, or None without ``coeffs``.
+    """Per coordinate, its nonzero terms ``(k, c_k)`` in doubles, or None: no coeffs, no safe bound.
 
-    The whole result is None when a polynomial's producer is not safe at this Q.
-    It gives 2^16 y from the power t^k = (a + lambda)^k as a sum of ``c_k 2^16
-    q^(1 - k) t^k``, and it and the canonical 2^16 y both round 2^16 (q f(x) -
+    The producer gives 2^16 y from the power t^k = (a + lambda)^k as a sum of ``c_k
+    2^16 q^(1 - k) t^k``, and it and the canonical 2^16 y both round 2^16 (q f(x) -
     gamma) at the exact x = (a + lambda)/q with f's double coefficients: the
     canonical y in at most 4K + 2 roundings per term (x; Horner or x^k; q f; -
     gamma), the producer in at most 3K + 3 (t^k; the row's scalar; its product;
@@ -310,16 +309,12 @@ def _row_terms(curve: Curve, Q: int, B: tuple[float, float], gam: Sequence[float
     X = max(abs(Fraction(B[0])), abs(Fraction(B[1])))
     terms = []
     for coord, g in zip(curve.coords, gam):
-        if getattr(coord, "coeffs", None) is None:
-            terms.append(None)
-            continue
-        cs = [float(c) for c in coord.coeffs]
+        cs = [float(c) for c in getattr(coord, "coeffs", ())]
         n = 8 * len(cs) * _UNIT
         size = Q * sum(abs(Fraction(c)) * X**k for k, c in enumerate(cs)) + abs(Fraction(g))
         error = size * n / (1 - n)  # in y; a cell is 1/_CELLS
-        if 2 * _CELLS * error >= 1 or size + error >= _Y_LIMIT:
-            return None
-        terms.append([(k, c) for k, c in enumerate(cs) if c or (k == 0 and g)])
+        safe = cs and 2 * _CELLS * error < 1 and size + error < _Y_LIMIT
+        terms.append([(k, c) for k, c in enumerate(cs) if c or (k == 0 and g)] if safe else None)
     return terms
 
 
@@ -329,46 +324,26 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
 
     Raises ValueError wherever enumerate_R would for one of the psi.  The pairs
     go in batches of at most ``_BLOCK``, which may split a q-row.  Per row
-    segment, a producer writes 2^16 y: a polynomial coordinate sums the scalars
-    ``c_k 2^16 q^(1 - k)`` of its row times slices of a table of t^k, t = a +
-    lambda, built once per call (one multiply per segment for x^p and no
-    shift); any other coordinate writes 2^16 times its canonical y.  A batch
-    is binned by the joint ``_cell_states`` of those values in one
-    ``np.bincount``.  The producer lies within half a cell of 2^16 times the
-    canonical double y (``_row_terms``), and a cell off the tie cells lies a
-    whole cell from every cut, 0 and 1, while ``_window``'s own float error is
-    below 2^-23 for |y| < 2^30.  So off the tie cells the cell gives
-    ``_window``'s answer.  The (q, a) of a pair in a tie cell, or with a
-    non-polynomial |y| >= 2^30 or nan, go into a buffer of ``_BLOCK`` pairs;
-    when it fills, and at the end, it is flushed through their canonical y
-    (``_ys``) and ``_window``.  A call with too many joint states, or with a
-    polynomial coordinate that ``_row_terms`` rejects at this Q, runs every
-    pair through ``_blocks`` and ``_window`` instead.
+    segment, a producer writes 2^16 y per coordinate: with ``_row_terms``' terms,
+    the row's scalars ``c_k 2^16 q^(1 - k)`` times slices of a table of t^k, t =
+    a + lambda, built once per call (one multiply per segment for x^p and no
+    shift), which lies within half a cell of 2^16 times the canonical y; without
+    them, 2^16 times the canonical y (``_y``), or 0 where |y| >= 2^30 or nan.  A
+    batch is binned by the joint ``_cell_states`` of those values in one
+    ``np.bincount``.  A cell off the tie cells lies a whole cell from every cut, 0
+    and 1, and ``_window``'s own float error is below 2^-23 for |y| < 2^30, so
+    there the cell gives ``_window``'s answer.  A pair with a coordinate in a tie
+    cell, cell 0 among them, goes by (q, a) into a buffer of ``_BLOCK`` pairs;
+    when it fills, and at the end, it is flushed through the canonical y and
+    ``_window``.
     """
-    Q, B, (lam, gam), blocks = _blocks(curve, Q, psis, B, theta)
+    Q, B, (lam, gam), _ = _blocks(curve, Q, psis, B, theta)  # its checks; its pairs go unwalked
     if not psis:
         return []
     m, ss = curve.n - 1, [psi - GUARD for psi in psis]
     totals = [0] * len(psis)
-    work = np.empty((3, _BLOCK))  # reused by every call of by_window
-
-    def by_window(ys: np.ndarray) -> None:  # ys: m by at most _BLOCK pairs
-        n, hi, lo = work[:, :ys.shape[1]]
-        for k, s in enumerate(ss):
-            for j, y in enumerate(ys):
-                _window(y, s, hi if j else n, lo)  # the first one starts the product
-                if j:
-                    np.multiply(n, hi, out=n)
-            totals[k] += int(n.sum())
-
-    binned = _cell_states(ss, m)
-    terms = _row_terms(curve, Q, B, gam) if binned else None
-    if terms is None:
-        for _, _, ys in blocks:
-            by_window(ys)
-        return totals
-
-    table, states, weights, tied = binned
+    table, states, weights, tied = _cell_states(ss, m)
+    terms = _row_terms(curve, Q, B, gam)
     q0 = Q // 2 + 1
     ends, starts, offset = _pair_rows(range(q0, Q + 1), B, lam)
     a_lo, sizes = (starts - offset).tolist(), np.diff(ends, prepend=0).tolist()
@@ -377,7 +352,7 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
         return totals
     a_min = min(a_lo[r] for r in rows)
     t = np.add(np.arange(a_min, max(a_lo[r] + sizes[r] for r in rows), dtype=np.int64), lam)
-    powers = [None, t]  # powers[k][a - a_min] = (a + lambda)^k, the doubles of _ys for k = 1
+    powers = [None, t]  # powers[k][a - a_min] = (a + lambda)^k, the doubles of t for k = 1
     for _ in range(max([k for ts in terms if ts for k, _ in ts] + [1]) - 1):
         powers.append(powers[-1] * t)
     qf = np.arange(q0, Q + 1, dtype=float)
@@ -386,17 +361,14 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
     cell, index = np.empty((2, _BLOCK), dtype=np.int64)
     hist = np.zeros(len(tied), dtype=np.int64)
     tie_q, tie_a = np.empty((2, _BLOCK), dtype=np.int64)  # the tie pairs not yet counted
-    tie_ys, held = np.empty((m, _BLOCK)), 0
+    tie_ys, work, held = np.empty((m, _BLOCK)), np.empty((3, _BLOCK)), 0
 
     def producer(j: int, ts):
         """``fill(r, lo, hi, out)``: 2^16 y_j of the pairs of row r with a - a_min in [lo, hi)."""
         g = gam[j]
         if ts is None:
             def fill(r, lo, hi, out):
-                q, x = q0 + r, spare[:hi - lo]
-                np.divide(t[lo:hi], q, out=x)
-                np.multiply(q, np.asarray(curve.coord_values(j + 1, x), dtype=float), out=out)
-                np.subtract(out, g, out=out)
+                _y(curve, j + 1, q0 + r, t[lo:hi], g, out)
                 out[~(np.abs(out) < _Y_LIMIT)] = 0.0  # past the bound or nan: cell 0 is a tie
                 np.multiply(out, _CELLS, out=out)
             return fill
@@ -418,10 +390,17 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
 
     fills = [producer(j, ts) for j, ts in enumerate(terms)]
 
-    def flush() -> None:
-        ys = tie_ys[:, :held]
-        _ys(curve, tie_q[:held], tie_a[:held], lam, gam, ys)
-        by_window(ys)
+    def flush() -> None:  # the held pairs, by their canonical y and _window, psi by psi
+        ys, (n, hi, lo) = tie_ys[:, :held], work[:, :held]
+        shifted = np.add(tie_a[:held], lam, out=ys[-1])  # t in the last y's buffer, written last
+        for j, y in enumerate(ys, start=1):
+            _y(curve, j, tie_q[:held], shifted, gam[j - 1], y)
+        for k, s in enumerate(ss):
+            for j, y in enumerate(ys):
+                _window(y, s, hi if j else n, lo)  # the first one starts the product
+                if j:
+                    np.multiply(n, hi, out=n)
+            totals[k] += int(n.sum())
 
     def bin_batch(start: int, size: int) -> None:  # the pairs start, ..., start + size - 1
         nonlocal hist, held

@@ -55,9 +55,6 @@ class PolynomialCoordinate:
             acc = acc * x + c
         return acc
 
-    def describe(self) -> str:
-        return "poly(" + ",".join(str(c) for c in self.coeffs) + ")"
-
 
 class MonomialCoordinate(PolynomialCoordinate):
     """x^p with the falling-factorial derivative formula."""
@@ -84,9 +81,6 @@ class MonomialCoordinate(PolynomialCoordinate):
     def exact(self, x: Fraction) -> Fraction:
         return x ** self.power
 
-    def describe(self) -> str:
-        return f"x^{self.power}"
-
 
 class ExpCoordinate:
     """e^x; every derivative is e^x.  No exact rational evaluation."""
@@ -99,9 +93,6 @@ class ExpCoordinate:
     def jet(self, x: float, order: int) -> list[float]:
         e = math.exp(x)
         return [e] * (order + 1)
-
-    def describe(self) -> str:
-        return "exp(x)"
 
 
 class CallableCoordinate:
@@ -124,9 +115,6 @@ class CallableCoordinate:
 
     def jet(self, x: float, order: int) -> list[float]:
         return jets.derivatives(self.fn, x, order)
-
-    def describe(self) -> str:
-        return self.label
 
 
 @dataclass(frozen=True)

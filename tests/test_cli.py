@@ -51,6 +51,16 @@ def test_bad_rho_scale_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("mode", ["qnd", "identities", "scaling"])
+def test_empty_list_is_a_config_error(tmp_path, capsys, mode):
+    # rejected with the config, before any runner makes the output directory
+    for key in ("Q_list", "psi_list"):
+        cfg = _write(tmp_path, "empty.cfg", f"curve = parabola\n{key} =\noutput_dir = {tmp_path}/e\n")
+        assert main([mode, "--config", cfg]) == 1
+        assert f"config error: key {key!r} must hold at least one value" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["count", "--config", str(tmp_path / "nope.cfg")]) == 1
 

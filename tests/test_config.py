@@ -80,6 +80,13 @@ def test_bad_mode_and_lists():
         parse_config_text(MINIMAL + "B = 0.9,0.1\n")
 
 
+@pytest.mark.parametrize("key", ["Q_list", "psi_list"])
+@pytest.mark.parametrize("value", ["", " , ", ","])
+def test_empty_lists_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key}.*at least one value"):
+        parse_config_text(MINIMAL + f"{key} = {value}\n")
+
+
 @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "-inf"])
 def test_rho_scale_must_be_finite_and_positive(value):
     with pytest.raises(ConfigError, match="coverage.rho_scale.*finite and > 0"):

@@ -200,7 +200,8 @@ def test_sweep_falls_back_to_the_window(monkeypatch):
     # six coordinates with 8 psi have too many joint states to bin
     v7 = nc.resolve_curve("veronese:7")
     psis = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
-    assert counting._cell_states([psi - counting.GUARD for psi in psis], 6) is None
+    table, states, weights, tied = counting._cell_states([psi - counting.GUARD for psi in psis], 6)
+    assert (states, tied.tolist()) == (1, [True]) and not table.any() and not weights.any()
     assert count_R_psi_sweep(v7, 40, psis, (0.0, 1.0)) == naive_sweep(v7, 40, psis, (0.0, 1.0))
 
 
@@ -225,11 +226,12 @@ def test_sweep_producers_match_the_row_oracle(monkeypatch, name, B, psis, Qs, bl
     # every q-row holds more than 7 pairs, so batches of 7 split rows
     monkeypatch.setattr(counting, "_BLOCK", block)
     curve = nc.resolve_curve(name)
-    assert counting._cell_states([psi - counting.GUARD for psi in psis], curve.n - 1) is not None
+    assert counting._cell_states([psi - counting.GUARD for psi in psis], curve.n - 1)[1] > 1
     for theta in BLOCK_SHIFTS:
         _, gam = lattice.normalise_theta(theta, curve.n - 1)
         for Q in Qs:
-            assert counting._row_terms(curve, Q, B, gam) is not None  # binned, not the window path
+            terms = counting._row_terms(curve, Q, B, gam)  # every polynomial keeps the power table
+            assert [ts is not None for ts in terms] == [hasattr(c, "coeffs") for c in curve.coords]
             assert count_R_psi_sweep(curve, Q, list(psis), B, theta) == \
                 naive_sweep(curve, Q, psis, B, theta)
 
@@ -246,16 +248,28 @@ def test_sweep_sends_large_non_polynomial_y_to_the_window():
             naive_sweep(steep, Q, BLOCK_PSIS, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("block", [7, counting._BLOCK])
+def test_sweep_crosses_the_power_table_bound(monkeypatch, block):
+    # terms of 1e6 that cancel: the bound holds up to Q = 536, and from 537 on the
+    # coordinate bins its canonical y instead
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    curve, B = nc.resolve_curve("poly:0.5,-1e6,1e6"), (0.0, 1.0)
+    for Q, table in ((536, True), (537, False), (600, False)):
+        terms = counting._row_terms(curve, Q, B, (0.0,))
+        assert terms == ([[(0, 0.5), (1, -1e6), (2, 1e6)]] if table else [None])
+        assert count_R_psi_sweep(curve, Q, BLOCK_PSIS, B) == naive_sweep(curve, Q, BLOCK_PSIS, B)
+
+
 def test_row_terms_bound_the_producer_error():
     # parabola and veronese:7 bin up to the cap; poly:0,0,1e9 has |y| up to 3e11 at Q = 300
     for name in ("parabola", "veronese:7"):
         curve = nc.resolve_curve(name)
         assert counting._row_terms(curve, counting.Q_CAP, (0.0, 1.0), (0.5,) * (curve.n - 1))
-    assert counting._row_terms(nc.resolve_curve("poly:0,0,1e9"), 300, (0.0, 1.0), (0.0,)) is None
+    assert counting._row_terms(nc.resolve_curve("poly:0,0,1e9"), 300, (0.0, 1.0), (0.0,)) == [None]
     # degree 8: 2^16 g_72 S reaches half a cell at S = 2^36 / 72, about 9.5e8, below 2^30
     steep = nc.resolve_curve("poly:0,0,0,0,0,0,0,0,1e6")
     assert counting._row_terms(steep, 900, (0.0, 1.0), (0.0,)) == [[(8, 1e6)]]
-    assert counting._row_terms(steep, 1000, (0.0, 1.0), (0.0,)) is None
+    assert counting._row_terms(steep, 1000, (0.0, 1.0), (0.0,)) == [None]
     psis, B = [0.1, 0.3, 0.5, 0.62], (0.5, 0.55)
     for Q in (900, 1000):
         assert count_R_psi_sweep(steep, Q, psis, B) == naive_sweep(steep, Q, psis, B)

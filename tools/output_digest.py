@@ -40,7 +40,13 @@ but not an upper one, where the order of the sweep sets the last bits:
 ``B = 0.1,0.9``, ``Q_list = 256,512,1024``) at B's lower end, and
 ``coverage-decimal-psi0.7`` (``psi_list = 0.7``, ``theta.lambda = 0.1``,
 ``theta.gamma = 0.3``, ``coverage.rho_scale = 10``, ``Q_list = 256,512,1024``)
-inside B as well.  Each run goes in a fresh interpreter and into a temporary directory.
+inside B as well.  Three more ``scaling`` runs cover sweeps whose cells the
+power table cannot give: ``scaling-poly-cancel`` (``curve =
+poly:0.5,-1e6,1e6``, ``Q_list = 256,512,1024``), whose power-table bound
+fails from Q = 537 on; ``scaling-steep`` (``curve = poly:0,0,1e9``,
+``Q_list = 128,256,512``), with |y| past 2^30 in the tie cell 0; and
+``scaling-veronese7`` (``curve = veronese:7``, ``Q_list = 64,128,256``), whose
+8 psi have too many joint states to bin.  Each run goes in a fresh interpreter and into a temporary directory.
 Prints one ``<sha256>  <run>/<file>`` line per output file, sorted, so two
 checkouts compare with one diff:
 
@@ -101,6 +107,10 @@ RUNS = (
     ("coverage-decimal-psi0.7", "coverage", "coverage.cfg",
      {"psi_list": "0.7", "theta.lambda": "0.1", "theta.gamma": "0.3", "coverage.rho_scale": "10",
       "Q_list": "256,512,1024"}),
+    ("scaling-poly-cancel", "scaling", "scaling.cfg",
+     {"curve": "poly:0.5,-1e6,1e6", "Q_list": "256,512,1024"}),
+    ("scaling-steep", "scaling", "scaling.cfg", {"curve": "poly:0,0,1e9", "Q_list": "128,256,512"}),
+    ("scaling-veronese7", "scaling", "scaling.cfg", {"curve": "veronese:7", "Q_list": "64,128,256"}),
 )
 
 
