@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .curves import Curve
-from .detector import RationalWitness, psi_floor
+from .detector import RationalWitness, _near_curve, psi_floor
 from .lattice import Shift, normalise_theta
 
 GUARD = 1e-12
@@ -187,7 +187,14 @@ def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
     return Q, (lo, hi), (lam, gam), blocks()
 
 
-def _kept(blocks: Iterator, psi: float, m: int) -> Iterator:
+def _counted(total: float, curve: Curve, Q: int) -> int:
+    """A float sum of ``_window`` counts as an int; it is nan where a y is not finite."""
+    if not np.isfinite(total):
+        raise ValueError(f"curve {curve.label} at Q={Q}: q f_j(x) - gamma_j is not a finite double")
+    return int(total)
+
+
+def _kept(curve: Curve, Q: int, blocks: Iterator, psi: float) -> Iterator:
     """Per block of ``_blocks``, its kept pairs: ``(q, a, keep, reps, inside, lo, boundary)``.
 
     ``keep`` indexes the pairs with a triple and ``reps`` holds their int64 numbers
@@ -195,18 +202,19 @@ def _kept(blocks: Iterator, psi: float, m: int) -> Iterator:
     ``boundary`` counts the triples within psi + GUARD but not psi - GUARD.
     """
     # per coordinate, reused by every block: b-counts at psi +- GUARD, floor(y - psi + GUARD)
-    wide_buf, inside_buf, lo_buf = np.empty((3, m, _BLOCK))
+    wide_buf, inside_buf, lo_buf = np.empty((3, curve.n - 1, _BLOCK))
     for q, a, ys in blocks:
         size = len(a)
         wide, inside, lo = wide_buf[:, :size], inside_buf[:, :size], lo_buf[:, :size]
         for j, y in enumerate(ys):
             _window(y, psi + GUARD, wide[j], lo[j])
             _window(y, psi - GUARD, inside[j], lo[j])
-        counts, wide_counts = ((inside[0], wide[0]) if m == 1
+        counts, wide_counts = ((inside[0], wide[0]) if len(ys) == 1
                                else (inside.prod(axis=0), wide.prod(axis=0)))
+        wide_total = _counted(wide_counts.sum(), curve, Q)
         keep = np.flatnonzero(counts)
         reps = counts[keep].astype(np.int64)
-        yield q, a, keep, reps, inside, lo, int(wide_counts.sum()) - int(reps.sum())
+        yield q, a, keep, reps, inside, lo, wide_total - int(reps.sum())
 
 
 def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
@@ -227,7 +235,7 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
     total = 0
     boundary = 0
     collected: list[np.ndarray] = []
-    for q, a, keep, reps, inside, lo, grazing in _kept(blocks, psi, m):
+    for q, a, keep, reps, inside, lo, grazing in _kept(curve, Q, blocks, psi):
         total += int(reps.sum())
         boundary += grazing
         if collect and len(keep):
@@ -259,9 +267,9 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
 
 def _kept_points(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta=None) -> np.ndarray:
     """The doubles of ``enumerate_R(...).points()`` in its order, from the kept pairs: no triples."""
-    _, _, (lam, _), blocks = _blocks(curve, Q, (psi,), B, theta)
+    Q, _, (lam, _), blocks = _blocks(curve, Q, (psi,), B, theta)
     return np.concatenate([np.empty(0)] + [np.repeat((a[keep] + lam) / q[keep], reps)
-                                           for q, a, keep, reps, *_ in _kept(blocks, psi, curve.n - 1)])
+                                           for q, a, keep, reps, *_ in _kept(curve, Q, blocks, psi)])
 
 
 def _cell_states(ss: Sequence[float], m: int):
@@ -400,7 +408,7 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
                 _window(y, s, hi if j else n, lo)  # the first one starts the product
                 if j:
                     np.multiply(n, hi, out=n)
-            totals[k] += int(n.sum())
+            totals[k] += _counted(n.sum(), curve, Q)
 
     def bin_batch(start: int, size: int) -> None:  # the pairs start, ..., start + size - 1
         nonlocal hist, held
@@ -442,40 +450,24 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
 def _membership(curve: Curve, Q: float, psi: float, B: tuple[float, float], theta: Shift):
     """The defining inequalities of R as a test of one triple ``(q, a, bs)``.
 
-    The q-range and the window are decided in exact rationals, and so is
-    every coordinate with an exact rational evaluator (the polynomial
-    catalog); a coordinate without one is evaluated in double precision.
+    B is read as the dyadic rationals it holds and compared with the point
+    P/D of ``detector._near_curve``, which decides every coordinate at psi.
     """
-    lam, gam = theta
-    lamF, psiF = Fraction(lam), Fraction(psi)
-    loF, hiF = Fraction(B[0]), Fraction(B[1])
-    exact = [curve.exact_coord(j) for j in range(1, curve.n)]
+    near = _near_curve(curve, theta, psi)
+    (n0, d0), (n1, d1) = (v.as_integer_ratio() for v in B)
 
     def member(q: int, a: int, bs: Sequence[int]) -> bool:
         if not (2 * q > Q and q <= Q):
             return False
-        ptF = (a + lamF) / q
-        if not (loF <= ptF <= hiF):
-            return False
-        for j, (f, g, b) in enumerate(zip(exact, gam, bs), start=1):
-            if f is None:
-                inside = abs(q * float(curve.coord_values(j, float(ptF))) - g - b) < psi
-            else:
-                inside = abs(q * f(ptF) - Fraction(g) - b) < psiF
-            if not inside:
-                return False
-        return True
+        P, D, ok, _ = near(q, a, bs)
+        return ok and n0 * D <= P * d0 and P * d1 <= n1 * D
 
     return member
 
 
 def recheck_triples(curve: Curve, result: CountResult, sample: Optional[int] = None,
                     rng: Optional[np.random.Generator] = None) -> bool:
-    """Independent re-verification of emitted triples via exact arithmetic.
-
-    Uses the exact rational evaluators of the curve coordinates (available for
-    the polynomial catalog) as a second evaluation path.
-    """
+    """Re-verification of emitted triples by ``_membership``, exact for the polynomial catalog."""
     if result.triples is None:
         raise ValueError("nothing collected to recheck")
     rows = result.triples
@@ -489,8 +481,7 @@ def recheck_triples(curve: Curve, result: CountResult, sample: Optional[int] = N
 def witness_in_R(w: RationalWitness, curve: Curve, Q: float, psi: float,
                  B: tuple[float, float], theta=None) -> bool:
     """Direct membership test of a witness in the defining inequalities."""
-    member = _membership(curve, Q, psi, B, normalise_theta(theta, curve.n - 1))
-    return member(w.q, w.a, w.b)
+    return _membership(curve, Q, psi, B, normalise_theta(theta, curve.n - 1))(w.q, w.a, w.b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Built-in curves (parabola, Veronese, polynomial, the mixed ``(x, x^2, e^x)``)
 carry closed-form derivatives of every order.  User-defined coordinates are
 differentiated with truncated Taylor arithmetic from :mod:`nearcurve.jets`,
 so all downstream identities see exact-to-rounding derivatives rather than
-finite differences.
+finite differences.  A coordinate with ``coeffs`` (exact rationals, low order
+first) is the one kind evaluated exactly, by ``detector._near_curve``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ RANK_RTOL = 1e-8
 class PolynomialCoordinate:
     """Coordinate function given by polynomial coefficients (low order first).
 
-    Coefficients are kept as exact rationals so that the coordinate can also
-    be evaluated exactly at rational points (used by witness verification).
+    ``coeffs`` holds them as exact rationals, which ``detector._near_curve``
+    evaluates exactly at rational points.
     """
 
     def __init__(self, coeffs: Sequence):
@@ -48,12 +49,6 @@ class PolynomialCoordinate:
             out.append(float(np.polynomial.polynomial.polyval(x, cs)) if cs.size else 0.0)
             cs = cs[1:] * np.arange(1, cs.size)
         return out
-
-    def exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 class MonomialCoordinate(PolynomialCoordinate):
@@ -78,14 +73,9 @@ class MonomialCoordinate(PolynomialCoordinate):
                 out.append(math.perm(p, k) * x ** (p - k))
         return out
 
-    def exact(self, x: Fraction) -> Fraction:
-        return x ** self.power
-
 
 class ExpCoordinate:
-    """e^x; every derivative is e^x.  No exact rational evaluation."""
-
-    exact = None
+    """e^x; every derivative is e^x.  No coefficients, so no exact evaluation."""
 
     def value(self, x):
         return np.exp(x)
@@ -101,8 +91,6 @@ class CallableCoordinate:
     ``fn`` must accept a :class:`nearcurve.jets.Taylor` seed (plain arithmetic
     plus the elementary functions exported by :mod:`nearcurve.jets`).
     """
-
-    exact = None
 
     def __init__(self, fn: Callable, label: str = "f"):
         self.fn = fn
@@ -141,10 +129,6 @@ class Curve:
     def coord_values(self, j: int, x):
         """Vectorised value of f_j (1-indexed) at x."""
         return self.coords[j - 1].value(x)
-
-    def exact_coord(self, j: int) -> Optional[Callable[[Fraction], Fraction]]:
-        """Exact rational evaluator for f_j, when the coordinate has one."""
-        return getattr(self.coords[j - 1], "exact", None)
 
 
 @dataclass(frozen=True)

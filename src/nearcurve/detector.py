@@ -3,7 +3,8 @@
 At the good points x of a grid (the scaled curve lattice has no sup-norm
 vector below 1), ``detect_witnesses`` solves one stacked system against the
 reduced bases for integer vectors ``(q, a, b)``; ``verify_witnesses`` decides
-their three inequality families in one integer pass, exactly for polynomials.
+their three inequality families in one integer pass, exactly for polynomials;
+its f-family is ``_near_curve``'s, the membership test of the counting half.
 """
 
 from __future__ import annotations
@@ -205,49 +206,66 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
     return outcome
 
 
-def verify_witnesses(witnesses: Sequence[RationalWitness], curve: Curve, xs: Sequence[float],
-                     params: ApproxParams, consts: DerivedConstants) -> list[WitnessReport]:
-    """Every witness's three inequality families at its x, decided in one integer pass.
+def _near_curve(curve: Curve, theta: lat.Shift, limit: float):
+    """``test(q, a, b) -> (P, D, ok, gaps)``: is every |q f_j((a + lambda)/q) - gamma_j - b_j| < limit?
 
-    x, lambda, gamma_j and both limits are read as the dyadic rationals they
-    hold.  Each polynomial coordinate, scaled once to integer coefficients, is
-    evaluated at P/D = (a + lambda)/q by homogeneous integer Horner, and each
-    strict inequality by cross-multiplying ints; other coordinates are taken
-    in doubles at the rounded point.  Reports round exact values correctly.
+    lambda, gamma_j and the limit are read as the dyadic rationals they hold,
+    and (a + lambda)/q as P/D.  A coordinate with ``coeffs`` is decided in ints,
+    by homogeneous Horner over one denominator E with gamma_j; any other in
+    doubles at the rounded point, as |q f_j - b_j - gamma_j|.  ``gaps`` holds
+    (left side, limit) per j, as doubles, the left side correctly rounded.
     """
-    n = params.n
-    q_lo, q_hi = 2.0 * (n + 1) * params.Q, 4.0 * (n + 1) * params.Q
-    x_limit, f_limit = (n + 1) / params.c * params.x_scale, consts.taming_factor() * params.psi
-    (xl_num, xl_den), (fl_num, fl_den) = x_limit.as_integer_ratio(), f_limit.as_integer_ratio()
-    l_num, l_den = params.theta[0].as_integer_ratio()
-    coords = []  # j, gamma_j, gamma_j = G/E, and the E c_k high order first (None on the double path)
-    for j, (coord, g) in enumerate(zip(curve.coords, params.theta[1]), start=1):
+    l_num, l_den = theta[0].as_integer_ratio()
+    L_num, L_den = limit.as_integer_ratio()
+    coords = []  # f_j, gamma_j, G = E gamma_j, E and the E c_k high order first (None: double path)
+    for coord, g in zip(curve.coords, theta[1]):
         cs, (g_num, g_den) = getattr(coord, "coeffs", None), g.as_integer_ratio()
         E = math.lcm(g_den, *(c.denominator for c in cs or ()))
         C = None if cs is None else [c.numerator * (E // c.denominator) for c in reversed(cs)]
-        coords.append((j, g, g_num * (E // g_den), E, C))
-    reports = []
-    for w, x in zip(witnesses, xs):
-        x_num, x_den = float(x).as_integer_ratio()
-        P, D = w.a * l_den + l_num, w.q * l_den
-        x_top, x_bot = abs(w.q * x_num * l_den - P * x_den), x_den * l_den
-        f_ok, f_bounds = True, []
-        for (j, g, G, E, C), b in zip(coords, w.b):
+        coords.append((coord, g, g_num * (E // g_den), E, C))
+
+    def test(q: int, a: int, bs: Sequence[int]):
+        P, D = a * l_den + l_num, q * l_den
+        ok, gaps = True, []
+        for (coord, g, G, E, C), b in zip(coords, bs):
             if C is None:
-                val = abs(w.q * float(curve.coord_values(j, P / D)) - b - g)
-                f_ok &= val < f_limit
+                gap = abs(q * float(coord.value(P / D)) - b - g)
+                ok &= gap < limit
             else:
                 N, Dk = C[0], 1  # at the end, Dk = D^deg and f_j(P/D) = N / (E Dk)
                 for c in C[1:]:
                     Dk *= D
                     N = N * P + c * Dk
-                top, bot = abs(w.q * N - (b * E + G) * Dk), E * Dk
-                f_ok &= top * fl_den < fl_num * bot
-                val = top / bot
-            f_bounds.append((val, f_limit))
+                top, bot = abs(q * N - (b * E + G) * Dk), E * Dk
+                ok &= top * L_den < L_num * bot
+                gap = top / bot
+            gaps.append((gap, limit))
+        return P, D, ok, gaps
+
+    return test
+
+
+def verify_witnesses(witnesses: Sequence[RationalWitness], curve: Curve, xs: Sequence[float],
+                     params: ApproxParams, consts: DerivedConstants) -> list[WitnessReport]:
+    """Every witness's three inequality families at its x, decided in one integer pass.
+
+    x and the x-limit are read as the dyadic rationals they hold; the f-family
+    is ``_near_curve``'s at the taming limit.  Reports round exact values
+    correctly.
+    """
+    n = params.n
+    q_lo, q_hi = 2.0 * (n + 1) * params.Q, 4.0 * (n + 1) * params.Q
+    x_limit, f_limit = (n + 1) / params.c * params.x_scale, consts.taming_factor() * params.psi
+    xl_num, xl_den = x_limit.as_integer_ratio()
+    near = _near_curve(curve, params.theta, f_limit)
+    reports = []
+    for w, x in zip(witnesses, xs):
+        x_num, x_den = float(x).as_integer_ratio()
+        P, D, f_ok, gaps = near(w.q, w.a, w.b)
+        x_top, x_bot = w.q * abs(x_num * D - P * x_den), x_den * D  # q |x - P/D|
         q_range_ok = q_lo < w.q < q_hi
         reports.append(WitnessReport(q=w.q, q_range=(q_lo, q_hi), q_range_ok=q_range_ok,
-                                     x_bounds=(x_top / x_bot, x_limit), f_bounds=tuple(f_bounds),
+                                     x_bounds=(x_top / x_bot, x_limit), f_bounds=tuple(gaps),
                                      all_ok=q_range_ok and x_top * xl_den < xl_num * x_bot and f_ok,
                                      point=P / D))
     return reports

@@ -243,7 +243,6 @@ class QndReport:
     slope: float
     alpha: float
     samples: int
-    rho: float
 
 
 def qnd_bound_check(curve: Curve, B: tuple[float, float], params: ApproxParams,
@@ -285,5 +284,4 @@ def qnd_bound_check(curve: Curve, B: tuple[float, float], params: ApproxParams,
         slope = float(np.polyfit(lx, ly, 1)[0])
     else:
         slope = float("nan")
-    return QndReport(rows=tuple(rows), slope=slope, alpha=alpha,
-                     samples=samples, rho=1.0 / (params.n + 1))
+    return QndReport(rows=tuple(rows), slope=slope, alpha=alpha, samples=samples)

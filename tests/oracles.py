@@ -365,13 +365,24 @@ def detect_witness_oracle(curve, x, params, reduction, guard=1e-9):
     return RationalWitness(q=q, a=int(p[1]), b=tuple(int(v) for v in p[2:]))
 
 
+def fraction_coord(coord, x):
+    """f(x) of a coordinate with ``coeffs`` at a ``Fraction`` x, by ``Fraction`` Horner."""
+    from fractions import Fraction
+
+    value = Fraction(0)
+    for c in reversed(coord.coeffs):
+        value = value * x + c
+    return value
+
+
 def verify_witness_oracle(w, curve, x, params, consts):
     """The witness report of one point, by the ``Fraction`` body ``detector.verify_witness`` ran.
 
     The reference of ``detector.verify_witnesses``: the q-range and the
     x-inequality in ``Fraction``, and so each f-inequality of a coordinate
-    with an exact rational evaluator; other coordinates in double precision
-    at the rounded point.  Failures are reported, never raised.
+    with ``coeffs``, by its own ``Fraction`` Horner; other coordinates in
+    double precision at the rounded point.  Failures are reported, never
+    raised.
     """
     from fractions import Fraction
 
@@ -392,9 +403,9 @@ def verify_witness_oracle(w, curve, x, params, consts):
     f_bounds = []
     f_ok = True
     for j in range(1, m + 1):
-        exact = curve.exact_coord(j)
-        if exact is not None:
-            fv = exact(point_exact)
+        coord = curve.coords[j - 1]
+        if hasattr(coord, "coeffs"):
+            fv = fraction_coord(coord, point_exact)
             val = abs(w.q * fv - w.b[j - 1] - Fraction(gam[j - 1]))
             f_ok &= val < Fraction(f_limit)
             f_bounds.append((float(val), f_limit))

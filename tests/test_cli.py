@@ -61,6 +61,15 @@ def test_empty_list_is_a_config_error(tmp_path, capsys, mode):
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the overflow itself
+@pytest.mark.parametrize("mode", ["count", "coverage", "scaling"])
+def test_a_y_past_the_doubles_is_an_error(tmp_path, capsys, mode):
+    cfg = _write(tmp_path, "steep.cfg", f"curve = poly:0,0,1e306\nQ_list = 400\noutput_dir = {tmp_path}/s\n")
+    assert main([mode, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: curve poly:0,0,1e306 at Q=400: q f_j(x) - gamma_j is not a finite double" in err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["count", "--config", str(tmp_path / "nope.cfg")]) == 1
 

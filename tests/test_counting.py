@@ -372,6 +372,18 @@ def test_membership_decides_ties_exactly(parabola):
     assert not witness_in_R(inside, parabola, 8192, 0.3, (0.0, 1.0))
 
 
+def test_membership_reads_B_exactly(parabola):
+    # the point 3/10 lies above the double 0.3; the point 1/4 is a double, and B is closed
+    w = nc.RationalWitness(q=10, a=3, b=(1,))
+    assert not witness_in_R(w, parabola, 10, 0.6, (0.0, 0.3))
+    assert witness_in_R(w, parabola, 10, 0.6, (0.0, 0.30000000000000004))
+    assert not witness_in_R(w, parabola, 10, 0.6, (0.30000000000000004, 1.0))
+    quarter = nc.RationalWitness(q=8, a=2, b=(0,))
+    assert witness_in_R(quarter, parabola, 8, 0.6, (0.25, 0.5))
+    assert witness_in_R(quarter, parabola, 8, 0.6, (0.0, 0.25))
+    assert not witness_in_R(quarter, parabola, 8, 0.6, (0.0, 0.2499999999999))
+
+
 def test_delta_coverage_examples():
     w = nc.RationalWitness(q=2, a=1, b=(0,))
     assert nc.delta_coverage([w], 0.1, (0.0, 1.0)) == pytest.approx(0.2)
@@ -636,3 +648,16 @@ def test_csv_text_matches_csv_writer_on_crafted_values():
     assert text.splitlines()[4] == "0,5e-324,-5e-324,-4611686018427387904"
     assert counting._csv_text([ints[:0], floats[:0]]) == ""
     assert counting._csv_text([ints[:1], floats[:1]]) == _csv_writer_text(None, [ints[:1], floats[:1]])
+
+
+def test_a_y_past_the_doubles_is_named():
+    # q x^2 1e306 overflows to inf for most pairs at Q = 400; every path stops with the curve and Q
+    curve = nc.resolve_curve("poly:0,0,1e306")
+    message = r"curve poly:0,0,1e306 at Q=400: q f_j\(x\) - gamma_j is not a finite double"
+    with np.errstate(all="ignore"):
+        for run in (lambda: enumerate_R(curve, 400, 0.3, (0.0, 1.0)),
+                    lambda: enumerate_R(curve, 400, 0.3, (0.0, 1.0), collect=False),
+                    lambda: counting._kept_points(curve, 400, 0.3, (0.0, 1.0)),
+                    lambda: count_R_psi_sweep(curve, 400, [0.1, 0.3], (0.0, 1.0))):
+            with pytest.raises(ValueError, match=message):
+                run()

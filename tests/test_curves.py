@@ -6,6 +6,7 @@ import pytest
 import nearcurve as nc
 from nearcurve import jets
 from nearcurve.curves import CallableCoordinate, Curve, resolve_curve
+from nearcurve.detector import _near_curve
 
 
 def test_eval_jet_parabola_example(parabola):
@@ -110,8 +111,11 @@ def test_catalog_names():
 
 def test_poly_exact_evaluation():
     poly = resolve_curve("poly:1,0,0.5")
-    exact = poly.exact_coord(1)
-    assert exact(Fraction(1, 3)) == 1 + Fraction(1, 2) * Fraction(1, 9)
+    exact = 3 * (1 + Fraction(1, 2) * Fraction(1, 9)) - 3  # q f(a/q) - b at (q, a, b) = (3, 1, 3)
+    P, D, ok, gaps = _near_curve(poly, (0.0, (0.0,)), 1 / 6)(3, 1, (3,))
+    assert Fraction(P, D) == Fraction(1, 3) and gaps == [(float(exact), 1 / 6)]
+    assert not ok  # exact = 1/6 lies above the double 1/6 that it rounds to
+    assert _near_curve(poly, (0.0, (0.0,)), 0.17)(3, 1, (3,))[2]
 
 
 def test_user_defined_curve_via_taylor():

@@ -9,7 +9,7 @@ import nearcurve as nc
 from nearcurve import detector, lattice
 from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
 from nearcurve.errors import PreconditionError
-from oracles import curve_delta_oracle, detect_witness_oracle, verify_witness_oracle
+from oracles import curve_delta_oracle, detect_witness_oracle, fraction_coord, verify_witness_oracle
 
 
 def _params(curve, **kw):
@@ -372,3 +372,97 @@ def test_verify_witnesses_fail_an_exact_tie(parabola, family, w, x, gamma):
     tie, other = (rep.x_bounds, rep.f_bounds[0]) if family == "x" else (rep.f_bounds[0], rep.x_bounds)
     assert tie[0] == tie[1] and other[0] < other[1] and rep.q_range_ok
     assert not rep.all_ok
+
+
+def _fraction_ys(curve, q, a, theta):
+    """q f_j((a + lambda)/q) - gamma_j per coordinate, in ``Fraction``."""
+    lam, gam = theta
+    x = (a + Fraction(lam)) / q
+    return [q * fraction_coord(c, x) - Fraction(g) for c, g in zip(curve.coords, gam)]
+
+
+def _dyadic_cases(name):
+    """Witnesses with gaps exactly 0 and exactly L at lambda = 0, as (theta, limit, (q, a, bs), ok).
+
+    On veronese:7 at q = 64 every y_k = a^k / 64^(k-1) is a double (a^7 < 2^42), so
+    gamma_k = y_k - floor(y_k), or that minus L, is exact too.  On poly:0.1,1/3,1,
+    y = q/10 + a/3 + a^2/q is 15.5 at (30, 15) and 62 at (120, 60).
+    """
+    if name == "poly:0.1,1/3,1":
+        yield (0.0, (0.5,)), 0.5, (30, 15, (15,)), True
+        yield (0.0, (0.0,)), 0.5, (30, 15, (15,)), False
+        yield (0.0, (0.0,)), 0.5, (30, 15, (16,)), False
+        yield (0.0, (0.0,)), 1e-300, (120, 60, (62,)), True
+        return
+    for a in (1, 37, 63):
+        ys = [Fraction(a**k, 64 ** (k - 1)) for k in range(2, 8)]
+        floors = tuple(math.floor(y) for y in ys)
+        zero = tuple(float(y - math.floor(y)) for y in ys)
+        yield (0.0, zero), 0.25, (64, a, floors), True
+        yield (0.0, zero[:3] + (zero[3] - 0.25,) + zero[4:]), 0.25, (64, a, floors), False
+
+
+@pytest.mark.parametrize("name", ["veronese:7", "poly:0.1,1/3,1"])
+def test_near_curve_matches_fraction(name):
+    # lambda = 0.1 and gamma = 0.3 carry the denominators 2^55 and 2^54; E = 30 on the poly
+    curve = nc.resolve_curve(name)
+    m = curve.n - 1
+    shift = (0.1, (0.3,) * m)
+    rng = np.random.default_rng(20)
+    cases = []
+    for limit in (0.6, 0.3):
+        for _ in range(150):
+            q = int(rng.integers(1, 65537))
+            a = int(rng.integers(-q, 2 * q))
+            bs = tuple(round(y) + int(rng.choice((0, 0, 0, 0, 1, -1))) for y in _fraction_ys(curve, q, a, shift))
+            cases.append((shift, limit, (q, a, bs), None))
+    edges = list(_dyadic_cases(name))
+    seen = set()
+    for theta, limit, (q, a, bs), expected in cases + edges:
+        P, D, ok, gaps = detector._near_curve(curve, theta, limit)(q, a, bs)
+        exact = [abs(y - b) for y, b in zip(_fraction_ys(curve, q, a, theta), bs)]
+        assert Fraction(P, D) == (a + Fraction(theta[0])) / q
+        assert gaps == [(float(v), limit) for v in exact]
+        assert ok == all(v < Fraction(limit) for v in exact)
+        if expected is not None:
+            assert ok == expected and all(v in (0, Fraction(limit)) for v in exact)
+        seen.add(ok)
+    assert seen == {True, False}
+
+
+def _witness_pairs(name, rng):
+    """(curve, psi, theta, witness) with b next to the rounded y, and parabola's tie (7875, 6720, 5735).
+
+    The tie's exact gap 3/5 lies above the double 0.6, which its double gap rounds to.
+    """
+    curve = nc.resolve_curve(name)
+    m = curve.n - 1
+    if name == "parabola":
+        yield curve, 0.6, (0.0, (0.0,)), nc.RationalWitness(q=7875, a=6720, b=(5735,))
+    for theta in ((0.0, (0.0,) * m), (0.1, (0.3,) * m)):
+        lam, gam = theta
+        for _ in range(60):
+            q = int(rng.integers(64, 8193))
+            a = int(rng.integers(0, q))
+            x = (a + lam) / q
+            bs = tuple(round(q * float(curve.coord_values(j, x)) - g) + int(rng.integers(-1, 2))
+                       for j, g in enumerate(gam, start=1))
+            yield curve, 0.6, theta, nc.RationalWitness(q=q, a=a, b=bs)
+
+
+@pytest.mark.parametrize("name", ["parabola", "veronese:3", "mixed"])
+def test_membership_and_verification_agree(name):
+    # c = n + 1 and M = 0 make the taming factor 1, so verify_witnesses' f-limit is psi;
+    # Q = q / 3(n + 1) puts q mid-range and x = (a + lambda)/q meets the x-limit
+    rng = np.random.default_rng(7)
+    seen = set()
+    for curve, psi, (lam, gam), w in _witness_pairs(name, rng):
+        n = curve.n
+        consts = nc.derive_constants(n, 0.0, n + 1.0)
+        p = _params(curve, c=n + 1.0, Q=w.q / (3 * (n + 1)), psi=psi, B=(0.0, 1.0), lam=lam, gamma=gam)
+        (rep,) = nc.verify_witnesses([w], curve, [(w.a + lam) / w.q], p, consts)
+        assert rep.q_range_ok and rep.x_bounds[0] < rep.x_bounds[1] and rep.f_bounds[0][1] == psi
+        member = nc.counting.witness_in_R(w, curve, w.q, psi, (0.0, 1.0), (lam, gam))
+        assert member == rep.all_ok, (w, lam)
+        seen.add(member)
+    assert seen == {True, False}

@@ -259,7 +259,6 @@ def test_qnd_basic_properties(parabola):
     assert by_eps[0.0] == 0.0  # a nonsingular lattice has delta > 0
     fracs = [f for e, f, _ in sorted(rep.rows, key=lambda r: -r[0])]
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
-    assert rep.rho == pytest.approx(1.0 / 3.0)
 
 
 def test_qnd_ratio_definition(parabola):

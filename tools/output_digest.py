@@ -46,7 +46,12 @@ poly:0.5,-1e6,1e6``, ``Q_list = 256,512,1024``), whose power-table bound
 fails from Q = 537 on; ``scaling-steep`` (``curve = poly:0,0,1e9``,
 ``Q_list = 128,256,512``), with |y| past 2^30 in the tie cell 0; and
 ``scaling-veronese7`` (``curve = veronese:7``, ``Q_list = 64,128,256``), whose
-8 psi have too many joint states to bin.  Each run goes in a fresh interpreter and into a temporary directory.
+8 psi have too many joint states to bin.  Two more ``detect`` runs cover the
+witness verification where its integer evaluation is not the whole story:
+``detect-mixed`` (``curve = mixed``, ``M = 3``), whose e^x coordinate is
+taken in doubles, and ``detect-poly-third`` (``curve = poly:0.1,1/3,1``),
+whose coefficients have a common denominator that is not a power of two.
+Each run goes in a fresh interpreter and into a temporary directory.
 Prints one ``<sha256>  <run>/<file>`` line per output file, sorted, so two
 checkouts compare with one diff:
 
@@ -111,6 +116,8 @@ RUNS = (
      {"curve": "poly:0.5,-1e6,1e6", "Q_list": "256,512,1024"}),
     ("scaling-steep", "scaling", "scaling.cfg", {"curve": "poly:0,0,1e9", "Q_list": "128,256,512"}),
     ("scaling-veronese7", "scaling", "scaling.cfg", {"curve": "veronese:7", "Q_list": "64,128,256"}),
+    ("detect-mixed", "detect", "detect.cfg", {"curve": "mixed", "M": "3"}),
+    ("detect-poly-third", "detect", "detect.cfg", {"curve": "poly:0.1,1/3,1"}),
 )
 
 
