@@ -6,12 +6,9 @@ strictly below psi.  Enumeration is O(Q^2) per configuration, for Q up to
 ``Q_CAP`` = 65536.  The q-range and the a-range of every q are decided in
 exact integers.  ``enumerate_R`` runs the (q, a) pairs in flat, cache-sized
 blocks of their canonical double y (``_blocks``).  A psi sweep bins each pair
-by the 2^-16 cells of the fractional parts of its y, which give ``_window``'s
-answer (below) off the tie cells next to a cut s, 1 - s, 0 or 1.  A polynomial
-coordinate takes its cells from a table of the powers (a + lambda)^k and
-scalars fixed per row, where an error bound keeps them within half a cell of
-the canonical y (``_row_terms``); any other coordinate takes the canonical y.
-A pair with a coordinate in a tie cell gets its canonical y and ``_window``
+by the 2^-16 cell that 2^16 y rounds to, which gives ``_window``'s answer (below)
+off the tie cells, within two cells of a cut s, 1 - s, 0 or 1; a pair with a
+coordinate in a tie cell gets its canonical y and ``_window``
 (``count_R_psi_sweep``).
 
 The b-window is decided in doubles, by one predicate, ``_window``: the
@@ -40,7 +37,10 @@ GUARD = 1e-12
 Q_CAP = 1 << 16
 _CSV_BLOCK = 1 << 13  # rows turned into text at a time; bounds the memory of a write
 _BLOCK = 1 << 13  # (q, a) pairs per counting block; 64 KiB per float64 array, so it stays in cache
+_SWEEP_BATCH = 1 << 14  # (q, a) pairs a psi sweep bins at a time
+_TIE_BLOCK = 1 << 12  # tie pairs a psi sweep holds before it flushes them
 _CELLS = 1 << 16  # fractional-part cells of a psi sweep, far wider than the float error of y
+_ROUND = 1.5 * 2.0**52  # v + _ROUND rounds v to an integer in the low bits, for |v| < 2^51
 _Y_LIMIT = float(1 << 30)  # the |y| below which that error stays under 2^-23
 _UNIT = Fraction(1, 1 << 53)  # the unit roundoff of a double
 
@@ -273,31 +273,29 @@ def _kept_points(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta
 
 
 def _cell_states(ss: Sequence[float], m: int):
-    """The cells' int16 states, their number, and per joint state the b-counts and the ties.
+    """The cells' uint16 states, the number S of states that they decide, and per psi the b-counts.
 
-    Cell c holds d = y - floor(y) in [c, c + 1) / ``_CELLS``; its state counts the
-    cuts s, 1 - s (every s < 1) below it, or is the last, tie, within a cell of a cut,
-    0 or 1.  A d in state i has [d < s] + [d > 1 - s] b with |y - b| < s (0 if tie or
-    s <= 0).  Joint states are m states in base ``states``; past 2^16 psi times
-    joint states, every cell holds the one state, tie.
+    Cell n holds the 2^16 y that round to n mod 2^16.  Its state counts the cuts s, 1 - s
+    (s > 0) at or below n 2^-16; a tie cell, floor(2^16 c) - 1 ... floor(2^16 c) + 2 for c a
+    cut, 0 or 1, holds BIG = S^m.  A d = y - floor(y) in state i has [d < s] + [d > 1 - s] b
+    with |y - b| < s (0 if s <= 0).  A joint state is m states in base S; S = 0 once the
+    number of psi times S^m reaches 2^16: no cell decides.
     """
     inner = [s for s in ss if s > 0]
     cuts = np.array(sorted(set(inner + [1 - s for s in inner])), dtype=float)
-    tie = len(cuts) + 1
-    if len(ss) * (tie + 1)**m > _CELLS:
-        return np.zeros(_CELLS, np.int16), 1, np.zeros((len(ss), 1), np.int64), np.ones(1, bool)
+    S = len(cuts) + 1
+    if len(ss) * S**m >= _CELLS:
+        return None, 0, np.zeros((len(ss), 0), np.int64)
     first = np.ceil(cuts * _CELLS).astype(np.int64)  # the first cell at or above each cut
-    table = np.repeat(np.arange(tie, dtype=np.int16), np.diff(first, prepend=0, append=_CELLS))
+    table = np.repeat(np.arange(S, dtype=np.uint16), np.diff(first, prepend=0, append=_CELLS))
     for u in np.floor(np.concatenate((cuts, (0.0, 1.0))) * _CELLS).astype(np.int64):
-        table[max(u - 1, 0):u + 2] = tie
-    state, s = np.arange(tie + 1), np.array(ss)[:, None]
-    rows = (state <= np.searchsorted(cuts, s)) * 1 + (state > np.searchsorted(cuts, 1 - s))
-    rows *= (state < tie) & (s > 0)
-    weights, tied = np.ones((len(ss), 1), dtype=np.int64), np.zeros(1, dtype=bool)
+        table[max(u - 1, 0):u + 3] = S**m
+    state, s = np.arange(S), np.array(ss)[:, None]
+    rows = ((state <= np.searchsorted(cuts, s)) * 1 + (state > np.searchsorted(cuts, 1 - s))) * (s > 0)
+    weights = np.ones((len(ss), 1), dtype=np.int64)
     for _ in range(m):
         weights = (weights[:, :, None] * rows[:, None, :]).reshape(len(ss), -1)
-        tied = (tied[:, None] | (state == tie)).ravel()
-    return table, tie + 1, weights, tied
+    return table, S, weights
 
 
 def _row_terms(curve: Curve, Q: int, B: tuple[float, float], gam: Sequence[float]):
@@ -330,59 +328,72 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
                       theta=None) -> list[int]:
     """Counts of enumerate_R for several psi at one Q, from one histogram of cells.
 
-    Raises ValueError wherever enumerate_R would for one of the psi.  The pairs
-    go in batches of at most ``_BLOCK``, which may split a q-row.  Per row
-    segment, a producer writes 2^16 y per coordinate: with ``_row_terms``' terms,
-    the row's scalars ``c_k 2^16 q^(1 - k)`` times slices of a table of t^k, t =
-    a + lambda, built once per call (one multiply per segment for x^p and no
-    shift), which lies within half a cell of 2^16 times the canonical y; without
-    them, 2^16 times the canonical y (``_y``), or 0 where |y| >= 2^30 or nan.  A
-    batch is binned by the joint ``_cell_states`` of those values in one
-    ``np.bincount``.  A cell off the tie cells lies a whole cell from every cut, 0
-    and 1, and ``_window``'s own float error is below 2^-23 for |y| < 2^30, so
-    there the cell gives ``_window``'s answer.  A pair with a coordinate in a tie
-    cell, cell 0 among them, goes by (q, a) into a buffer of ``_BLOCK`` pairs;
-    when it fills, and at the end, it is flushed through the canonical y and
-    ``_window``.
+    Raises ValueError wherever enumerate_R would for one of the psi.  Per q-row segment, a
+    producer writes v = 2^16 y per coordinate into a batch of at most ``_SWEEP_BATCH`` pairs:
+    with ``_row_terms``' terms, the row's scalars ``c_k 2^16 q^(1 - k)`` times slices of a
+    table of t^k, t = a + lambda (one multiply per segment for x^p and no shift), within half
+    a cell of V = 2^16 times the canonical y; else V (``_y``), or 0 where |y| >= 2^30 or nan.
+    As |v| < 2^47 < 2^51, v + 1.5 2^52 is round(v) + 1.5 2^52 exactly, and the low 16 bits of
+    its int64 view are the cell n = round(v) mod 2^16.  So V lies in [n - 1, n + 1] mod 2^16,
+    which a cut at c cells, 0 or 2^16 meets only for the tie cells n = floor(c) - 1 ...
+    floor(c) + 2 (``_cell_states``); off them V lies a cell from every cut, far above
+    ``_window``'s float error (below 2^-23 for |y| < 2^30), so the cell gives its answer.  A
+    batch's joint states go into one ``np.bincount``; the pairs with a tie, in BIG, are held
+    by flat index and flushed ``_TIE_BLOCK`` at a time through (q, a), the canonical y and
+    ``_window``.  Where no cell decides (S = 0), every pair is flushed, unbinned.
     """
     Q, B, (lam, gam), _ = _blocks(curve, Q, psis, B, theta)  # its checks; its pairs go unwalked
     if not psis:
         return []
-    m, ss = curve.n - 1, [psi - GUARD for psi in psis]
-    totals = [0] * len(psis)
-    table, states, weights, tied = _cell_states(ss, m)
-    terms = _row_terms(curve, Q, B, gam)
-    q0 = Q // 2 + 1
+    m, ss, totals = curve.n - 1, [psi - GUARD for psi in psis], [0] * len(psis)
+    table, S, weights = _cell_states(ss, m)
+    big, q0 = S**m, Q // 2 + 1
     ends, starts, offset = _pair_rows(range(q0, Q + 1), B, lam)
+    total, width = int(ends[-1]), min(_SWEEP_BATCH, int(ends[-1]))
+    cap = _TIE_BLOCK if S else width  # tie pairs per flush, and the tie pairs held at most
+    tie_ys, work = np.empty((m, cap)), np.empty((3, cap))
+
+    def flush(pairs: np.ndarray) -> None:  # tie pairs by flat index: canonical y and _window, psi by psi
+        for at in (pairs[i:i + cap] for i in range(0, len(pairs), cap)):
+            row = np.searchsorted(ends, at, side="right")
+            ys, (n, hi, lo) = tie_ys[:, :len(at)], work[:, :len(at)]
+            shifted = np.add(at - offset[row], lam, out=ys[-1])  # t in the last y's buffer
+            for j, y in enumerate(ys, start=1):
+                _y(curve, j, row + q0, shifted, gam[j - 1], y)
+            for k, s in enumerate(ss):
+                for j, y in enumerate(ys):
+                    _window(y, s, hi if j else n, lo)  # the first one starts the product
+                    if j:
+                        np.multiply(n, hi, out=n)
+                totals[k] += _counted(n.sum(), curve, Q)
+
+    if not (S and total):  # no pair, or no cell decides: every pair goes to the flush, unbinned
+        for start in range(0, total, _SWEEP_BATCH):
+            flush(np.arange(start, min(start + _SWEEP_BATCH, total)))
+        return totals
+    terms = _row_terms(curve, Q, B, gam)
     a_lo, sizes = (starts - offset).tolist(), np.diff(ends, prepend=0).tolist()
     rows = [r for r, size in enumerate(sizes) if size]
-    if not rows:
-        return totals
     a_min = min(a_lo[r] for r in rows)
     t = np.add(np.arange(a_min, max(a_lo[r] + sizes[r] for r in rows), dtype=np.int64), lam)
     powers = [None, t]  # powers[k][a - a_min] = (a + lambda)^k, the doubles of t for k = 1
     for _ in range(max([k for ts in terms if ts for k, _ in ts] + [1]) - 1):
         powers.append(powers[-1] * t)
     qf = np.arange(q0, Q + 1, dtype=float)
-
-    vs, spare = np.empty((m, _BLOCK)), np.empty(_BLOCK)  # 2^16 y per coordinate, and a term
-    cell, index = np.empty((2, _BLOCK), dtype=np.int64)
-    hist = np.zeros(len(tied), dtype=np.int64)
-    tie_q, tie_a = np.empty((2, _BLOCK), dtype=np.int64)  # the tie pairs not yet counted
-    tie_ys, work, held = np.empty((m, _BLOCK)), np.empty((3, _BLOCK)), 0
+    vs, state, hist = np.empty((m, width)), np.empty(width, np.uint16), np.zeros(big + 1, np.int64)
 
     def producer(j: int, ts):
         """``fill(r, lo, hi, out)``: 2^16 y_j of the pairs of row r with a - a_min in [lo, hi)."""
-        g = gam[j]
         if ts is None:
             def fill(r, lo, hi, out):
-                _y(curve, j + 1, q0 + r, t[lo:hi], g, out)
+                _y(curve, j + 1, q0 + r, t[lo:hi], gam[j], out)
                 out[~(np.abs(out) < _Y_LIMIT)] = 0.0  # past the bound or nan: cell 0 is a tie
                 np.multiply(out, _CELLS, out=out)
             return fill
         # per row, the scalars c_k 2^16 q^(1 - k), and 2^16 (c_0 q - gamma) for k = 0
-        const = next((((qf * c - g) * _CELLS).tolist() for k, c in ts if k == 0), None)
+        const = next((((qf * c - gam[j]) * _CELLS).tolist() for k, c in ts if k == 0), None)
         parts = [(powers[k], ((_CELLS * c) / qf**(k - 1)).tolist()) for k, c in ts if k]
+        spare = np.empty(width) if len(parts) > 1 else None  # a term of the sum
 
         def fill(r, lo, hi, out):
             if not parts:
@@ -398,53 +409,42 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
 
     fills = [producer(j, ts) for j, ts in enumerate(terms)]
 
-    def flush() -> None:  # the held pairs, by their canonical y and _window, psi by psi
-        ys, (n, hi, lo) = tie_ys[:, :held], work[:, :held]
-        shifted = np.add(tie_a[:held], lam, out=ys[-1])  # t in the last y's buffer, written last
-        for j, y in enumerate(ys, start=1):
-            _y(curve, j, tie_q[:held], shifted, gam[j - 1], y)
-        for k, s in enumerate(ss):
-            for j, y in enumerate(ys):
-                _window(y, s, hi if j else n, lo)  # the first one starts the product
-                if j:
-                    np.multiply(n, hi, out=n)
-            totals[k] += _counted(n.sum(), curve, Q)
-
     def bin_batch(start: int, size: int) -> None:  # the pairs start, ..., start + size - 1
-        nonlocal hist, held
-        idx, cl = index[:size], cell[:size]
-        for j, v in enumerate(vs[:, :size]):
-            np.floor(v, out=v)
-            np.copyto(cl, v, casting="unsafe")
-            np.bitwise_and(cl, _CELLS - 1, out=cl)  # floor(2^16 y) mod _CELLS
-            np.add(idx * states if j else 0, table[cl], out=idx)
-        hist += np.bincount(idx, minlength=len(hist))
-        ties = np.flatnonzero(tied[idx])
-        if held + len(ties) > _BLOCK:
-            flush()
-            held = 0
-        ties += start
-        row = np.searchsorted(ends, ties, side="right")
-        tie_q[held:held + len(ties)] = row + q0
-        tie_a[held:held + len(ties)] = ties - offset[row]
-        held += len(ties)
+        nonlocal held
+        cells, st = np.add(vs[:, :size], _ROUND, out=vs[:, :size]).view(np.int64), state[:size]
+        np.bitwise_and(cells, _CELLS - 1, out=cells)  # round(2^16 y) mod _CELLS
+        joint = cells[0]  # read first, then written: the joint states, by Horner in base S
+        for j, cell in enumerate(cells):
+            np.take(table, cell, out=st, mode="clip")
+            np.add(np.multiply(joint, S, out=joint) if j else 0, st, out=joint)
+        if m > 1:
+            np.minimum(joint, big, out=joint)  # every joint state with a tie
+        counts = np.bincount(joint, minlength=big + 1)
+        np.add(hist, counts, out=hist)
+        if counts[big]:
+            ties = np.flatnonzero(joint == big) + start
+            if held + len(ties) > cap:
+                flush(np.concatenate((tie_at[:held], ties)))
+                held = 0
+            else:
+                tie_at[held:held + len(ties)] = ties
+                held += len(ties)
 
-    pos = 0  # pairs in the batch
+    tie_at, held, pos = np.empty(cap, np.int64), 0, 0  # the tie pairs held; the pairs in the batch
     for r in rows:
-        a, left = a_lo[r], sizes[r]
+        lo, left = a_lo[r] - a_min, sizes[r]
         while left:
-            size = min(left, _BLOCK - pos)
-            lo = a - a_min
+            size = min(left, width - pos)
             for fill, out in zip(fills, vs[:, pos:pos + size]):
                 fill(r, lo, lo + size, out)
-            pos, a, left = pos + size, a + size, left - size
-            if pos == _BLOCK:
+            pos, lo, left = pos + size, lo + size, left - size
+            if pos == width:
                 bin_batch(ends[r] - left - pos, pos)
                 pos = 0
     if pos:
         bin_batch(ends[-1] - pos, pos)
-    flush()
-    return [total + int(w) for total, w in zip(totals, weights @ hist)]
+    flush(tie_at[:held])
+    return [n + int(w) for n, w in zip(totals, weights @ hist[:big])]
 
 
 def _membership(curve: Curve, Q: float, psi: float, B: tuple[float, float], theta: Shift):

@@ -147,11 +147,6 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
     seed = cfg.seed if seed is None else seed
     out = out_dir or cfg.output_dir
     try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output dir {out!r}: {exc}") from exc
-
-    try:
         curve = resolve_curve(cfg.curve)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -172,7 +167,17 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
         "identities": _run_identities,
         "scaling": _run_scaling,
     }[mode]
-    files, checks, summary = runner(cfg, curve, consts, theta, out, seed)
+    created = not os.path.isdir(out)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output dir {out!r}: {exc}") from exc
+    try:
+        files, checks, summary = runner(cfg, curve, consts, theta, out, seed)
+    except BaseException:
+        if created and not os.listdir(out):  # a failed run leaves no empty directory of its own
+            os.rmdir(out)
+        raise
 
     manifest = {
         "package": f"nearcurve {__version__}",

@@ -70,6 +70,17 @@ def test_a_y_past_the_doubles_is_an_error(tmp_path, capsys, mode):
     assert "error: curve poly:0,0,1e306 at Q=400: q f_j(x) - gamma_j is not a finite double" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the overflow itself
+@pytest.mark.parametrize("mode", ["count", "scaling"])
+def test_a_failed_run_leaves_no_empty_output_dir(tmp_path, capsys, mode):
+    cfg = _write(tmp_path, "steep.cfg", f"curve = poly:0,0,1e306\nQ_list = 400\noutput_dir = {tmp_path}/s\n")
+    assert main([mode, "--config", cfg]) == 2
+    assert not (tmp_path / "s").exists()
+    (tmp_path / "s").mkdir()  # a directory the run did not make stays
+    assert main([mode, "--config", cfg]) == 2
+    assert (tmp_path / "s").is_dir()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["count", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -122,11 +122,17 @@ BLOCK_WINDOWS = ((0.0, 1.0), (0.1, 0.9), (0.3, 0.7), (0.7, 0.2))
 BLOCK_PSIS = (0.1, 0.3, 0.5, 0.62, 0.9)
 
 
+def _batches(monkeypatch, block):
+    # enumerate_R's blocks and the psi sweep's batches, both of `block` pairs
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    monkeypatch.setattr(counting, "_SWEEP_BATCH", block)
+
+
 @pytest.mark.parametrize("block", [1, 7, counting._BLOCK])
 @pytest.mark.parametrize("name", BLOCK_CURVES)
 def test_block_kernel_matches_row_oracle(monkeypatch, name, block):
     # the flat (q, a) blocks against the per-q-row loops they replaced, across block edges
-    monkeypatch.setattr(counting, "_BLOCK", block)
+    _batches(monkeypatch, block)
     curve = nc.resolve_curve(name)
     for theta in BLOCK_SHIFTS:
         for B in BLOCK_WINDOWS:
@@ -178,7 +184,7 @@ EDGE_PSI_LISTS = (
 @pytest.mark.parametrize("block", [1, 7, counting._BLOCK])
 @pytest.mark.parametrize("name", ["parabola", "veronese:3", "veronese:4", "mixed"])
 def test_sweep_histogram_on_edge_psi_lists(monkeypatch, name, block):
-    monkeypatch.setattr(counting, "_BLOCK", block)
+    _batches(monkeypatch, block)
     curve = nc.resolve_curve(name)
     for theta in BLOCK_SHIFTS:
         for psis in EDGE_PSI_LISTS:
@@ -194,15 +200,44 @@ def test_sweep_falls_back_to_the_window(monkeypatch):
     for steep in ("poly:0,0,1e9", "poly:0,0,1e12"):
         steep = nc.resolve_curve(steep)
         for block in (7, counting._BLOCK):
-            monkeypatch.setattr(counting, "_BLOCK", block)
+            _batches(monkeypatch, block)
             assert count_R_psi_sweep(steep, 300, psis, (0.0, 1.0)) == \
                 naive_sweep(steep, 300, psis, (0.0, 1.0))
-    # six coordinates with 8 psi have too many joint states to bin
+    # six coordinates with 8 psi have too many joint states to bin: every pair goes to the flush
     v7 = nc.resolve_curve("veronese:7")
     psis = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
-    table, states, weights, tied = counting._cell_states([psi - counting.GUARD for psi in psis], 6)
-    assert (states, tied.tolist()) == (1, [True]) and not table.any() and not weights.any()
-    assert count_R_psi_sweep(v7, 40, psis, (0.0, 1.0)) == naive_sweep(v7, 40, psis, (0.0, 1.0))
+    table, S, weights = counting._cell_states([psi - counting.GUARD for psi in psis], 6)
+    assert (table, S, weights.shape) == (None, 0, (8, 0))
+    for block in (7, counting._BLOCK):
+        _batches(monkeypatch, block)
+        assert count_R_psi_sweep(v7, 40, psis, (0.0, 1.0)) == naive_sweep(v7, 40, psis, (0.0, 1.0))
+
+
+def test_sweep_flushes_more_tie_pairs_than_its_buffer_holds(monkeypatch):
+    # poly:0,0,1e9 at Q = 300: |y| = 1e9 a^2/q passes 2^30 from a of about 13 on, so nearly every
+    # pair lies in the tie cell 0, and one batch holds more tie pairs than the tie buffer
+    steep, psis, B = nc.resolve_curve("poly:0,0,1e9"), [0.1, 0.3, 0.5, 0.62], (0.0, 1.0)
+    ys = np.concatenate([y[0].copy() for _, _, y in counting._blocks(steep, 300, psis, B, None)[3]])
+    for batch, ties in ((counting._SWEEP_BATCH, counting._TIE_BLOCK), (50, 3)):
+        assert (np.abs(ys[:batch]) >= counting._Y_LIMIT).sum() > 2 * ties
+        monkeypatch.setattr(counting, "_SWEEP_BATCH", batch)
+        monkeypatch.setattr(counting, "_TIE_BLOCK", ties)
+        assert count_R_psi_sweep(steep, 300, psis, B) == naive_sweep(steep, 300, psis, B)
+
+
+@pytest.mark.parametrize("block", [1, 7, counting._SWEEP_BATCH])
+def test_sweep_joint_states_past_int16_on_veronese4(monkeypatch, block):
+    # three coordinates and 7 psi: S = 15 states and BIG = 15^3, so BIG * S = 50,625 does not fit
+    # an int16.  Unshifted, y_1 = a is an integer, so every pair has a tie in its first coordinate;
+    # with the shift, y_1 = a - 0.15 has none
+    monkeypatch.setattr(counting, "_SWEEP_BATCH", block)
+    curve, psis = nc.resolve_curve("veronese:4"), (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.62)
+    _, S, _ = counting._cell_states([psi - counting.GUARD for psi in psis], 3)
+    assert S == 15 and S**4 > 2**15
+    for theta in (None, (0.25, (0.4, 0.1, 0.7))):
+        for Q in (24, 61):
+            assert count_R_psi_sweep(curve, Q, list(psis), (0.0, 1.0), theta) == \
+                naive_sweep(curve, Q, psis, (0.0, 1.0), theta)
 
 
 PRODUCER_CASES = (
@@ -210,7 +245,7 @@ PRODUCER_CASES = (
     ("parabola", (-0.7, 0.9), BLOCK_PSIS, (24, 61)),
     ("veronese:3", (-0.7, 0.9), BLOCK_PSIS, (24, 61)),
     # six coordinates; t^7 is not exact in doubles at t = a - 0.35, nor at t = a + 1/4 from a = 48.
-    # Two distinct psi give 2 * 6^6 joint states, too many to bin, so the pair repeats one psi
+    # A repeated psi adds no cut: 2 * 3^6 joint states
     ("veronese:7", (0.0, 1.0), (0.62,), (24, 61)),
     ("veronese:7", (0.0, 1.0), (0.3, 0.3), (24, 61)),
     # terms of 1e6 that cancel to |f| <= 1/4 + 1/2, so the bound is far above the values
@@ -224,7 +259,7 @@ PRODUCER_CASES = (
 @pytest.mark.parametrize("name, B, psis, Qs", PRODUCER_CASES)
 def test_sweep_producers_match_the_row_oracle(monkeypatch, name, B, psis, Qs, block):
     # every q-row holds more than 7 pairs, so batches of 7 split rows
-    monkeypatch.setattr(counting, "_BLOCK", block)
+    _batches(monkeypatch, block)
     curve = nc.resolve_curve(name)
     assert counting._cell_states([psi - counting.GUARD for psi in psis], curve.n - 1)[1] > 1
     for theta in BLOCK_SHIFTS:
@@ -252,7 +287,7 @@ def test_sweep_sends_large_non_polynomial_y_to_the_window():
 def test_sweep_crosses_the_power_table_bound(monkeypatch, block):
     # terms of 1e6 that cancel: the bound holds up to Q = 536, and from 537 on the
     # coordinate bins its canonical y instead
-    monkeypatch.setattr(counting, "_BLOCK", block)
+    _batches(monkeypatch, block)
     curve, B = nc.resolve_curve("poly:0.5,-1e6,1e6"), (0.0, 1.0)
     for Q, table in ((536, True), (537, False), (600, False)):
         terms = counting._row_terms(curve, Q, B, (0.0,))
@@ -276,28 +311,33 @@ def test_row_terms_bound_the_producer_error():
 
 
 def test_cell_states_agree_with_the_window_off_the_tie_cells(rng):
-    # y on every cut, on 0 and on 1, and up to two cells and a few ulp off them, at
-    # magnitudes up to the bound: the cells next to the tie cells must count as _window does
+    # y on every cut, on 0 and on 1, and half a cell, a cell and a few ulp off them, at magnitudes
+    # up to the bound, read as the producers give it, v = 2^16 y + e with |e| <= 1/2: wherever the
+    # cell of round(v) is not a tie cell, its state must count as _window does
     # 0.25 + 2e-12 puts the cut 1 - s 1e-12 below a cell edge: at y = n + 3/4, the cell
     # above that edge, y + s rounds down to n + 1 and _window finds no b
     ss = [psi - counting.GUARD for psi in (0.1, 0.3, 0.5, 0.62, 1e-6, 0.999999, 0.25 + 2e-12)]
-    table, states, rows, tied = counting._cell_states(ss, 1)  # one coordinate: rows = weights
-    tie = states - 1
-    assert tied.tolist() == [False] * tie + [True]
+    table, S, rows = counting._cell_states(ss, 1)  # one coordinate: rows = weights
+    assert table.max() == S and set(table.tolist()) <= set(range(S + 1))  # S: the one tie state
     marks = np.array([0.0, 1.0] + ss + [1 - s for s in ss])
-    whole = np.concatenate(([0.0, 1.0, 4500.0, -4501.0, 2.0**29, -(2.0**29)],
+    whole = np.concatenate(([0.0, 1.0, 4500.0, -4501.0, 2.0**29, -(2.0**29), 2.0**30 - 2, 2.0 - 2.0**30],
                             rng.integers(-2**29, 2**29, size=40).astype(float)))
-    cells = np.arange(-2, 3) / counting._CELLS
+    cells = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) / counting._CELLS
     y = (whole[:, None, None] + marks[None, :, None] + cells[None, None, :]).ravel()
     y = np.concatenate([y + k * np.spacing(y) for k in range(-8, 9)]
                        + [rng.uniform(-2.0**30 + 1, 2.0**30 - 1, size=20000)])
     y = y[np.abs(y) < counting._Y_LIMIT]
-    state = table[np.floor(y * counting._CELLS).astype(np.int64) & (counting._CELLS - 1)]
-    assert 10000 < (state == tie).sum() < len(y) - 10000
     count, lo = np.empty((2, len(y)))
-    for k, s in enumerate(ss):
-        counting._window(y, s, count, lo)
-        assert np.array_equal(count[state != tie], rows[k, state[state != tie]])
+    for e in (-0.5, -0.25, 0.0, 0.25, 0.5):
+        v = y * counting._CELLS + e  # exact: an ulp of v is at most 2^-6
+        cell = (v + counting._ROUND).view(np.int64) & (counting._CELLS - 1)
+        assert np.array_equal(cell, np.rint(v).astype(np.int64) % counting._CELLS)
+        state = table[cell]
+        decided = state < S
+        assert 10000 < (~decided).sum() < len(y) - 10000
+        for k, s in enumerate(ss):
+            counting._window(y, s, count, lo)
+            assert np.array_equal(count[decided], rows[k, state[decided]])
 
 
 def test_sweep_keeps_the_known_float_fault(parabola):
