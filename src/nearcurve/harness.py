@@ -167,7 +167,10 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
         "identities": _run_identities,
         "scaling": _run_scaling,
     }[mode]
-    created = not os.path.isdir(out)
+    made, path = [], os.path.abspath(out)  # the directories that makedirs makes, leaf first
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -175,8 +178,10 @@ def run_experiment(cfg: ExperimentConfig, mode: Optional[str] = None,
     try:
         files, checks, summary = runner(cfg, curve, consts, theta, out, seed)
     except BaseException:
-        if created and not os.listdir(out):  # a failed run leaves no empty directory of its own
-            os.rmdir(out)
+        for path in made:  # a failed run leaves no empty directory of its own
+            if os.listdir(path):
+                break
+            os.rmdir(path)
         raise
 
     manifest = {

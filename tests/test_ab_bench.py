@@ -40,8 +40,9 @@ def test_summary_reproduces_bench_18(tool):
     assert group["median_difference"] == expected["median_difference_s"]
     assert group["before_iqr"] == expected["before_iqr_s"]
     assert group["after_over_before_median"] == expected["after_over_before_median"]
-    # sweep won both of its pairs, by less than the parent's spread
+    # sweep won both of its pairs, by less than the parent's spread of 0.29 s
     assert summary["workloads"]["sweep"]["unresolved"]["wall_s"]
+    assert not any(any(entry["beyond_bound"].values()) for entry in summary["workloads"].values())
     assert not tool.summarize(pairs, metrics, ("sweep", "wall_s"))["claim"]["met"]
 
 
@@ -63,3 +64,22 @@ def test_claim_holds_on_every_seed_with_several_pairs(tool):
     one = tool.summarize(fast[:1], metrics, ("w", "wall_s"))  # a single pair has no spread
     assert one["workloads"]["w"]["before"]["wall_s"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert one["claim"]["met"]
+
+
+def test_bounds_are_read_in_the_metric_unit(tool):
+    # 0.1 for peak_rss_mb is 0.1 MB, not a tenth of the median
+    metrics = {"peak_rss_mb": ("lower", 0.1), "wall_s": ("lower", 0.25)}
+
+    def pair(k, before, after):
+        return {"workload": "w", "seed": k, "first": "before", "before_peak_rss_mb": before,
+                "after_peak_rss_mb": after, "before_wall_s": 3.0 + 0.1 * k, "after_wall_s": 3.0 + 0.1 * k,
+                "before_correct": True, "after_correct": True, "before_failed": 0, "after_failed": 0,
+                "before_attempted": 1, "after_attempted": 1}
+
+    rows = [pair(k, 37.0 + 0.01 * k, 37.35 + 0.01 * k) for k in range(10)]
+    up = tool.summarize(rows, metrics)["workloads"]["w"]
+    assert up["beyond_bound"] == {"peak_rss_mb": True, "wall_s": False}
+    assert up["unresolved"] == {"peak_rss_mb": False, "wall_s": True}  # wall_s IQR is 0.45 s
+    assert up["change_wins"] == {"peak_rss_mb": 0, "wall_s": 0}
+    near = tool.summarize([pair(k, 37.0 + 0.01 * k, 37.05 + 0.01 * k) for k in range(10)], metrics)
+    assert not any(near["workloads"]["w"]["beyond_bound"].values())

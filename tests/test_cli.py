@@ -79,6 +79,12 @@ def test_a_failed_run_leaves_no_empty_output_dir(tmp_path, capsys, mode):
     (tmp_path / "s").mkdir()  # a directory the run did not make stays
     assert main([mode, "--config", cfg]) == 2
     assert (tmp_path / "s").is_dir()
+    # the missing parents that the run made go too, up to the first directory it found
+    deep = _write(tmp_path, "deep.cfg",
+                  f"curve = poly:0,0,1e306\nQ_list = 400\noutput_dir = {tmp_path}/s/a/b/c\n")
+    assert main([mode, "--config", deep]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.cfg", "s", "steep.cfg"]
+    assert not any((tmp_path / "s").iterdir())
 
 
 def test_missing_config_file(tmp_path):

@@ -1,33 +1,37 @@
-"""Paired A/B runs of ``bench/run.py`` on two commits, summarised in one JSON layout.
+"""Paired A/B runs of ``bench/run.py`` on a parent commit and ``HEAD``, summarised in one JSON layout.
 
-    python3 tools/ab_bench.py PARENT [--change REV] --workload W [--workload W2 ...]
-                              --seeds 0,2101 [--pairs 10] [--seconds 20]
-                              [--claim WORKLOAD:METRIC] [--dir DIR] [--out FILE]
-                              [--append FILE]
+    python3 tools/ab_bench.py PARENT --workload W [--workload W2 ...] --seeds 0,2101
+                              [--pairs 10] [--claim WORKLOAD:METRIC] [--dir DIR]
+                              [--out FILE] [--append FILE]
 
-Checks out PARENT (before) and REV (after, default ``HEAD``) as two detached
-``git worktree`` checkouts named ``parent`` and ``change`` under DIR (a fresh
-temporary directory by default), so that both paths have the same length:
-path length alone moved ``wall_s`` by 4-5 %.  Every seed gets ``--pairs``
-pairs per workload; a pair runs ``bench/run.py --workload W --seed S
---seconds N`` unchanged in each checkout, one after the other, and the side
-that runs first alternates from pair to pair, because the host drifts.  Each
-run has ``PYTHONDONTWRITEBYTECODE=1``, so every interpreter compiles nearcurve
-from source, as in a fresh checkout.  The worktrees are removed at the end.
+Checks out PARENT (before) and ``HEAD`` (after) as two detached ``git worktree``
+checkouts named ``parent`` and ``change`` under DIR (a fresh temporary
+directory by default), so that both paths have the same length: path length
+alone moved ``wall_s`` by 4-5 %.  Every seed gets ``--pairs`` pairs per
+workload; a pair runs ``bench/run.py --workload W --seed S --seconds N``
+unchanged in each checkout, one after the other, with N the ``run_seconds`` of
+``BENCHMARK.json``, and the side that runs first alternates from pair to pair,
+because the host drifts.  Each run has ``PYTHONDONTWRITEBYTECODE=1``, so every
+interpreter compiles nearcurve from source, as in a fresh checkout.  The
+worktrees, and a temporary directory, are removed at the end.
 
 With ``--append FILE`` the pairs of an earlier run on the same two ``src``
-trees come first, so one JSON can hold workloads run with different seeds and
-pair counts.  The JSON holds every pair (``per_pair``: the seed, which side ran ``first``,
-and per side each end-to-end metric of ``BENCHMARK.json``, ``correct``,
-``failed`` and ``attempted``); per workload the medians and quartiles
+trees come first, so one JSON can hold workloads run with different seeds,
+pair counts and checkout directories.  The JSON holds every pair
+(``per_pair``: the seed, which side ran ``first``, the ``invocation`` of this
+tool that ran it, as an index into ``tools``, and per side each
+end-to-end metric of ``BENCHMARK.json``, ``correct``, ``failed`` and
+``attempted``); per workload the medians and quartiles
 (``statistics.quantiles(n=4)``) of each side, the pairs the change wins per
-metric, the ratio of the medians, and ``unresolved`` where the parent's
-interquartile range exceeds the metric's bound, read as a fraction of the
-parent's median; the claim verdict; and the git tree hash of both ``src``
-directories.  The claim rule: the change wins at least 9 in 10 of the pairs and
-its median beats the parent's by more than the parent's interquartile range,
-on all pairs of the workload and on every seed that has two or more pairs.
-Only the standard library is used.
+metric, the ratio of the medians, ``unresolved`` where the parent's
+interquartile range exceeds the metric's bound, and ``beyond_bound`` where the
+change's median is worse than the parent's by more than the bound; the claim
+verdict; and the git tree hash of both ``src`` directories.  A bound is read
+in its metric's own unit: 0.25 s for ``wall_s``, 0.1 MB for ``peak_rss_mb``.
+The claim rule: the change wins at least 9 in 10 of the pairs and its median
+beats the parent's by more than the parent's interquartile range, on all pairs
+of the workload and on every seed that has two or more pairs.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -48,11 +52,14 @@ RULE = ("change wins >= 9 in 10 of the pairs and the medians differ by more than
 SIDES = ("before", "after")
 
 
+def _benchmark(root: str = ROOT) -> dict:
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def end_to_end_metrics(root: str = ROOT) -> dict:
     """``{name: (better, bound)}`` of the end-to-end metrics that ``BENCHMARK.json`` declares."""
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in _benchmark(root)["end_to_end"]}
 
 
 def _spread(values: list) -> dict:
@@ -60,17 +67,20 @@ def _spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def _worse(before: float, after: float, better: str) -> float:
+    """How much worse ``after`` is than ``before``, in the metric's unit (negative: better)."""
+    return after - before if better == "lower" else before - after
+
+
 def _wins(pairs: list, name: str, better: str) -> int:
-    sign = 1 if better == "lower" else -1
-    return sum(sign * (p[f"after_{name}"] - p[f"before_{name}"]) < 0 for p in pairs)
+    return sum(_worse(p[f"before_{name}"], p[f"after_{name}"], better) < 0 for p in pairs)
 
 
 def _verdict(pairs: list, name: str, better: str) -> dict:
     before = [p[f"before_{name}"] for p in pairs]
     after = [p[f"after_{name}"] for p in pairs]
     spread = _spread(before)
-    gain = statistics.median(before) - statistics.median(after)
-    gain = gain if better == "lower" else -gain
+    gain = -_worse(statistics.median(before), statistics.median(after), better)
     wins = _wins(pairs, name, better)
     return {"seeds": sorted({p["seed"] for p in pairs}), "pairs": len(pairs), "wins": wins,
             "median_difference": gain, "before_iqr": spread["q3"] - spread["q1"],
@@ -96,9 +106,12 @@ def summarize(pairs: list, metrics: dict, claim=None) -> dict:
         entry["change_wins"] = {name: _wins(rows, name, better) for name, (better, _) in metrics.items()}
         entry["after_over_before_median"] = {
             name: entry["after"][name]["median"] / entry["before"][name]["median"] for name in metrics}
-        entry["unresolved"] = {
-            name: (entry["before"][name]["q3"] - entry["before"][name]["q1"])
-            > bound * entry["before"][name]["median"] for name, (_, bound) in metrics.items()}
+        before, after = entry["before"], entry["after"]
+        entry["unresolved"] = {name: before[name]["q3"] - before[name]["q1"] > bound
+                               for name, (_, bound) in metrics.items()}
+        entry["beyond_bound"] = {
+            name: _worse(before[name]["median"], after[name]["median"], better) > bound
+            for name, (better, bound) in metrics.items()}
         workloads[workload] = entry
     result = {"workloads": workloads}
     if claim:
@@ -130,28 +143,26 @@ def _run(checkout: str, workload: str, seed: int, seconds: int, metrics: dict) -
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="the commit measured as before")
-    parser.add_argument("--change", default="HEAD", help="the commit measured as after (default HEAD)")
+    parser.add_argument("parent", help="the commit measured as before; HEAD is measured as after")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, help="comma-separated seeds")
     parser.add_argument("--pairs", type=int, default=1, help="pairs per seed and workload")
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain is claimed")
     parser.add_argument("--dir", help="where the two worktrees go (default: a new temporary directory)")
     parser.add_argument("--out", help="the JSON file to write (default: stdout)")
     parser.add_argument("--append", help="an earlier JSON of this tool on the same two trees: "
                         "its pairs come first and are summarised with the new ones")
     args = parser.parse_args(argv)
-    metrics = end_to_end_metrics()
+    metrics, seconds = end_to_end_metrics(), _benchmark()["run_seconds"]
     seeds = [int(s) for s in args.seeds.split(",")]
     claim = tuple(args.claim.split(":")) if args.claim else None
     base = args.dir or tempfile.mkdtemp(prefix="ab_bench_")
     sides = {"before": (args.parent, os.path.join(base, "parent")),
-             "after": (args.change, os.path.join(base, "change"))}
+             "after": ("HEAD", os.path.join(base, "change"))}
     revs = {side: {"rev": rev, "git_sha": _git("rev-parse", rev), "src_tree": _git("rev-parse", f"{rev}:src")}
             for side, (rev, _) in sides.items()}
-    command = [args.parent, "--change", args.change, *(f"--workload {w}" for w in args.workload),
-               "--seeds", args.seeds, "--pairs", str(args.pairs), "--seconds", str(args.seconds)]
+    command = [args.parent, *(f"--workload {w}" for w in args.workload), "--seeds", args.seeds,
+               "--pairs", str(args.pairs)]
     command += ["--claim", args.claim] if args.claim else []
     tools = ["python3 tools/ab_bench.py " + " ".join(command)]  # the measurement, not where files went
     per_pair = []
@@ -161,24 +172,29 @@ def main(argv=None) -> int:
         if any(earlier[side]["src_tree"] != revs[side]["src_tree"] for side in SIDES):
             raise SystemExit(f"{args.append} measured other src trees")
         tools, per_pair = earlier["tools"] + tools, earlier["per_pair"]
-    for rev, path in sides.values():
-        _git("worktree", "add", "--detach", path, rev)
+    added = []
     try:
+        for rev, path in sides.values():
+            _git("worktree", "add", "--detach", path, rev)
+            added.append(path)
         for workload in args.workload:
             for seed in seeds:
                 for _ in range(args.pairs):
                     order = SIDES if len(per_pair) % 2 == 0 else SIDES[::-1]
-                    row = {"workload": workload, "seed": seed, "first": order[0]}
+                    row = {"workload": workload, "seed": seed, "first": order[0],
+                           "invocation": len(tools) - 1}
                     for side in order:
-                        run = _run(sides[side][1], workload, seed, args.seconds, metrics)
+                        run = _run(sides[side][1], workload, seed, seconds, metrics)
                         row.update({f"{side}_{key}": value for key, value in run.items()})
                     per_pair.append(row)
                     print(json.dumps(row), file=sys.stderr)
     finally:
-        for _, path in sides.values():
+        for path in added:
             _git("worktree", "remove", "--force", path)
+        if not args.dir:
+            os.rmdir(base)
     result = {
-        "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {args.seconds}",
+        "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {seconds}",
         "tools": tools,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
