@@ -79,7 +79,7 @@ def test_bounds_are_read_in_the_metric_unit(tool):
     rows = [pair(k, 37.0 + 0.01 * k, 37.35 + 0.01 * k) for k in range(10)]
     up = tool.summarize(rows, metrics)["workloads"]["w"]
     assert up["beyond_bound"] == {"peak_rss_mb": True, "wall_s": False}
-    assert up["unresolved"] == {"peak_rss_mb": False, "wall_s": True}  # wall_s IQR is 0.45 s
+    assert up["unresolved"] == {"peak_rss_mb": False, "wall_s": True}  # wall_s IQR is 0.55 s
     assert up["change_wins"] == {"peak_rss_mb": 0, "wall_s": 0}
     near = tool.summarize([pair(k, 37.0 + 0.01 * k, 37.05 + 0.01 * k) for k in range(10)], metrics)
     assert not any(near["workloads"]["w"]["beyond_bound"].values())
