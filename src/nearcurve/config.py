@@ -131,8 +131,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for key in ("grid.points", "qnd.samples", "identities.draws"):
         if resolved[key] < 1:
             raise ConfigError(f"key {key!r} must be >= 1, got {resolved[key]}")
-    if not 0 < (scale := resolved["coverage.rho_scale"]) < float("inf"):
-        raise ConfigError(f"key 'coverage.rho_scale' must be finite and > 0, got {scale}")
+    for key in ("c", "coverage.rho_scale"):
+        if not 0 < resolved[key] < float("inf"):
+            raise ConfigError(f"key {key!r} must be finite and > 0, got {resolved[key]}")
+    if resolved["M"] is not None and not 0 <= resolved["M"] < float("inf"):
+        raise ConfigError(f"key 'M' must be finite and >= 0, got {resolved['M']}")
 
     return ExperimentConfig(**{key.replace(".", "_"): value for key, value in resolved.items()},
                             raw=resolved)

@@ -9,7 +9,8 @@ blocks of their canonical double y (``_blocks``).  A psi sweep bins each pair
 by the 2^-16 cell that 2^16 y rounds to, which gives ``_window``'s answer (below)
 off the tie cells, within two cells of a cut s, 1 - s, 0 or 1; a pair with a
 coordinate in a tie cell gets its canonical y and ``_window``
-(``count_R_psi_sweep``).
+(``count_R_psi_sweep``).  Both take a pair's (q, a) and y from its flat index
+(``_pair_ys``).
 
 The b-window is decided in doubles, by one predicate, ``_window``: the
 integers b with |y - b| < psi - 1e-12, with y = q f_j(x) - gamma_j, and
@@ -19,10 +20,14 @@ about q 2^-52 on the unit window, stays below the absolute guard, so up to q
 of about 4500.  Beyond that an exact tie can be counted as inside:
 configs/scaling.cfg reports 30,171,993 triples at Q = 8192, psi = 0.6 against
 an exact 30,171,986.  An exact integer test is item 1 of ROADMAP.md.
+
+The union behind ``delta_coverage`` is exact and does not depend on the order
+of the balls: one ``math.fsum`` of its components' ends and starts (``_union_length``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -136,17 +141,9 @@ def _y(curve: Curve, j: int, q, t: np.ndarray, g: float, out: np.ndarray) -> Non
     np.subtract(out, g, out=out)
 
 
-def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
-            theta) -> tuple[int, tuple[float, float], Shift, Iterator]:
-    """The pair kernel of R: validated ``(Q, B, theta)`` and an iterator of (q, a) blocks.
-
-    The pairs are every q with 2q > Q, q <= Q and every a with (a + lambda)/q
-    in B, in ascending (q, a) order.  Each block is ``(q, a, ys)`` for the next
-    at most ``_BLOCK`` of them: flat int64 arrays ``q`` and ``a``, and
-    ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j``.  The blocks are views of
-    buffers that the next block overwrites, so a caller copies what it keeps.
-    An empty B (lo > hi) has no blocks.
-    """
+def _checked(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
+             theta) -> tuple[int, tuple[float, float], Shift]:
+    """The validated ``(Q, B, theta)`` of a count: ValueError where R has no meaning or no cap."""
     Q = int(Q)
     if Q < 2:
         raise ValueError("Q must be >= 2")
@@ -154,37 +151,56 @@ def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
         raise ValueError(f"Q={Q} above the cap {Q_CAP}")
     if not all(0 < psi < 1 for psi in psis):
         raise ValueError("psi must lie in (0, 1)")
-    m = curve.n - 1
-    lam, gam = normalise_theta(theta, m)
     lo, hi = float(B[0]), float(B[1])
     if lo <= hi and not (curve.contains(lo) and curve.contains(hi)):
         raise ValueError(f"B={B} not contained in curve domain {curve.domain}")
+    return Q, (lo, hi), normalise_theta(theta, curve.n - 1)
+
+
+def _pair_ys(curve: Curve, k: np.ndarray, ends: np.ndarray, offset: np.ndarray, q0: int,
+             theta: Shift, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ascending flat indices ``k`` (``_pair_rows``): int64 q and a, and their y in ``ys``.
+
+    The ends of the rows that ``k`` spans are searched in ``k``: a search per row, not per pair.
+    """
+    first, last = np.searchsorted(ends, k[[0, -1]], side="right")
+    rows = slice(first, last + 1)
+    sizes = np.diff(np.searchsorted(k, ends[rows]), prepend=0)  # the pairs of k in each row
+    a = k - np.repeat(offset[rows], sizes)
+    q = np.repeat(np.arange(q0 + first, q0 + last + 1), sizes)
+    lam, gam = theta
+    t = np.add(a, lam, out=ys[-1])  # in the last y's buffer, which is written last
+    for j, y in enumerate(ys, start=1):
+        _y(curve, j, q, t, gam[j - 1], y)
+    return q, a
+
+
+def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
+            theta) -> tuple[int, tuple[float, float], Shift, Iterator]:
+    """The pair kernel of R: ``_checked``'s ``(Q, B, theta)`` and an iterator of (q, a) blocks.
+
+    The pairs are every q with 2q > Q, q <= Q and every a with (a + lambda)/q
+    in B, in ascending (q, a) order.  Each block is ``(q, a, ys)`` for the next
+    at most ``_BLOCK`` of them: flat int64 arrays ``q`` and ``a``, and
+    ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j`` (``_pair_ys``).  ``ys`` is a
+    view of a buffer that the next block overwrites, so a caller copies what it
+    keeps.  An empty B (lo > hi) has no blocks.
+    """
+    Q, B, theta = _checked(curve, Q, psis, B, theta)
 
     def blocks():
-        if lo > hi:
+        if B[0] > B[1]:
             return
         q0 = Q // 2 + 1
-        ends, starts, offset = _pair_rows(range(q0, Q + 1), (lo, hi), lam)
+        ends, _, offset = _pair_rows(range(q0, Q + 1), B, theta[0])
         total = int(ends[-1])
-        width = min(_BLOCK, total)
-        q_buf, a_buf = np.empty(width, dtype=np.int64), np.empty(width, dtype=np.int64)
-        y_buf = np.empty((m, width))
+        y_buf = np.empty((curve.n - 1, min(_BLOCK, total)))
         for start in range(0, total, _BLOCK):
-            stop = min(start + _BLOCK, total)
-            size = stop - start
-            q, a, ys = q_buf[:size], a_buf[:size], y_buf[:, :size]
-            first, last = np.searchsorted(ends, (start, stop - 1), side="right")
-            rows = slice(first, last + 1)  # the rows of q this block touches
-            repeats = np.minimum(ends[rows], stop) - np.maximum(starts[rows], start)
-            q[:] = np.repeat(np.arange(q0 + first, q0 + last + 1, dtype=np.int64), repeats)
-            a[:] = np.arange(start, stop, dtype=np.int64)
-            a -= np.repeat(offset[rows], repeats)
-            t = np.add(a, lam, out=ys[-1])  # in the last y's buffer, which is written last
-            for j, y in enumerate(ys, start=1):
-                _y(curve, j, q, t, gam[j - 1], y)
-            yield q, a, ys
+            k = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+            ys = y_buf[:, :len(k)]
+            yield (*_pair_ys(curve, k, ends, offset, q0, theta, ys), ys)
 
-    return Q, (lo, hi), (lam, gam), blocks()
+    return Q, B, theta, blocks()
 
 
 def _counted(total: float, curve: Curve, Q: int) -> int:
@@ -195,26 +211,20 @@ def _counted(total: float, curve: Curve, Q: int) -> int:
 
 
 def _kept(curve: Curve, Q: int, blocks: Iterator, psi: float) -> Iterator:
-    """Per block of ``_blocks``, its kept pairs: ``(q, a, keep, reps, inside, lo, boundary)``.
+    """Per block of ``_blocks``, its kept pairs: ``(q, a, ys, keep, reps, inside, lo)``.
 
     ``keep`` indexes the pairs with a triple and ``reps`` holds their int64 numbers
-    of triples; ``inside[j]`` and ``lo[j]`` are ``_window``'s at psi - GUARD, and
-    ``boundary`` counts the triples within psi + GUARD but not psi - GUARD.
+    of triples; ``inside[j]`` and ``lo[j]`` are ``_window``'s at psi - GUARD.
     """
-    # per coordinate, reused by every block: b-counts at psi +- GUARD, floor(y - psi + GUARD)
-    wide_buf, inside_buf, lo_buf = np.empty((3, curve.n - 1, _BLOCK))
+    inside_buf, lo_buf = np.empty((2, curve.n - 1, _BLOCK))  # per coordinate, reused by every block
     for q, a, ys in blocks:
-        size = len(a)
-        wide, inside, lo = wide_buf[:, :size], inside_buf[:, :size], lo_buf[:, :size]
+        inside, lo = inside_buf[:, :len(a)], lo_buf[:, :len(a)]
         for j, y in enumerate(ys):
-            _window(y, psi + GUARD, wide[j], lo[j])
             _window(y, psi - GUARD, inside[j], lo[j])
-        counts, wide_counts = ((inside[0], wide[0]) if len(ys) == 1
-                               else (inside.prod(axis=0), wide.prod(axis=0)))
-        wide_total = _counted(wide_counts.sum(), curve, Q)
+        counts = inside[0] if len(ys) == 1 else inside.prod(axis=0)
+        _counted(counts.sum(), curve, Q)
         keep = np.flatnonzero(counts)
-        reps = counts[keep].astype(np.int64)
-        yield q, a, keep, reps, inside, lo, wide_total - int(reps.sum())
+        yield q, a, ys, keep, counts[keep].astype(np.int64), inside, lo
 
 
 def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
@@ -235,9 +245,14 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
     total = 0
     boundary = 0
     collected: list[np.ndarray] = []
-    for q, a, keep, reps, inside, lo, grazing in _kept(curve, Q, blocks, psi):
-        total += int(reps.sum())
-        boundary += grazing
+    wide_buf, floor_buf = np.empty((2, m, _BLOCK))  # b-counts at psi + GUARD, and their floors
+    for q, a, ys, keep, reps, inside, lo in _kept(curve, Q, blocks, psi):
+        wide = wide_buf[:, :len(a)]
+        for j, y in enumerate(ys):
+            _window(y, psi + GUARD, wide[j], floor_buf[j, :len(a)])
+        kept = int(reps.sum())
+        total += kept
+        boundary += int((wide[0] if m == 1 else wide.prod(axis=0)).sum()) - kept
         if collect and len(keep):
             pair = np.repeat(keep, reps)
             # index of each triple within its pair, split into mixed-radix digits
@@ -269,7 +284,7 @@ def _kept_points(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta
     """The doubles of ``enumerate_R(...).points()`` in its order, from the kept pairs: no triples."""
     Q, _, (lam, _), blocks = _blocks(curve, Q, (psi,), B, theta)
     return np.concatenate([np.empty(0)] + [np.repeat((a[keep] + lam) / q[keep], reps)
-                                           for q, a, keep, reps, *_ in _kept(curve, Q, blocks, psi)])
+                                           for q, a, _, keep, reps, *_ in _kept(curve, Q, blocks, psi)])
 
 
 def _cell_states(ss: Sequence[float], m: int):
@@ -342,7 +357,7 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
     by flat index and flushed ``_TIE_BLOCK`` at a time through (q, a), the canonical y and
     ``_window``.  Where no cell decides (S = 0), every pair is flushed, unbinned.
     """
-    Q, B, (lam, gam), _ = _blocks(curve, Q, psis, B, theta)  # its checks; its pairs go unwalked
+    Q, B, (lam, gam) = _checked(curve, Q, psis, B, theta)
     if not psis:
         return []
     m, ss, totals = curve.n - 1, [psi - GUARD for psi in psis], [0] * len(psis)
@@ -355,11 +370,8 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
 
     def flush(pairs: np.ndarray) -> None:  # tie pairs by flat index: canonical y and _window, psi by psi
         for at in (pairs[i:i + cap] for i in range(0, len(pairs), cap)):
-            row = np.searchsorted(ends, at, side="right")
             ys, (n, hi, lo) = tie_ys[:, :len(at)], work[:, :len(at)]
-            shifted = np.add(at - offset[row], lam, out=ys[-1])  # t in the last y's buffer
-            for j, y in enumerate(ys, start=1):
-                _y(curve, j, row + q0, shifted, gam[j - 1], y)
+            _pair_ys(curve, at, ends, offset, q0, (lam, gam), ys)
             for k, s in enumerate(ss):
                 for j, y in enumerate(ys):
                     _window(y, s, hi if j else n, lo)  # the first one starts the product
@@ -488,29 +500,28 @@ def witness_in_R(w: RationalWitness, curve: Curve, Q: float, psi: float,
 # interval unions and coverage
 
 
-def _swept(lo: np.ndarray, hi: np.ndarray) -> float:
-    """Length of the union of intervals in sweep order; in place, on the caller's copies."""
+def _union_length(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Length of the union of intervals sorted by lo; in place, on the caller's copies.
+
+    A component ends where the running maximum of hi falls below the next lo.  The ``math.fsum``
+    of the component ends and negated starts is exact up to one rounding, whatever the order.
+    """
     keep = hi > lo
     if not keep.all():
         lo = lo[keep]  # one statement per array: each old copy goes before the next new one
         hi = hi[keep]
     if lo.size == 0:
         return 0.0
-    # interval i adds M_i - max(lo_i, M_{i-1}), M_i the running maximum of hi: that is
-    # hi_i - max(lo_i, M_{i-1}) > 0 where hi_i > M_{i-1}, and exactly 0 elsewhere
     np.maximum.accumulate(hi, out=hi)
-    if hi[-1] == np.inf:  # an unbounded interval; past it the terms would be inf - inf
+    if hi[-1] == np.inf:  # an unbounded interval
         return float("inf")
-    np.maximum(lo[1:], hi[:-1], out=lo[1:])
-    return float(np.sum(np.subtract(hi, lo, out=hi)))
+    ends = np.flatnonzero(lo[1:] > hi[:-1])
+    return math.fsum(np.concatenate((hi[ends], hi[-1:], -lo[:1], -lo[ends + 1])).tolist())
 
 
 def interval_union_measure(intervals: Iterable[tuple[float, float]],
                            clip: Optional[tuple[float, float]] = None) -> float:
-    """Length of the union of intervals, optionally clipped; sweep-line exact.
-
-    Swept in one stable ``argsort`` of clipped lo: ties keep their input order, which sets the last bits.
-    """
+    """Length of the union of intervals, optionally clipped; exact up to one rounding (``_union_length``)."""
     if isinstance(intervals, np.ndarray):
         if intervals.size and (intervals.ndim != 2 or intervals.shape[1] != 2):
             raise ValueError("an interval array must have shape (k, 2)")
@@ -523,10 +534,8 @@ def interval_union_measure(intervals: Iterable[tuple[float, float]],
     if clip is not None:
         lo = np.maximum(lo, clip[0])
         hi = np.minimum(hi, clip[1])
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = hi[order]
-    return _swept(lo, hi)
+    order = np.argsort(lo)
+    return _union_length(lo[order], hi[order])
 
 
 def delta_coverage(witnesses, rho: float, B: tuple[float, float],
@@ -534,11 +543,9 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
     """Measure of the union of rho-balls around the shifted rational points, inside B.
 
     ``witnesses`` is a collected ``CountResult``, a float array of the points
-    (a + lam)/q, or an iterable of witnesses.  It is ``interval_union_measure``'s
-    double on the balls in the given order, from one value sort for its ``argsort``:
-    the clipped lo = max(fl(x - rho), B_0) is nondecreasing in x, so sorted points
-    keep its order where lo differ, and equal x give equal balls.  A run of equal lo
-    whose hi differ (at B_0, rarely inside B) takes back its points in input order.
+    (a + lam)/q, or an iterable of witnesses.  The balls go to ``_union_length``
+    in one value sort of the points: the clipped lo = max(fl(x - rho), B_0) does
+    not decrease with x.  The points are left as given.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
@@ -548,23 +555,11 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
         pts = witnesses
     else:
         pts = np.asarray([(w.a + lam) / w.q for w in witnesses], dtype=float)
-    x = np.sort(pts)
-    lo, hi = x - rho, x + rho  # clipped in place: no third copy of the points at the peak
+    hi = np.sort(pts)
+    lo = hi - rho  # both clipped in place, hi in the sorted copy: two arrays of the points
     np.maximum(lo, B[0], out=lo)
-    np.minimum(hi, B[1], out=hi)
-    runs = np.unique(lo[1:][(lo[1:] == lo[:-1]) & (hi[1:] != hi[:-1])])
-    if runs.size:
-        first, stop = np.searchsorted(lo, runs, "left"), np.searchsorted(lo, runs, "right")
-        # run k holds the points with x[first_k] <= x <= x[stop_k - 1], as lo is monotone in x
-        held = pts[(pts >= x[first[0]]) & (pts <= x[stop[-1] - 1])]
-        k = np.searchsorted(x[first], held, side="right") - 1
-        inside = held <= x[stop - 1][k]
-        held = held[inside][np.argsort(k[inside], kind="stable")]  # by run, then input order
-        at = np.arange(len(held)) + np.repeat(stop - np.cumsum(stop - first), stop - first)
-        lo[at] = np.maximum(held - rho, B[0])
-        hi[at] = np.minimum(held + rho, B[1])
-    del x
-    return _swept(lo, hi)
+    np.minimum(np.add(hi, rho, out=hi), B[1], out=hi)
+    return _union_length(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -23,8 +24,6 @@ def naive_count_R(fs, Q, psi, B, lam=0.0, gammas=None, guard=1e-12):
     definition directly: q in (Q/2, Q], (a+lam)/q in B, each |q f_j - g_j - b|
     strictly below psi (guard band excluded).
     """
-    from fractions import Fraction
-
     if gammas is None:
         gammas = [0.0] * len(fs)
     total = 0
@@ -81,9 +80,33 @@ def grid_union_measure(intervals, clip, cells=1_000_000):
     return covered.mean() * (hi - lo)
 
 
+def exact_union_measure(intervals, clip=None):
+    """Union measure of the closed intervals, optionally clipped: exact in Fractions, rounded once.
+
+    The intervals are merged one by one in the order of their lower ends; each adds the
+    part of it past the furthest upper end so far, in Fractions.  An unbounded interval
+    that is not empty after the clip gives inf.
+    """
+    spans = []
+    for lo, hi in intervals:
+        lo, hi = float(lo), float(hi)
+        if clip is not None:
+            lo, hi = max(lo, clip[0]), min(hi, clip[1])
+        if hi > lo:
+            if math.isinf(lo) or math.isinf(hi):
+                return math.inf
+            spans.append((lo, hi))
+    total, reach = Fraction(0), None
+    for lo, hi in sorted(spans):  # doubles compare as the rationals they hold
+        if reach is None or hi > reach:
+            total += Fraction(hi) - Fraction(lo if reach is None else max(lo, reach))
+            reach = hi
+    return float(total)  # the correctly rounded quotient
+
+
 def sweep_union_measure(intervals, clip=None):
-    """Union measure by the sweep line nearcurve.interval_union_measure used before it
-    worked in place: the running maximum and its shifted concatenation as new arrays."""
+    """Union measure by a float sweep: one rounded term per interval, so the last bits of
+    the sum depend on the order of the intervals that share a lower end."""
     arr = np.asarray([(lo, hi) for lo, hi in intervals], dtype=float).reshape(-1, 2)
     if arr.size == 0:
         return 0.0

@@ -51,6 +51,19 @@ def test_bad_rho_scale_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    ("c", "0", "> 0"), ("c", "-1", "> 0"), ("c", "inf", "> 0"), ("c", "nan", "> 0"),
+    ("M", "-2", ">= 0"), ("M", "nan", ">= 0"), ("M", "inf", ">= 0"),
+])
+def test_bad_c_or_M_is_a_config_error(tmp_path, capsys, key, value, rule):
+    # these used to exit 2, die with a ZeroDivisionError (c = inf) or write NaN into the manifest
+    cfg = _write(tmp_path, "cm.cfg", f"curve = parabola\n{key} = {value}\nQ_list = 64\n"
+                 f"count.write_triples = false\noutput_dir = {tmp_path}/cm\n")
+    assert main(["count", "--config", cfg]) == 1
+    assert f"config error: key '{key}' must be finite and {rule}, got" in capsys.readouterr().err
+    assert not (tmp_path / "cm").exists()
+
+
 @pytest.mark.parametrize("mode", ["qnd", "identities", "scaling"])
 def test_empty_list_is_a_config_error(tmp_path, capsys, mode):
     # rejected with the config, before any runner makes the output directory

@@ -17,6 +17,7 @@ from nearcurve.counting import (
 from nearcurve.curves import CallableCoordinate, Curve, MonomialCoordinate
 from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
 from oracles import (
+    exact_union_measure,
     grid_union_measure,
     naive_count_R,
     naive_enumerate,
@@ -476,13 +477,18 @@ def test_kept_points_match_the_collected_points(monkeypatch, name, block):
 
 
 def _balls_oracle(pts, rho, B):
-    """The union of the clipped balls in the input order of the points, by the reference sweep."""
-    return sweep_union_measure([(x - rho, x + rho) for x in pts.tolist()], clip=B)
+    """The exact measure of the union of the clipped balls, rounded once."""
+    return exact_union_measure([(x - rho, x + rho) for x in pts.tolist()], clip=B)
+
+
+def _one_double(measure, orders, expected):
+    # the same points or intervals in every order give one bit-identical double
+    assert {measure(given).hex() for given in orders} == {expected.hex()}
 
 
 COVERAGE_CELLS = (
     # (curve, M, Q, psi, B, theta, rho scale, runs of equal lo whose hi differ,
-    #  whether the sorted points alone give another double)
+    #  whether a float sweep of the points in input or sorted order gives another double)
     # veronese:3 on (0.1, 0.9): about 49,000 balls reach below B_0 and share lo = 0.1
     ("veronese:3", 6, 1024, 0.3, (0.1, 0.9), None, 1.0, 1, True),
     ("veronese:3", 6, 1024, 0.3, (0.1, 0.9), (0.1, (0.3,)), 1.0, 1, True),
@@ -493,8 +499,10 @@ COVERAGE_CELLS = (
 
 
 @pytest.mark.parametrize("name, M, Q, psi, B, theta, scale, runs, reordered", COVERAGE_CELLS)
-def test_delta_coverage_keeps_the_input_order_of_equal_lo(name, M, Q, psi, B, theta, scale, runs,
-                                                          reordered):
+def test_delta_coverage_keeps_the_input_order_of_equal_lo(rng, name, M, Q, psi, B, theta, scale,
+                                                          runs, reordered):
+    # cells whose float sweep depends on the order of the balls that share a lo: the union is
+    # the exact one, in the input order of the points and in three shuffled ones
     curve = nc.resolve_curve(name)
     rho = nc.derive_constants(curve.n, M, 1.0).rho(Q, psi) * scale
     pts = counting._kept_points(curve, Q, psi, B, theta)
@@ -502,7 +510,10 @@ def test_delta_coverage_keeps_the_input_order_of_equal_lo(name, M, Q, psi, B, th
     cov = nc.delta_coverage(pts, rho, B)
     assert cov == _balls_oracle(pts, rho, B)
     assert np.array_equal(pts, given)
-    assert (_balls_oracle(np.sort(pts), rho, B) != cov) == reordered
+    _one_double(lambda x: nc.delta_coverage(x, rho, B), [rng.permutation(pts) for _ in range(3)], cov)
+    swept = {sweep_union_measure([(x - rho, x + rho) for x in order.tolist()], clip=B)
+             for order in (pts, np.sort(pts))}
+    assert (swept != {cov}) == reordered
     x = np.sort(pts)
     lo, hi = np.maximum(x - rho, B[0]), np.minimum(x + rho, B[1])
     assert len(np.unique(lo[1:][(lo[1:] == lo[:-1]) & (hi[1:] != hi[:-1])])) == runs
@@ -515,12 +526,13 @@ def test_delta_coverage_edge_points():
     for rho in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="rho must be positive"):
             nc.delta_coverage(pts, rho, (0.0, 1.0))
-    # distinct x with one fl(x - rho) but two fl(x + rho): their input order sets the last bit
+    # distinct x with one fl(x - rho) but two fl(x + rho): a float sweep gives 1.1999999999999997
+    # in the first order and 1.2 in the other; the union is the exact 1.2 in both
     x1, x2 = -0.4184473826364872, -0.4184473826364871
     assert x1 < x2 and x1 - 0.6 == x2 - 0.6 and x1 + 0.6 != x2 + 0.6
-    for pair, expected in (([x1, x2], 1.1999999999999997), ([x2, x1], 1.2)):
+    for pair in ([x1, x2], [x2, x1]):
         pair = np.array(pair)
-        assert nc.delta_coverage(pair, 0.6, (-1.5, 1.5)) == _balls_oracle(pair, 0.6, (-1.5, 1.5)) == expected
+        assert nc.delta_coverage(pair, 0.6, (-1.5, 1.5)) == _balls_oracle(pair, 0.6, (-1.5, 1.5)) == 1.2
 
 
 def test_interval_union_examples():
@@ -544,20 +556,28 @@ def test_interval_union_array_matches_tuples(rng):
 
 
 def test_interval_union_matches_sweep_oracle(rng):
-    # the in-place sweep must give the very doubles of the sweep it replaced
+    # every case and clip against the exact union, in the given order and in three shuffled ones
     lo = rng.uniform(0, 10, size=2000)
+    ties = np.repeat(np.round(rng.uniform(0, 5, size=100), 1), 5)  # runs of equal lo, hi ulps apart
+    ulps = rng.integers(-2, 3, size=500) * np.spacing(ties + 0.3)
     cases = [np.stack((lo, lo + rng.uniform(0, 0.3, size=2000)), axis=1),
              np.stack((lo, lo + rng.uniform(-0.1, 0.3, size=2000)), axis=1),  # some empty
              np.array([[0.0, 10.0], [1.0, 2.0], [1.5, 9.0], [3.0, 3.5], [0.1, 0.2], [9.5, 10.0]]),
              np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 2.0], [1.0, 1.5], [2.0, 3.0], [0.5, 1.0]]),
              np.round(rng.uniform(0, 5, size=(500, 2)), 1),  # many shared endpoints
-             np.array([[0.0, np.inf], [1.0, 2.0], [-np.inf, 0.5], [3.0, 4.0]])]
+             np.stack((ties, ties + 0.3 + ulps), axis=1),  # the sum of rounded terms moves with the order
+             np.array([[0.0, np.inf], [1.0, 2.0], [-np.inf, 0.5], [3.0, 4.0]]),
+             np.array([[-np.inf, 0.5], [1.0, 2.0]])]
     for arr in cases:
         given = arr.copy()
         for clip in (None, (1.0, 9.0), (0.25, 0.75), (-5.0, 20.0), (20.0, 30.0), (4.0, 4.0)):
-            assert nc.interval_union_measure(arr, clip=clip) == sweep_union_measure(arr, clip=clip)
-        assert np.array_equal(arr, given)  # the sweep works in place on copies only
+            expected = exact_union_measure(arr.tolist(), clip=clip)
+            assert nc.interval_union_measure(arr, clip=clip) == expected
+            _one_double(lambda a: nc.interval_union_measure(a, clip=clip),
+                        [rng.permutation(arr) for _ in range(3)], expected)
+        assert np.array_equal(arr, given)  # the union works in place on copies only
     assert nc.interval_union_measure(cases[2], clip=(20.0, 30.0)) == 0.0  # the clip drops them all
+    assert nc.interval_union_measure(cases[6]) == nc.interval_union_measure(cases[7]) == math.inf
 
 
 def test_interval_union_grid_oracle(rng):

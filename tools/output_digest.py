@@ -35,8 +35,9 @@ sweep's power tables.  ``count-wide`` (``curve = poly:0.5,-3,1e9``,
 ``Q_list = 256,512``) writes triples CSVs whose fields are wider than the
 shipped ones: negative x-points, b of 11 and 12 digits and short dyadic
 slacks.  Two more ``coverage`` runs meet balls that share a clipped lower end
-but not an upper one, where the order of the sweep sets the last bits:
-``coverage-veronese3-window`` (``curve = veronese:3``, ``M = 6``,
+but not an upper one, where a float sum of one term per ball would move with
+their order, so they check that the exact, order-free union gives the shipped
+doubles: ``coverage-veronese3-window`` (``curve = veronese:3``, ``M = 6``,
 ``B = 0.1,0.9``, ``Q_list = 256,512,1024``) at B's lower end, and
 ``coverage-decimal-psi0.7`` (``psi_list = 0.7``, ``theta.lambda = 0.1``,
 ``theta.gamma = 0.3``, ``coverage.rho_scale = 10``, ``Q_list = 256,512,1024``)
