@@ -5,6 +5,7 @@ Unknown keys are hard errors: silent config drift destroys reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +38,10 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "count.write_triples": ("bool", True),
     "scaling.svg": ("bool", False),
 }
+
+# the float keys with a range beyond finiteness: key -> (the range's text, its test)
+_RANGES = {"c": (" and > 0", lambda v: v > 0), "coverage.rho_scale": (" and > 0", lambda v: v > 0),
+           "M": (" and >= 0", lambda v: v >= 0)}
 
 
 def _parse_value(kind: str, raw: str, key: str):
@@ -105,7 +110,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
         if key in values:
             raise ConfigError(f"duplicate config key {key!r} (line {lineno})")
-        values[key] = _parse_value(SCHEMA[key][0], raw, key)
+        kind = SCHEMA[key][0]
+        values[key] = value = _parse_value(kind, raw, key)
+        if kind in ("float", "floats", "interval"):  # every value finite, and in its key's range
+            rule, test = _RANGES.get(key, ("", None))
+            if not all(math.isfinite(v) and (test is None or test(v))
+                       for v in (value if kind != "float" else (value,))):
+                raise ConfigError(f"key {key!r} must be finite{rule}, got {raw}")
 
     resolved: dict[str, object] = {}
     for key, (kind, default) in SCHEMA.items():
@@ -131,11 +142,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for key in ("grid.points", "qnd.samples", "identities.draws"):
         if resolved[key] < 1:
             raise ConfigError(f"key {key!r} must be >= 1, got {resolved[key]}")
-    for key in ("c", "coverage.rho_scale"):
-        if not 0 < resolved[key] < float("inf"):
-            raise ConfigError(f"key {key!r} must be finite and > 0, got {resolved[key]}")
-    if resolved["M"] is not None and not 0 <= resolved["M"] < float("inf"):
-        raise ConfigError(f"key 'M' must be finite and >= 0, got {resolved['M']}")
 
     return ExperimentConfig(**{key.replace(".", "_"): value for key, value in resolved.items()},
                             raw=resolved)

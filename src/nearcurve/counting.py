@@ -4,13 +4,13 @@ The set under study collects integer triples (q, a, b) with Q/2 < q <= Q,
 (a + lambda)/q inside a window B, and every |q f_j((a+lambda)/q) - gamma_j - b_j|
 strictly below psi.  Enumeration is O(Q^2) per configuration, for Q up to
 ``Q_CAP`` = 65536.  The q-range and the a-range of every q are decided in
-exact integers.  ``enumerate_R`` runs the (q, a) pairs in flat, cache-sized
-blocks of their canonical double y (``_blocks``).  A psi sweep bins each pair
-by the 2^-16 cell that 2^16 y rounds to, which gives ``_window``'s answer (below)
-off the tie cells, within two cells of a cut s, 1 - s, 0 or 1; a pair with a
-coordinate in a tie cell gets its canonical y and ``_window``
-(``count_R_psi_sweep``).  Both take a pair's (q, a) and y from its flat index
-(``_pair_ys``).
+exact integers.  ``enumerate_R`` and coverage walk the (q, a) pairs in flat,
+cache-sized blocks of their canonical double y and keep those with a b
+(``_kept``, ``_b_counts``).  A psi sweep bins each pair by the 2^-16 cell that
+2^16 y rounds to, which gives ``_window``'s answer (below) off the tie cells,
+within two cells of a cut s, 1 - s, 0 or 1; a pair with a coordinate in a tie
+cell gets its canonical y and ``_window`` (``count_R_psi_sweep``).  Both take a
+pair's (q, a) and y from its flat index (``_pair_ys``).
 
 The b-window is decided in doubles, by one predicate, ``_window``: the
 integers b with |y - b| < psi - 1e-12, with y = q f_j(x) - gamma_j, and
@@ -105,14 +105,13 @@ def _a_ranges(qs: Sequence[int], B: tuple[float, float],
 def _pair_rows(qs: range, B: tuple[float, float], lam: float):
     """Where the pairs of each q lie in the flat (q, a) order.
 
-    Returns int64 ``ends`` (pairs up to and including each q), ``starts`` (the
-    pairs before it) and ``offset``: the k-th pair overall, in the row of q,
-    has a = k - offset.
+    Returns int64 ``ends`` (pairs up to and including each q), ``a_lo`` (the first a
+    of each q) and ``offset``: the k-th pair overall, in the row of q, has a = k - offset.
     """
     a_lo, a_hi = _a_ranges(qs, B, lam)
-    ends = np.cumsum(np.maximum(a_hi - a_lo + 1, 0))
-    starts = np.concatenate(([0], ends[:-1]))
-    return ends, starts, starts - a_lo
+    sizes = np.maximum(a_hi - a_lo + 1, 0)
+    ends = np.cumsum(sizes)
+    return ends, a_lo, ends - sizes - a_lo
 
 
 def _window(y: np.ndarray, s: float, count: np.ndarray, lo: np.ndarray) -> None:
@@ -175,34 +174,6 @@ def _pair_ys(curve: Curve, k: np.ndarray, ends: np.ndarray, offset: np.ndarray, 
     return q, a
 
 
-def _blocks(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
-            theta) -> tuple[int, tuple[float, float], Shift, Iterator]:
-    """The pair kernel of R: ``_checked``'s ``(Q, B, theta)`` and an iterator of (q, a) blocks.
-
-    The pairs are every q with 2q > Q, q <= Q and every a with (a + lambda)/q
-    in B, in ascending (q, a) order.  Each block is ``(q, a, ys)`` for the next
-    at most ``_BLOCK`` of them: flat int64 arrays ``q`` and ``a``, and
-    ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j`` (``_pair_ys``).  ``ys`` is a
-    view of a buffer that the next block overwrites, so a caller copies what it
-    keeps.  An empty B (lo > hi) has no blocks.
-    """
-    Q, B, theta = _checked(curve, Q, psis, B, theta)
-
-    def blocks():
-        if B[0] > B[1]:
-            return
-        q0 = Q // 2 + 1
-        ends, _, offset = _pair_rows(range(q0, Q + 1), B, theta[0])
-        total = int(ends[-1])
-        y_buf = np.empty((curve.n - 1, min(_BLOCK, total)))
-        for start in range(0, total, _BLOCK):
-            k = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-            ys = y_buf[:, :len(k)]
-            yield (*_pair_ys(curve, k, ends, offset, q0, theta, ys), ys)
-
-    return Q, B, theta, blocks()
-
-
 def _counted(total: float, curve: Curve, Q: int) -> int:
     """A float sum of ``_window`` counts as an int; it is nan where a y is not finite."""
     if not np.isfinite(total):
@@ -210,18 +181,37 @@ def _counted(total: float, curve: Curve, Q: int) -> int:
     return int(total)
 
 
-def _kept(curve: Curve, Q: int, blocks: Iterator, psi: float) -> Iterator:
-    """Per block of ``_blocks``, its kept pairs: ``(q, a, ys, keep, reps, inside, lo)``.
+def _b_counts(ys: np.ndarray, s: float, count: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Per pair, its number of b with every |y_j - b_j| < s: the product of ``_window``'s counts.
 
-    ``keep`` indexes the pairs with a triple and ``reps`` holds their int64 numbers
-    of triples; ``inside[j]`` and ``lo[j]`` are ``_window``'s at psi - GUARD.
+    ``_window`` writes the count and the floor of each ``ys[j]`` into ``count[j]`` and ``lo[j]``.
     """
-    inside_buf, lo_buf = np.empty((2, curve.n - 1, _BLOCK))  # per coordinate, reused by every block
-    for q, a, ys in blocks:
-        inside, lo = inside_buf[:, :len(a)], lo_buf[:, :len(a)]
-        for j, y in enumerate(ys):
-            _window(y, psi - GUARD, inside[j], lo[j])
-        counts = inside[0] if len(ys) == 1 else inside.prod(axis=0)
+    for y, n, floor in zip(ys, count, lo):
+        _window(y, s, n, floor)
+    return count[0] if len(ys) == 1 else count.prod(axis=0)
+
+
+def _kept(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta: Shift) -> Iterator:
+    """The pair kernel of R on ``_checked``'s ``(Q, B, theta)``: per block of pairs, its kept ones.
+
+    The pairs are every q with 2q > Q, q <= Q and every a with (a + lambda)/q in B, in
+    ascending (q, a) order, ``_BLOCK`` at a time.  A block yields ``(q, a, ys, keep, reps,
+    inside, lo)``: int64 q and a, ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j``
+    (``_pair_ys``), the indices ``keep`` of the pairs with a triple and their int64 numbers
+    ``reps`` of triples, and ``_window``'s ``inside[j]`` and ``lo[j]`` at psi - GUARD: views
+    of buffers that the next block overwrites.  An empty B (lo > hi) has no blocks.
+    """
+    if B[0] > B[1]:
+        return
+    q0 = Q // 2 + 1
+    ends, _, offset = _pair_rows(range(q0, Q + 1), B, theta[0])
+    total = int(ends[-1])
+    ys_buf, inside_buf, lo_buf = np.empty((3, curve.n - 1, min(_BLOCK, total)))
+    for start in range(0, total, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+        ys, inside, lo = ys_buf[:, :len(k)], inside_buf[:, :len(k)], lo_buf[:, :len(k)]
+        q, a = _pair_ys(curve, k, ends, offset, q0, theta, ys)
+        counts = _b_counts(ys, psi - GUARD, inside, lo)
         _counted(counts.sum(), curve, Q)
         keep = np.flatnonzero(counts)
         yield q, a, ys, keep, counts[keep].astype(np.int64), inside, lo
@@ -240,19 +230,16 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
     counts are accumulated, which keeps Q-sweeps cheap.  Q above ``Q_CAP``
     raises ValueError.
     """
-    Q, B, theta, blocks = _blocks(curve, Q, (psi,), B, theta)
+    Q, B, theta = _checked(curve, Q, (psi,), B, theta)
     m = curve.n - 1
-    total = 0
-    boundary = 0
+    total = boundary = 0
     collected: list[np.ndarray] = []
     wide_buf, floor_buf = np.empty((2, m, _BLOCK))  # b-counts at psi + GUARD, and their floors
-    for q, a, ys, keep, reps, inside, lo in _kept(curve, Q, blocks, psi):
-        wide = wide_buf[:, :len(a)]
-        for j, y in enumerate(ys):
-            _window(y, psi + GUARD, wide[j], floor_buf[j, :len(a)])
+    for q, a, ys, keep, reps, inside, lo in _kept(curve, Q, psi, B, theta):
         kept = int(reps.sum())
         total += kept
-        boundary += int((wide[0] if m == 1 else wide.prod(axis=0)).sum()) - kept
+        wide = _b_counts(ys, psi + GUARD, wide_buf[:, :len(a)], floor_buf[:, :len(a)])
+        boundary += int(wide.sum()) - kept
         if collect and len(keep):
             pair = np.repeat(keep, reps)
             # index of each triple within its pair, split into mixed-radix digits
@@ -282,9 +269,9 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
 
 def _kept_points(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta=None) -> np.ndarray:
     """The doubles of ``enumerate_R(...).points()`` in its order, from the kept pairs: no triples."""
-    Q, _, (lam, _), blocks = _blocks(curve, Q, (psi,), B, theta)
-    return np.concatenate([np.empty(0)] + [np.repeat((a[keep] + lam) / q[keep], reps)
-                                           for q, a, _, keep, reps, *_ in _kept(curve, Q, blocks, psi)])
+    Q, B, theta = _checked(curve, Q, (psi,), B, theta)
+    return np.concatenate([np.empty(0)] + [np.repeat((a[keep] + theta[0]) / q[keep], reps)
+                                           for q, a, _, keep, reps, *_ in _kept(curve, Q, psi, B, theta)])
 
 
 def _cell_states(ss: Sequence[float], m: int):
@@ -363,7 +350,7 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
     m, ss, totals = curve.n - 1, [psi - GUARD for psi in psis], [0] * len(psis)
     table, S, weights = _cell_states(ss, m)
     big, q0 = S**m, Q // 2 + 1
-    ends, starts, offset = _pair_rows(range(q0, Q + 1), B, lam)
+    ends, a_lo, offset = _pair_rows(range(q0, Q + 1), B, lam)
     total, width = int(ends[-1]), min(_SWEEP_BATCH, int(ends[-1]))
     cap = _TIE_BLOCK if S else width  # tie pairs per flush, and the tie pairs held at most
     tie_ys, work = np.empty((m, cap)), np.empty((3, cap))
@@ -384,7 +371,7 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
             flush(np.arange(start, min(start + _SWEEP_BATCH, total)))
         return totals
     terms = _row_terms(curve, Q, B, gam)
-    a_lo, sizes = (starts - offset).tolist(), np.diff(ends, prepend=0).tolist()
+    a_lo, sizes = a_lo.tolist(), np.diff(ends, prepend=0).tolist()
     rows = [r for r, size in enumerate(sizes) if size]
     a_min = min(a_lo[r] for r in rows)
     t = np.add(np.arange(a_min, max(a_lo[r] + sizes[r] for r in rows), dtype=np.int64), lam)

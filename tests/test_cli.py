@@ -64,6 +64,22 @@ def test_bad_c_or_M_is_a_config_error(tmp_path, capsys, key, value, rule):
     assert not (tmp_path / "cm").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("B", "nan,1"), ("B", "0,nan"), ("B", "-inf,1"), ("theta.lambda", "inf"), ("theta.lambda", "nan"),
+    ("theta.gamma", "nan"), ("guard", "nan"), ("qnd.alpha", "nan"), ("qnd.eps", "nan,0.1"),
+    ("psi_list", "0.3,inf"),
+])
+def test_a_float_that_is_not_finite_is_a_config_error(tmp_path, capsys, key, value):
+    # these used to pass detect's checks on an empty CSV, stop count with an uncaught
+    # OverflowError or a NaN ratio, or write NaN into the manifest
+    cfg = _write(tmp_path, "nf.cfg", f"curve = parabola\n{key} = {value}\nQ_list = 64\ngrid.points = 5\n"
+                 f"qnd.samples = 5\ncount.write_triples = false\noutput_dir = {tmp_path}/nf\n")
+    for mode in ("count", "detect", "coverage", "scaling", "qnd", "goodset"):
+        assert main([mode, "--config", cfg]) == 1
+        assert f"config error: key '{key}' must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "nf").exists()
+
+
 @pytest.mark.parametrize("mode", ["qnd", "identities", "scaling"])
 def test_empty_list_is_a_config_error(tmp_path, capsys, mode):
     # rejected with the config, before any runner makes the output directory

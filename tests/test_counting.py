@@ -218,7 +218,8 @@ def test_sweep_flushes_more_tie_pairs_than_its_buffer_holds(monkeypatch):
     # poly:0,0,1e9 at Q = 300: |y| = 1e9 a^2/q passes 2^30 from a of about 13 on, so nearly every
     # pair lies in the tie cell 0, and one batch holds more tie pairs than the tie buffer
     steep, psis, B = nc.resolve_curve("poly:0,0,1e9"), [0.1, 0.3, 0.5, 0.62], (0.0, 1.0)
-    ys = np.concatenate([y[0].copy() for _, _, y in counting._blocks(steep, 300, psis, B, None)[3]])
+    Q, _, theta = counting._checked(steep, 300, psis, B, None)
+    ys = np.concatenate([y[0].copy() for _, _, y, *_ in counting._kept(steep, Q, psis[0], B, theta)])
     for batch, ties in ((counting._SWEEP_BATCH, counting._TIE_BLOCK), (50, 3)):
         assert (np.abs(ys[:batch]) >= counting._Y_LIMIT).sum() > 2 * ties
         monkeypatch.setattr(counting, "_SWEEP_BATCH", batch)
@@ -499,8 +500,8 @@ COVERAGE_CELLS = (
 
 
 @pytest.mark.parametrize("name, M, Q, psi, B, theta, scale, runs, reordered", COVERAGE_CELLS)
-def test_delta_coverage_keeps_the_input_order_of_equal_lo(rng, name, M, Q, psi, B, theta, scale,
-                                                          runs, reordered):
+def test_delta_coverage_is_exact_in_every_order(rng, name, M, Q, psi, B, theta, scale, runs,
+                                                reordered):
     # cells whose float sweep depends on the order of the balls that share a lo: the union is
     # the exact one, in the input order of the points and in three shuffled ones
     curve = nc.resolve_curve(name)

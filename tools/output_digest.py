@@ -61,14 +61,20 @@ checkouts compare with one diff:
     diff before.txt after.txt
 
 The optional argument is the checkout whose ``src/`` and ``configs/`` are
-used; it defaults to the one holding this script.  Needs only the standard
+used; it defaults to the one holding this script.  With ``--against REV``
+the tool checks REV out of that checkout's repository with ``git worktree add
+--detach`` into a temporary directory, digests both trees, prints one line
+per output file whose digest differs or that only one side has, and exits 1
+if there is any; the worktree is removed at the end.  Needs only the standard
 library beyond nearcurve's own dependencies.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -141,8 +147,11 @@ def _config_for(name: str, mode: str, path: Path, changes: dict, tmp: Path) -> P
     return copy
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+def digest(root: Path) -> list[str]:
+    """The sorted ``<sha256>  <run>/<file>`` lines of every run on the checkout ``root``.
+
+    Raises RuntimeError naming the run when one exits nonzero.
+    """
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     lines = []
     with tempfile.TemporaryDirectory(prefix="output_digest_") as tmpdir:
@@ -154,13 +163,55 @@ def main(argv: list[str]) -> int:
                 [sys.executable, "-m", "nearcurve.cli", mode, "--config", str(config), "--out", str(out)],
                 cwd=tmp, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
-                sys.stderr.write(f"{name} on {cfg} exited {proc.returncode}\n{proc.stderr}")
-                return 1
+                raise RuntimeError(f"{name} on {cfg} exited {proc.returncode}\n{proc.stderr}")
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"{digest}  {path.relative_to(tmp).as_posix()}")
-    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
-    return 0
+                sha = hashlib.sha256(path.read_bytes()).hexdigest()
+                lines.append(f"{sha}  {path.relative_to(tmp).as_posix()}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def differences(before: list[str], after: list[str]) -> list[str]:
+    """``<file>: <before sha256> -> <after sha256>`` per file whose digests differ, sorted by file.
+
+    A file that one side lacks shows ``missing`` on that side.
+    """
+    old, new = ({name: sha for sha, name in (line.split("  ", 1) for line in lines)}
+                for lines in (before, after))
+    return [f"{name}: {old.get(name, 'missing')} -> {new.get(name, 'missing')}"
+            for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+
+
+def _git(root: Path, *args: str) -> None:
+    subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", default=Path(__file__).resolve().parents[1],
+                        help="the checkout to digest (default: the one holding this script)")
+    parser.add_argument("--against", metavar="REV", help="also digest REV and print what differs")
+    args = parser.parse_args(argv)
+    root = Path(args.root).resolve()
+    try:
+        if not args.against:
+            print("\n".join(digest(root)))
+            return 0
+        base = Path(tempfile.mkdtemp(prefix="output_digest_against_"))
+        other, added = base / "tree", False
+        try:
+            _git(root, "worktree", "add", "--detach", str(other), args.against)
+            added = True
+            before, after = digest(other), digest(root)
+        finally:
+            if added:
+                _git(root, "worktree", "remove", "--force", str(other))
+            shutil.rmtree(base, ignore_errors=True)
+    except RuntimeError as exc:
+        sys.stderr.write(str(exc))
+        return 1
+    lines = differences(before, after)
+    print("\n".join(lines) if lines else f"all {len(after)} output files identical to {args.against}")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
