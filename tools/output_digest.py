@@ -182,7 +182,9 @@ def differences(before: list[str], after: list[str]) -> list[str]:
 
 
 def _git(root: Path, *args: str) -> None:
-    subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True)
+    proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"git {' '.join(args)} exited {proc.returncode}\n{proc.stderr}")
 
 
 def main(argv: list[str]) -> int:
