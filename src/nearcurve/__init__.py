@@ -39,15 +39,7 @@ from .detector import (
     verify_witness,
     verify_witnesses,
 )
-from .counting import (
-    CountResult,
-    ScalingFit,
-    delta_coverage,
-    enumerate_R,
-    interval_union_measure,
-    lower_bound_check,
-    scaling_fit,
-)
+from .counting import CountResult, delta_coverage, enumerate_R, interval_union_measure
 from .goodness import (
     GoodnessReport,
     IntegerMultivector,
@@ -63,9 +55,12 @@ from .goodness import (
 from .harness import (
     DimResult,
     DivergenceSum,
+    ScalingFit,
     dim_exponent,
     divergence_partial_sum,
+    lower_bound_check,
     run_experiment,
+    scaling_fit,
 )
 from .errors import CheckFailure, ConfigError, PreconditionError
 

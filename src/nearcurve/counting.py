@@ -21,13 +21,18 @@ of about 4500.  Beyond that an exact tie can be counted as inside:
 configs/scaling.cfg reports 30,171,993 triples at Q = 8192, psi = 0.6 against
 an exact 30,171,986.  An exact integer test is item 1 of ROADMAP.md.
 
-The union behind ``delta_coverage`` is exact and does not depend on the order
-of the balls: one ``math.fsum`` of its components' ends and starts (``_union_length``).
+The collecting paths hold a bounded part of a cell at a time.  ``count`` writes
+its triples as ``_TripleBlocks`` makes them, a block of pairs at a time, and
+turns them into text ``_CSV_BLOCK`` rows at a time.  Coverage walks B in slabs
+of about ``_SLAB`` pairs (``_coverage``), split where the points reach a cut,
+so the slabs in order hand their sorted balls to one exact union kernel
+(``nearcurve.union``), which carries its running maximum from slab to slab:
+the measure is the ``math.fsum`` of the components' ends and starts, the same
+double in any order of the balls and any number of slabs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -35,13 +40,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .curves import Curve
-from .detector import RationalWitness, _near_curve, psi_floor
+from .detector import RationalWitness, _near_curve
 from .lattice import Shift, normalise_theta
+from .union import _union_length, interval_union_measure
 
 GUARD = 1e-12
 Q_CAP = 1 << 16
 _CSV_BLOCK = 1 << 13  # rows turned into text at a time; bounds the memory of a write
 _BLOCK = 1 << 13  # (q, a) pairs per counting block; 64 KiB per float64 array, so it stays in cache
+_SLAB = 1 << 18  # (q, a) pairs per coverage slab, about: the points and balls a coverage cell holds
 _SWEEP_BATCH = 1 << 14  # (q, a) pairs a psi sweep bins at a time
 _TIE_BLOCK = 1 << 12  # tie pairs a psi sweep holds before it flushes them
 _CELLS = 1 << 16  # fractional-part cells of a psi sweep, far wider than the float error of y
@@ -102,16 +109,23 @@ def _a_ranges(qs: Sequence[int], B: tuple[float, float],
     return lo, hi
 
 
-def _pair_rows(qs: range, B: tuple[float, float], lam: float):
-    """Where the pairs of each q lie in the flat (q, a) order.
+def _q_rows(Q: int, B: tuple[float, float], lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last a of every q with 2q > Q, q <= Q (``_a_ranges``); no a at all where B is empty."""
+    qs = range(Q // 2 + 1, Q + 1)
+    if B[0] > B[1]:
+        return np.zeros(len(qs), np.int64), np.full(len(qs), -1, np.int64)
+    return _a_ranges(qs, B, lam)
 
-    Returns int64 ``ends`` (pairs up to and including each q), ``a_lo`` (the first a
-    of each q) and ``offset``: the k-th pair overall, in the row of q, has a = k - offset.
+
+def _pair_rows(a_lo: np.ndarray, a_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the pairs of each q, a from ``a_lo`` to ``a_hi``, lie in the flat (q, a) order.
+
+    Returns int64 ``ends`` (pairs up to and including each q) and ``offset``: the k-th pair
+    overall, in the row of q, has a = k - offset.
     """
-    a_lo, a_hi = _a_ranges(qs, B, lam)
     sizes = np.maximum(a_hi - a_lo + 1, 0)
     ends = np.cumsum(sizes)
-    return ends, a_lo, ends - sizes - a_lo
+    return ends, ends - sizes - a_lo
 
 
 def _window(y: np.ndarray, s: float, count: np.ndarray, lo: np.ndarray) -> None:
@@ -151,9 +165,13 @@ def _checked(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float]
     if not all(0 < psi < 1 for psi in psis):
         raise ValueError("psi must lie in (0, 1)")
     lo, hi = float(B[0]), float(B[1])
+    theta = normalise_theta(theta, curve.n - 1)
+    for name, value in (("B", B), ("lambda", theta[0]), ("gamma", theta[1])):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name}={value} is not finite")
     if lo <= hi and not (curve.contains(lo) and curve.contains(hi)):
         raise ValueError(f"B={B} not contained in curve domain {curve.domain}")
-    return Q, (lo, hi), normalise_theta(theta, curve.n - 1)
+    return Q, (lo, hi), theta
 
 
 def _pair_ys(curve: Curve, k: np.ndarray, ends: np.ndarray, offset: np.ndarray, q0: int,
@@ -191,20 +209,19 @@ def _b_counts(ys: np.ndarray, s: float, count: np.ndarray, lo: np.ndarray) -> np
     return count[0] if len(ys) == 1 else count.prod(axis=0)
 
 
-def _kept(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta: Shift) -> Iterator:
-    """The pair kernel of R on ``_checked``'s ``(Q, B, theta)``: per block of pairs, its kept ones.
+def _kept(curve: Curve, Q: int, psi: float, theta: Shift, a_lo: np.ndarray,
+          a_hi: np.ndarray) -> Iterator:
+    """The pair kernel of R on ``_checked``'s ``(Q, theta)``: per block of pairs, its kept ones.
 
-    The pairs are every q with 2q > Q, q <= Q and every a with (a + lambda)/q in B, in
-    ascending (q, a) order, ``_BLOCK`` at a time.  A block yields ``(q, a, ys, keep, reps,
-    inside, lo)``: int64 q and a, ``ys[j - 1] = q f_j((a + lambda)/q) - gamma_j``
-    (``_pair_ys``), the indices ``keep`` of the pairs with a triple and their int64 numbers
-    ``reps`` of triples, and ``_window``'s ``inside[j]`` and ``lo[j]`` at psi - GUARD: views
-    of buffers that the next block overwrites.  An empty B (lo > hi) has no blocks.
+    The pairs are every q with 2q > Q, q <= Q and every a from ``a_lo`` to ``a_hi`` of its q
+    (``_q_rows`` for a window B), in ascending (q, a) order, ``_BLOCK`` at a time.  A block
+    yields ``(q, a, ys, keep, reps, inside, lo)``: int64 q and a, ``ys[j - 1] = q
+    f_j((a + lambda)/q) - gamma_j`` (``_pair_ys``), the indices ``keep`` of the pairs with a
+    triple and their int64 numbers ``reps`` of triples, and ``_window``'s ``inside[j]`` and
+    ``lo[j]`` at psi - GUARD: views of buffers that the next block overwrites.
     """
-    if B[0] > B[1]:
-        return
     q0 = Q // 2 + 1
-    ends, _, offset = _pair_rows(range(q0, Q + 1), B, theta[0])
+    ends, offset = _pair_rows(a_lo, a_hi)
     total = int(ends[-1])
     ys_buf, inside_buf, lo_buf = np.empty((3, curve.n - 1, min(_BLOCK, total)))
     for start in range(0, total, _BLOCK):
@@ -217,6 +234,47 @@ def _kept(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta: Shift
         yield q, a, ys, keep, counts[keep].astype(np.int64), inside, lo
 
 
+class _TripleBlocks:
+    """The triples of R at one cell, a block of ``_kept`` at a time, with ``count`` and ``boundary``.
+
+    The inputs are checked at once (``_checked``), and ``Q``, ``B`` and ``theta`` hold the
+    checked ones.  Walking it yields each block's int64 rows (q, a, b_1..b_m), or none with
+    ``collect=False``; ``count`` and ``boundary`` add up as it goes.  A kept pair becomes its
+    triples in one step, the last b varying fastest, so the rows come out in ascending (q, a, b)
+    order.  The pairs within psi + GUARD but not psi - GUARD add to ``boundary``.
+    """
+
+    def __init__(self, curve: Curve, Q: int, psi: float, B: tuple[float, float], theta=None,
+                 collect: bool = True):
+        self.Q, self.B, self.theta = _checked(curve, Q, (psi,), B, theta)
+        self.curve, self.psi, self.collect = curve, psi, collect
+        self.count = self.boundary = 0
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        m = self.curve.n - 1
+        wide_buf, floor_buf = np.empty((2, m, _BLOCK))  # b-counts at psi + GUARD, and their floors
+        for q, a, ys, keep, reps, inside, lo in _kept(self.curve, self.Q, self.psi, self.theta,
+                                                      *_q_rows(self.Q, self.B, self.theta[0])):
+            kept = int(reps.sum())
+            self.count += kept
+            wide = _b_counts(ys, self.psi + GUARD, wide_buf[:, :len(a)], floor_buf[:, :len(a)])
+            self.boundary += int(wide.sum()) - kept
+            if self.collect and len(keep):
+                pair = np.repeat(keep, reps)
+                # index of each triple within its pair, split into mixed-radix digits
+                digit = np.arange(len(pair), dtype=np.int64)
+                digit -= np.repeat(np.cumsum(reps) - reps, reps)
+                block = np.empty((len(pair), 2 + m), dtype=np.int64)
+                block[:, 0] = q[pair]
+                block[:, 1] = a[pair]
+                for j in range(m - 1, -1, -1):
+                    radix = inside[j, pair].astype(np.int64)
+                    block[:, 2 + j] = lo[j, pair]
+                    block[:, 2 + j] += 1 + digit % radix
+                    digit //= radix
+                yield block
+
+
 def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
                 theta=None, *, collect: bool = True) -> CountResult:
     """All integer triples of the near-curve set at height Q and width psi.
@@ -224,54 +282,84 @@ def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
     Iterates q with 2q > Q, q <= Q and a with (a + lambda)/q in B (exact
     integer predicates) in flat blocks of (q, a) pairs, and per coordinate
     every integer b_j with |y_j - b_j| < psi - GUARD (``_window``); the pairs
-    within psi + GUARD but not psi - GUARD add to ``boundary``.  A kept pair
-    becomes its triples in one step, the last b varying fastest, so the rows
-    come out in ascending (q, a, b) order.  With ``collect=False`` only the
-    counts are accumulated, which keeps Q-sweeps cheap.  Q above ``Q_CAP``
-    raises ValueError.
+    within psi + GUARD but not psi - GUARD add to ``boundary``
+    (``_TripleBlocks``).  The rows come out in ascending (q, a, b) order.
+    With ``collect=False`` only the counts are accumulated, which keeps
+    Q-sweeps cheap.  Q above ``Q_CAP`` raises ValueError.
     """
-    Q, B, theta = _checked(curve, Q, (psi,), B, theta)
-    m = curve.n - 1
-    total = boundary = 0
-    collected: list[np.ndarray] = []
-    wide_buf, floor_buf = np.empty((2, m, _BLOCK))  # b-counts at psi + GUARD, and their floors
-    for q, a, ys, keep, reps, inside, lo in _kept(curve, Q, psi, B, theta):
-        kept = int(reps.sum())
-        total += kept
-        wide = _b_counts(ys, psi + GUARD, wide_buf[:, :len(a)], floor_buf[:, :len(a)])
-        boundary += int(wide.sum()) - kept
-        if collect and len(keep):
-            pair = np.repeat(keep, reps)
-            # index of each triple within its pair, split into mixed-radix digits
-            digit = np.arange(len(pair), dtype=np.int64)
-            digit -= np.repeat(np.cumsum(reps) - reps, reps)
-            block = np.empty((len(pair), 2 + m), dtype=np.int64)
-            block[:, 0] = q[pair]
-            block[:, 1] = a[pair]
-            for j in range(m - 1, -1, -1):
-                radix = inside[j, pair].astype(np.int64)
-                block[:, 2 + j] = lo[j, pair]
-                block[:, 2 + j] += 1 + digit % radix
-                digit //= radix
-            collected.append(block)
-
+    cell = _TripleBlocks(curve, Q, psi, B, theta, collect)
+    collected = list(cell)
     triples = None
     if collect:
         # each block is dropped once it is copied, so the triples are not held twice
-        triples, start = np.empty((total, 2 + m), dtype=np.int64), 0
+        triples, start = np.empty((cell.count, 1 + curve.n), dtype=np.int64), 0
         for i, block in enumerate(collected):
             triples[start:start + len(block)] = block
             start += len(block)
             collected[i] = None
-    return CountResult(Q=Q, psi=psi, B=B, theta=theta, count=total,
-                       boundary=boundary, triples=triples)
+    return CountResult(Q=cell.Q, psi=psi, B=cell.B, theta=cell.theta, count=cell.count,
+                       boundary=cell.boundary, triples=triples)
+
+
+def _points(curve: Curve, Q: int, psi: float, theta: Shift, a_lo, a_hi) -> np.ndarray:
+    """The doubles (a + lambda)/q of the triples of ``_kept``'s pairs, in its order: no triples."""
+    blocks = _kept(curve, Q, psi, theta, a_lo, a_hi)
+    return np.concatenate([np.empty(0)] + [np.repeat((a[keep] + theta[0]) / q[keep], reps)
+                                           for q, a, _, keep, reps, *_ in blocks])
 
 
 def _kept_points(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta=None) -> np.ndarray:
     """The doubles of ``enumerate_R(...).points()`` in its order, from the kept pairs: no triples."""
     Q, B, theta = _checked(curve, Q, (psi,), B, theta)
-    return np.concatenate([np.empty(0)] + [np.repeat((a[keep] + theta[0]) / q[keep], reps)
-                                           for q, a, _, keep, reps, *_ in _kept(curve, Q, psi, B, theta)])
+    return _points(curve, Q, psi, theta, *_q_rows(Q, B, theta[0]))
+
+
+def _cut(q: np.ndarray, s: float, lam: float, a_lo: np.ndarray, a_hi: np.ndarray) -> np.ndarray:
+    """Per q, the first a from ``a_lo`` to ``a_hi`` whose point fl(fl(a + lambda)/q) is >= s, else a_hi + 1.
+
+    The point does not decrease with a, so a ceil in doubles, moved a step at a time while
+    the point of the a below reaches s or its own does not, ends on it.
+    """
+    c = np.clip(np.ceil(q * s - lam), a_lo, a_hi + 1).astype(np.int64)
+    while (down := (c > a_lo) & ((c - 1 + lam) / q >= s)).any():
+        c -= down
+    while (up := (c <= a_hi) & ((c + lam) / q < s)).any():
+        c += up
+    return c
+
+
+def _coverage(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta,
+              rho: float) -> tuple[int, float]:
+    """The count of R and ``delta_coverage`` of its points, from one slab of B at a time.
+
+    B is cut at k - 1 doubles s into slabs of equal width, k the exact number of pairs
+    (``_pair_rows``) over ``_SLAB``.  A q's pairs are split where their point first reaches
+    s (``_cut``), so every pair lies in one slab and every slab's points lie in [s_i,
+    s_(i+1)) as doubles: the slabs in order, each one sorted, are the sort of all the points.
+    Their balls go to one ``_union_length``, which carries the running maximum of hi from
+    slab to slab, so a cell holds one slab's points and balls.
+    """
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    Q, B, theta = _checked(curve, Q, (psi,), B, theta)
+    lam, count = theta[0], 0
+    a_lo, a_hi = _q_rows(Q, B, lam)
+    q = np.arange(Q // 2 + 1, Q + 1)
+    k = max(1, -(-int(_pair_rows(a_lo, a_hi)[0][-1]) // _SLAB))
+
+    def slabs():
+        nonlocal count
+        first = a_lo
+        for i in range(1, k + 1):
+            end = a_hi + 1 if i == k else _cut(q, B[0] + (B[1] - B[0]) * i / k, lam, a_lo, a_hi)
+            pts = _points(curve, Q, psi, theta, first, end - 1)
+            count += len(pts)
+            pts.sort()
+            yield _balls(pts, rho, B)
+            first = end
+
+    measure = _union_length(slabs())
+    return count, measure
 
 
 def _cell_states(ss: Sequence[float], m: int):
@@ -350,7 +438,8 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
     m, ss, totals = curve.n - 1, [psi - GUARD for psi in psis], [0] * len(psis)
     table, S, weights = _cell_states(ss, m)
     big, q0 = S**m, Q // 2 + 1
-    ends, a_lo, offset = _pair_rows(range(q0, Q + 1), B, lam)
+    a_lo, a_hi = _q_rows(Q, B, lam)
+    ends, offset = _pair_rows(a_lo, a_hi)
     total, width = int(ends[-1]), min(_SWEEP_BATCH, int(ends[-1]))
     cap = _TIE_BLOCK if S else width  # tie pairs per flush, and the tie pairs held at most
     tie_ys, work = np.empty((m, cap)), np.empty((3, cap))
@@ -487,42 +576,15 @@ def witness_in_R(w: RationalWitness, curve: Curve, Q: float, psi: float,
 # interval unions and coverage
 
 
-def _union_length(lo: np.ndarray, hi: np.ndarray) -> float:
-    """Length of the union of intervals sorted by lo; in place, on the caller's copies.
+def _balls(x: np.ndarray, rho: float, B: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of the rho-balls around the sorted points ``x``, clipped to B; hi in ``x`` itself.
 
-    A component ends where the running maximum of hi falls below the next lo.  The ``math.fsum``
-    of the component ends and negated starts is exact up to one rounding, whatever the order.
+    The clipped lo = max(fl(x - rho), B_0) does not decrease with x, so the balls are sorted by lo.
     """
-    keep = hi > lo
-    if not keep.all():
-        lo = lo[keep]  # one statement per array: each old copy goes before the next new one
-        hi = hi[keep]
-    if lo.size == 0:
-        return 0.0
-    np.maximum.accumulate(hi, out=hi)
-    if hi[-1] == np.inf:  # an unbounded interval
-        return float("inf")
-    ends = np.flatnonzero(lo[1:] > hi[:-1])
-    return math.fsum(np.concatenate((hi[ends], hi[-1:], -lo[:1], -lo[ends + 1])).tolist())
-
-
-def interval_union_measure(intervals: Iterable[tuple[float, float]],
-                           clip: Optional[tuple[float, float]] = None) -> float:
-    """Length of the union of intervals, optionally clipped; exact up to one rounding (``_union_length``)."""
-    if isinstance(intervals, np.ndarray):
-        if intervals.size and (intervals.ndim != 2 or intervals.shape[1] != 2):
-            raise ValueError("an interval array must have shape (k, 2)")
-        arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
-    else:
-        arr = np.asarray([(lo, hi) for lo, hi in intervals], dtype=float)
-    if arr.size == 0:
-        return 0.0
-    lo, hi = arr[:, 0], arr[:, 1]
-    if clip is not None:
-        lo = np.maximum(lo, clip[0])
-        hi = np.minimum(hi, clip[1])
-    order = np.argsort(lo)
-    return _union_length(lo[order], hi[order])
+    lo = x - rho
+    np.maximum(lo, B[0], out=lo)
+    np.minimum(np.add(x, rho, out=x), B[1], out=x)
+    return lo, x
 
 
 def delta_coverage(witnesses, rho: float, B: tuple[float, float],
@@ -531,8 +593,7 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
 
     ``witnesses`` is a collected ``CountResult``, a float array of the points
     (a + lam)/q, or an iterable of witnesses.  The balls go to ``_union_length``
-    in one value sort of the points: the clipped lo = max(fl(x - rho), B_0) does
-    not decrease with x.  The points are left as given.
+    in one value sort of the points (``_balls``), which are left as given.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
@@ -542,63 +603,7 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
         pts = witnesses
     else:
         pts = np.asarray([(w.a + lam) / w.q for w in witnesses], dtype=float)
-    hi = np.sort(pts)
-    lo = hi - rho  # both clipped in place, hi in the sorted copy: two arrays of the points
-    np.maximum(lo, B[0], out=lo)
-    np.minimum(np.add(hi, rho, out=hi), B[1], out=hi)
-    return _union_length(lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# scaling fits and the counting lower bound
-
-
-@dataclass(frozen=True)
-class ScalingFit:
-    """Least-squares fit of log y against log x."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    samples: tuple[tuple[float, float], ...]
-
-
-def scaling_fit(samples: Sequence[tuple[float, float]]) -> ScalingFit:
-    if len(samples) < 3:
-        raise ValueError("need at least 3 samples")
-    xs = np.asarray([s[0] for s in samples], dtype=float)
-    ys = np.asarray([s[1] for s in samples], dtype=float)
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("samples must be positive for a log-log fit")
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return ScalingFit(slope=float(slope), intercept=float(intercept),
-                      r_squared=max(0.0, min(1.0, r2)),
-                      samples=tuple((float(a), float(b)) for a, b in samples))
-
-
-@dataclass(frozen=True)
-class LowerBoundCheck:
-    """Outcome of the counting lower bound; ok is None when out of regime."""
-
-    in_regime: bool
-    ok: Optional[bool]
-    bound: float
-    psi_floor: float
-
-
-def lower_bound_check(count: int, B: tuple[float, float], C0: float, psi: float,
-                      Q: float, n: int, K0: float) -> LowerBoundCheck:
-    """count >= |B|/(4 C0) psi^{n-1} Q^2, guarded by the admissibility window."""
-    floor = psi_floor(Q, n - 1, K0)
-    in_regime = floor <= psi < 1
-    size = max(0.0, B[1] - B[0])
-    bound = size / (4.0 * C0) * psi ** (n - 1) * Q**2
-    ok = bool(count >= bound) if in_regime else None
-    return LowerBoundCheck(in_regime=in_regime, ok=ok, bound=bound, psi_floor=floor)
+    return _union_length([_balls(np.sort(pts), rho, B)])
 
 
 # ---------------------------------------------------------------------------
@@ -618,28 +623,23 @@ def _csv_text(columns: Sequence[np.ndarray]) -> str:
     return csv_text(columns)
 
 
+def _write_triples(path, curve: Curve, psi: float, theta: Shift, blocks: Iterable[np.ndarray]) -> None:
+    """The triples CSV of one cell from its blocks of rows (q, a, b_1..b_m): ``csvtext.write_triples``.
+
+    At least ``_CSV_BLOCK`` rows are turned into text at a time.  Imported here, as in ``_csv_text``.
+    """
+    from .csvtext import write_triples
+
+    write_triples(path, curve, psi, theta, blocks, _CSV_BLOCK)
+
+
 def write_triples_csv(path, curve: Curve, result: CountResult) -> None:
     """Columns q,a,b1..bm,x_point,slack_f1..fm with LF endings and a header row.
 
-    The rows go out ``_CSV_BLOCK`` at a time: each block's x-points and slacks
-    are taken from its triples, elementwise as ``CountResult.points`` does, and
-    turned into text by ``_csv_text``, so a write holds no more than a block of
-    them at once.
+    The collected triples go to ``_write_triples`` ``_CSV_BLOCK`` rows at a time.
     """
     if result.triples is None:
         raise ValueError("enumeration ran with collect=False")
-    m = curve.n - 1
-    lam, gam = result.theta
-    header = ["q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["x_point"] + [
-        f"slack_f{j}" for j in range(1, m + 1)
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(result.triples), _CSV_BLOCK):
-            rows = result.triples[start:start + _CSV_BLOCK]
-            pts = (rows[:, 1] + lam) / rows[:, 0]
-            columns = [rows[:, k] for k in range(m + 2)] + [pts]
-            for j in range(1, m + 1):
-                y = rows[:, 0] * np.asarray(curve.coord_values(j, pts), dtype=float) - gam[j - 1]
-                columns.append(result.psi - np.abs(y - rows[:, 1 + j]))
-            fh.write(_csv_text(columns))
+    rows = result.triples
+    _write_triples(path, curve, result.psi, result.theta,
+                   (rows[start:start + _CSV_BLOCK] for start in range(0, len(rows), _CSV_BLOCK)))

@@ -45,7 +45,8 @@ are written directly.
 
 from __future__ import annotations
 
-from typing import Sequence
+import os
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -222,7 +223,51 @@ def csv_text(columns: Sequence[np.ndarray]) -> str:
     n = len(columns[0])
     if not n:
         return ""
-    fields = [(_float_field if col.dtype.kind == "f" else _int_field)(col, k == 0)
-              for k, col in enumerate(columns)]
-    words = np.vstack(fields + [np.full(n, _LF, dtype="<u4")])  # a field's words, row after row
-    return words.T.tobytes().translate(None, b"\0").decode("ascii")
+    words = np.vstack([(_float_field if col.dtype.kind == "f" else _int_field)(col, k == 0)
+                       for k, col in enumerate(columns)] + [np.full(n, _LF, dtype="<u4")])
+    data = words.T.tobytes()  # a field's words, row after row
+    del words  # each copy goes before the next is made
+    data = data.translate(None, b"\0")
+    return data.decode("ascii")
+
+
+def _runs(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The rows of the blocks, in order, in runs of ``size`` rows and then the rest."""
+    held, rows = [], 0
+    for block in blocks:
+        held.append(block)
+        rows += len(block)
+        if rows >= size:
+            joined, cut = np.concatenate(held), rows - rows % size
+            yield from (joined[start:start + size] for start in range(0, cut, size))
+            held, rows = [joined[cut:]], rows - cut
+    if rows:
+        yield np.concatenate(held)
+
+
+def write_triples(path, curve, psi: float, theta, blocks: Iterable[np.ndarray], size: int) -> None:
+    """Columns q,a,b1..bm,x_point,slack_f1..fm of the triples in ``blocks``, a header row, LF endings.
+
+    The rows (q, a, b_1..b_m) come in blocks of any size and are cut into runs of ``size``
+    rows: each run's x-points and slacks are taken from its triples, elementwise as
+    ``counting.CountResult.points`` does, and turned into text at once, so a write holds one
+    run of them.  Blocks that stop with an error leave no file.
+    """
+    m = curve.n - 1
+    lam, gam = theta
+    header = ["q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["x_point"] + [
+        f"slack_f{j}" for j in range(1, m + 1)
+    ]
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for rows in _runs(blocks, size):
+                pts = (rows[:, 1] + lam) / rows[:, 0]
+                columns = [rows[:, k] for k in range(m + 2)] + [pts]
+                for j in range(1, m + 1):
+                    y = rows[:, 0] * np.asarray(curve.coord_values(j, pts), dtype=float) - gam[j - 1]
+                    columns.append(psi - np.abs(y - rows[:, 1 + j]))
+                fh.write(csv_text(columns))
+    except BaseException:
+        os.remove(path)
+        raise

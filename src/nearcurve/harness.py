@@ -19,13 +19,11 @@ import numpy as np
 from . import __version__
 from .config import MODES, ExperimentConfig
 from .counting import (
-    _kept_points,
+    _coverage,
+    _TripleBlocks,
+    _write_triples,
     count_R_psi_sweep,
-    delta_coverage,
     enumerate_R,
-    lower_bound_check,
-    scaling_fit,
-    write_triples_csv,
 )
 from .curves import Curve, midpoint_grid, resolve_curve, second_derivative_bound
 from .detector import RationalWitness, derive_constants, detect_witnesses, psi_floor, verify_witnesses
@@ -93,6 +91,58 @@ def divergence_partial_sum(tau: float, s: float, n: int, N: int) -> DivergenceSu
     verdict = "diverges" if exponent >= -1.0 - 1e-12 else "converges"
     return DivergenceSum(partial_sum=partial, verdict=verdict, exponent=exponent,
                          boundary=boundary)
+
+
+# ---------------------------------------------------------------------------
+# scaling fits and the counting lower bound
+
+
+@dataclass(frozen=True)
+class ScalingFit:
+    """Least-squares fit of log y against log x."""
+
+    slope: float
+    intercept: float
+    r_squared: float
+    samples: tuple[tuple[float, float], ...]
+
+
+def scaling_fit(samples: Sequence[tuple[float, float]]) -> ScalingFit:
+    if len(samples) < 3:
+        raise ValueError("need at least 3 samples")
+    xs = np.asarray([s[0] for s in samples], dtype=float)
+    ys = np.asarray([s[1] for s in samples], dtype=float)
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise ValueError("samples must be positive for a log-log fit")
+    lx, ly = np.log(xs), np.log(ys)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    return ScalingFit(slope=float(slope), intercept=float(intercept),
+                      r_squared=max(0.0, min(1.0, r2)),
+                      samples=tuple((float(a), float(b)) for a, b in samples))
+
+
+@dataclass(frozen=True)
+class LowerBoundCheck:
+    """Outcome of the counting lower bound; ok is None when out of regime."""
+
+    in_regime: bool
+    ok: Optional[bool]
+    bound: float
+    psi_floor: float
+
+
+def lower_bound_check(count: int, B: tuple[float, float], C0: float, psi: float,
+                      Q: float, n: int, K0: float) -> LowerBoundCheck:
+    """count >= |B|/(4 C0) psi^{n-1} Q^2, guarded by the admissibility window."""
+    floor = psi_floor(Q, n - 1, K0)
+    in_regime = floor <= psi < 1
+    size = max(0.0, B[1] - B[0])
+    bound = size / (4.0 * C0) * psi ** (n - 1) * Q**2
+    ok = bool(count >= bound) if in_regime else None
+    return LowerBoundCheck(in_regime=in_regime, ok=ok, bound=bound, psi_floor=floor)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +265,18 @@ def _run_count(cfg, curve, consts, theta, out, seed):
     checks = None
     total = 0
     for Q, psi in _cells(cfg):
-        res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=cfg.count_write_triples)
-        lb = lower_bound_check(res.count, cfg.B, consts.C0, psi, Q, curve.n, consts.K0)
-        if cfg.count_write_triples:
+        if cfg.count_write_triples:  # the triples go to the CSV as they come, a block at a time
+            res = _TripleBlocks(curve, Q, psi, cfg.B, theta)
             path = os.path.join(out, f"count_Q{Q}_psi{_tag(psi)}.csv")
-            write_triples_csv(path, curve, res)
+            _write_triples(path, curve, psi, res.theta, res)
             files.append(path)
+        else:
+            res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=False)
+        lb = lower_bound_check(res.count, cfg.B, consts.C0, psi, Q, curve.n, consts.K0)
         rows.append((Q, psi, res.count, res.boundary, lb.bound,
                      "yes" if lb.in_regime else "no",
                      "" if lb.ok is None else ("yes" if lb.ok else "no")))
         total += res.count
-        del res  # frees this cell's triples before the next cell is enumerated
         if lb.in_regime:
             checks = bool(lb.ok) if checks is None else (checks and bool(lb.ok))
     summary_path = os.path.join(out, "counts.csv")
@@ -278,9 +329,7 @@ def _run_coverage(cfg, curve, consts, theta, out, seed):
     checks = None
     for Q, psi in _cells(cfg):
         rho = consts.rho(Q, psi) * cfg.coverage_rho_scale
-        pts = _kept_points(curve, Q, psi, cfg.B, theta)
-        count, cov = len(pts), delta_coverage(pts, rho, cfg.B)
-        del pts  # before the next cell's points are made
+        count, cov = _coverage(curve, Q, psi, cfg.B, theta, rho)
         in_regime = psi >= psi_floor(Q, consts.m, consts.K0)
         ok = cov >= 0.5 * size
         rows.append((Q, psi, rho, count, cov, 0.5 * size,

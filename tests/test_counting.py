@@ -1,12 +1,14 @@
 import csv
+import functools
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nearcurve as nc
-from nearcurve import counting, jets, lattice
+from nearcurve import counting, jets, lattice, union
 from nearcurve.counting import (
     count_R_psi_sweep,
     enumerate_R,
@@ -218,8 +220,9 @@ def test_sweep_flushes_more_tie_pairs_than_its_buffer_holds(monkeypatch):
     # poly:0,0,1e9 at Q = 300: |y| = 1e9 a^2/q passes 2^30 from a of about 13 on, so nearly every
     # pair lies in the tie cell 0, and one batch holds more tie pairs than the tie buffer
     steep, psis, B = nc.resolve_curve("poly:0,0,1e9"), [0.1, 0.3, 0.5, 0.62], (0.0, 1.0)
-    Q, _, theta = counting._checked(steep, 300, psis, B, None)
-    ys = np.concatenate([y[0].copy() for _, _, y, *_ in counting._kept(steep, Q, psis[0], B, theta)])
+    Q, B, theta = counting._checked(steep, 300, psis, B, None)
+    rows = counting._q_rows(Q, B, theta[0])
+    ys = np.concatenate([y[0].copy() for _, _, y, *_ in counting._kept(steep, Q, psis[0], theta, *rows)])
     for batch, ties in ((counting._SWEEP_BATCH, counting._TIE_BLOCK), (50, 3)):
         assert (np.abs(ys[:batch]) >= counting._Y_LIMIT).sum() > 2 * ties
         monkeypatch.setattr(counting, "_SWEEP_BATCH", batch)
@@ -482,6 +485,16 @@ def _balls_oracle(pts, rho, B):
     return exact_union_measure([(x - rho, x + rho) for x in pts.tolist()], clip=B)
 
 
+@functools.lru_cache(maxsize=None)
+def _coverage_cell(name, M, Q, psi, B, theta, scale):
+    """A cell of COVERAGE_CELLS: its curve, rho, kept points and their ``_balls_oracle``, made once."""
+    curve = nc.resolve_curve(name)
+    rho = nc.derive_constants(curve.n, M, 1.0).rho(Q, psi) * scale
+    pts = counting._kept_points(curve, Q, psi, B, theta)
+    pts.flags.writeable = False
+    return curve, rho, pts, _balls_oracle(pts, rho, B)
+
+
 def _one_double(measure, orders, expected):
     # the same points or intervals in every order give one bit-identical double
     assert {measure(given).hex() for given in orders} == {expected.hex()}
@@ -504,12 +517,10 @@ def test_delta_coverage_is_exact_in_every_order(rng, name, M, Q, psi, B, theta, 
                                                 reordered):
     # cells whose float sweep depends on the order of the balls that share a lo: the union is
     # the exact one, in the input order of the points and in three shuffled ones
-    curve = nc.resolve_curve(name)
-    rho = nc.derive_constants(curve.n, M, 1.0).rho(Q, psi) * scale
-    pts = counting._kept_points(curve, Q, psi, B, theta)
+    curve, rho, pts, expected = _coverage_cell(name, M, Q, psi, B, theta, scale)
     given = pts.copy()
     cov = nc.delta_coverage(pts, rho, B)
-    assert cov == _balls_oracle(pts, rho, B)
+    assert cov == expected
     assert np.array_equal(pts, given)
     _one_double(lambda x: nc.delta_coverage(x, rho, B), [rng.permutation(pts) for _ in range(3)], cov)
     swept = {sweep_union_measure([(x - rho, x + rho) for x in order.tolist()], clip=B)
@@ -518,6 +529,163 @@ def test_delta_coverage_is_exact_in_every_order(rng, name, M, Q, psi, B, theta, 
     x = np.sort(pts)
     lo, hi = np.maximum(x - rho, B[0]), np.minimum(x + rho, B[1])
     assert len(np.unique(lo[1:][(lo[1:] == lo[:-1]) & (hi[1:] != hi[:-1])])) == runs
+
+
+def _slab_coverage(monkeypatch, curve, Q, psi, B, theta, rho, slab, terms=union._TERMS):
+    # counting._coverage with slabs of `slab` pairs; also the lower ends of each slab's balls
+    chunks, kernel = [], counting._union_length
+
+    def recorded(given):
+        for lo, hi in given:
+            chunks.append(lo.copy())
+            yield lo, hi
+
+    monkeypatch.setattr(counting, "_SLAB", slab)
+    monkeypatch.setattr(union, "_TERMS", terms)
+    monkeypatch.setattr(counting, "_union_length", lambda given: kernel(recorded(given)))
+    count, cov = counting._coverage(curve, Q, psi, B, theta, rho)
+    return count, cov, chunks
+
+
+@pytest.mark.parametrize("name, M, Q, psi, B, theta, scale, runs, reordered", COVERAGE_CELLS)
+def test_coverage_is_the_same_in_any_number_of_slabs(monkeypatch, name, M, Q, psi, B, theta, scale,
+                                                     runs, reordered):
+    # one cell in 1, 2 and 7 slabs, with its union's terms held or folded after every slab: one
+    # count and one double, the exact union; the slabs in order give the balls of all the points sorted
+    curve, rho, pts, expected = _coverage_cell(name, M, Q, psi, B, theta, scale)
+    pts = np.sort(pts)
+    Q, B, shift = counting._checked(curve, Q, (psi,), B, theta)
+    pairs = int(counting._pair_rows(*counting._q_rows(Q, B, shift[0]))[0][-1])
+    for slabs, terms in ((1, union._TERMS), (2, union._TERMS), (7, union._TERMS), (7, 1)):
+        count, cov, chunks = _slab_coverage(monkeypatch, curve, Q, psi, B, theta, rho,
+                                            -(-pairs // slabs), terms)
+        assert (count, cov.hex()) == (len(pts), expected.hex())
+        assert len(chunks) == slabs
+        assert np.array_equal(np.concatenate(chunks), np.maximum(pts - rho, B[0]))
+
+
+@pytest.mark.parametrize("name", ["parabola", "veronese:3"])
+def test_coverage_in_one_pair_per_slab(monkeypatch, name):
+    curve = nc.resolve_curve(name)
+    for theta in (None, (0.1, (0.3,))):
+        for B in ((0.0, 1.0), (0.1, 0.9), (0.7, 0.2)):
+            Q, B, shift = counting._checked(curve, 24, (0.7,), B, theta)
+            pairs = int(counting._pair_rows(*counting._q_rows(Q, B, shift[0]))[0][-1])
+            pts = np.sort(counting._kept_points(curve, Q, 0.7, B, theta))
+            for rho in (1e-3, 1e6):
+                count, cov, chunks = _slab_coverage(monkeypatch, curve, Q, 0.7, B, theta, rho, 1)
+                assert len(chunks) == max(pairs, 1)
+                assert (count, cov) == (len(pts), _balls_oracle(pts, rho, B))
+                if len(pts):
+                    assert np.array_equal(np.concatenate(chunks), np.maximum(pts - rho, B[0]))
+
+
+def test_cut_splits_each_row_where_its_points_reach_s(rng):
+    # against a scan of the a-range: s is a point of the row, or a double next to one
+    for _ in range(300):
+        q = rng.integers(1, 65537, size=8)
+        lam = float(rng.choice([0.0, 0.1, -0.35, 0.25, rng.uniform(-5.0, 5.0)]))
+        a0 = int(rng.integers(-20, 60))
+        s = (a0 + lam) / int(q[0])
+        s = float(rng.choice([s, np.nextafter(s, np.inf), np.nextafter(s, -np.inf)]))
+        mid = np.ceil(q * s - lam).astype(np.int64)
+        a_lo, a_hi = mid - rng.integers(0, 4, size=8), mid + rng.integers(-2, 4, size=8)
+        cut = counting._cut(q, s, lam, a_lo, a_hi)
+        for qi, lo, hi, c in zip(q.tolist(), a_lo.tolist(), a_hi.tolist(), cut.tolist()):
+            assert c == next((a for a in range(lo, hi + 1) if (a + lam) / qi >= s), hi + 1)
+
+
+def test_coverage_at_the_height_cap():
+    # Q = 65536 on a window of width 2^-12 (393,000 pairs, 2 slabs): the count against an exact
+    # integer recount of |a^2/q - b| < psi - GUARD, and the union against exact_union_measure
+    curve, Q, psi, B = nc.parabola(), counting.Q_CAP, 0.1, (0.5, 0.5 + 2.0**-12)
+    rho = nc.derive_constants(2, 2.0, 1.0).rho(Q, psi)
+    qs = np.arange(Q // 2 + 1, Q + 1)
+    lo, hi = (qs + 1) // 2, qs * (2**12 + 2) // 2**13  # ceil(q B_0) and floor(q B_1)
+    sizes = hi - lo + 1
+    q = np.repeat(qs, sizes)
+    a = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
+    r = a * a % q
+    s = psi - counting.GUARD
+    # r/q and (q - r)/q are correctly rounded, so a strict < s in doubles is the exact one
+    below, above = r / q, (q - r) / q
+    assert not np.any(below == s) and not np.any(above == s)
+    inside = (below < s) | (above < s)
+    assert not np.any((below < s) & (above < s))  # psi < 1/2: at most one b
+    pts = a[inside] / q[inside]
+    assert counting._SLAB < len(a) < 2 * counting._SLAB
+    count, cov = counting._coverage(curve, Q, psi, B, None, rho)
+    assert count == len(pts) > 100_000
+    assert cov == exact_union_measure([(x - rho, x + rho) for x in pts.tolist()], clip=B)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coverage_holds_one_slab_at_a_time():
+    # parabola at Q = 8192 on (0, 1): 15,180,662 points, whose one sort held about 395 MB
+    curve = nc.parabola()
+    rho = nc.derive_constants(2, 2.0, 1.0).rho(8192, 0.3)
+    result, peak = _traced_peak(lambda: counting._coverage(curve, 8192, 0.3, (0.0, 1.0), None, rho))
+    assert result == (15_180_662, 0.9984222511682004)
+    assert peak < 32 * 2**20
+
+
+def test_streamed_count_holds_one_run_of_rows(tmp_path):
+    # Q = 2048, psi = 0.3: 954,470 triples, 22.9 MB as one array, and 49.6 MB of CSV
+    curve, path = nc.parabola(), tmp_path / "count.csv"
+
+    def stream():
+        cell = counting._TripleBlocks(curve, 2048, 0.3, (0.0, 1.0))
+        counting._write_triples(path, curve, 0.3, cell.theta, cell)
+        return cell.count, cell.boundary
+
+    result, peak = _traced_peak(stream)
+    assert result == (954_470, 248)
+    assert path.stat().st_size == 49_647_481
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("block", [1, 7, counting._BLOCK])
+@pytest.mark.parametrize("name", BLOCK_CURVES)
+def test_streamed_triples_csv_matches_the_collected_one(tmp_path, monkeypatch, name, block):
+    # the count mode writes the triples from the blocks as they come, joined into runs of at
+    # least _CSV_BLOCK rows: the same bytes as the collected triples written at the default
+    # sizes, and the same count and boundary
+    curve = nc.resolve_curve(name)
+    cells = [(theta, B, psi) for theta in BLOCK_SHIFTS for B, psi in
+             (((0.0, 1.0), 0.5), ((0.1, 0.9), 0.7), ((0.1, 0.9), 0.3), ((0.7, 0.2), 0.3))]
+    collected, streamed = tmp_path / "collected.csv", tmp_path / "streamed.csv"
+    expected = []
+    for theta, B, psi in cells:
+        res = enumerate_R(curve, 24, psi, B, theta)
+        write_triples_csv(collected, curve, res)
+        expected.append((collected.read_bytes(), res.count, res.boundary))
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    if block < counting._BLOCK:
+        monkeypatch.setattr(counting, "_CSV_BLOCK", 7)
+    for (theta, B, psi), want in zip(cells, expected):
+        cell = counting._TripleBlocks(curve, 24, psi, B, theta)
+        counting._write_triples(streamed, curve, psi, cell.theta, cell)
+        assert (streamed.read_bytes(), cell.count, cell.boundary) == want
+    assert any(boundary for *_, boundary in expected)
+
+
+@pytest.mark.parametrize("B, theta, name", [
+    ((math.nan, 1.0), None, "B"), ((0.0, math.inf), None, "B"),
+    ((0.0, 1.0), (math.inf, 0.0), "lambda"), ((0.0, 1.0), (0.0, math.nan), "gamma"),
+])
+def test_inputs_that_are_not_finite_are_named(parabola, B, theta, name):
+    for run in (lambda: enumerate_R(parabola, 64, 0.3, B, theta),
+                lambda: count_R_psi_sweep(parabola, 64, [0.3], B, theta),
+                lambda: counting._coverage(parabola, 64, 0.3, B, theta, 1e-3)):
+        with pytest.raises(ValueError, match=f"^{name}=.* is not finite$"):
+            run()
 
 
 def test_delta_coverage_edge_points():

@@ -52,6 +52,10 @@ witness verification where its integer evaluation is not the whole story:
 ``detect-mixed`` (``curve = mixed``, ``M = 3``), whose e^x coordinate is
 taken in doubles, and ``detect-poly-third`` (``curve = poly:0.1,1/3,1``),
 whose coefficients have a common denominator that is not a power of two.
+``coverage-slabs`` (``B = 0.1,0.9``, ``theta.lambda = 0.1``,
+``theta.gamma = 0.3``, ``Q_list = 1024,4096``) runs coverage cells that
+span many slabs (about 20 at ``Q = 4096``) on shifted, non-dyadic inputs, so
+that the union carried from slab to slab is covered too.
 Each run goes in a fresh interpreter and into a temporary directory.
 Prints one ``<sha256>  <run>/<file>`` line per output file, sorted, so two
 checkouts compare with one diff:
@@ -125,6 +129,8 @@ RUNS = (
     ("scaling-veronese7", "scaling", "scaling.cfg", {"curve": "veronese:7", "Q_list": "64,128,256"}),
     ("detect-mixed", "detect", "detect.cfg", {"curve": "mixed", "M": "3"}),
     ("detect-poly-third", "detect", "detect.cfg", {"curve": "poly:0.1,1/3,1"}),
+    ("coverage-slabs", "coverage", "coverage.cfg",
+     {"B": "0.1,0.9", "theta.lambda": "0.1", "theta.gamma": "0.3", "Q_list": "1024,4096"}),
 )
 
 
