@@ -226,7 +226,7 @@ def csv_text(columns: Sequence[np.ndarray]) -> str:
     words = np.vstack([(_float_field if col.dtype.kind == "f" else _int_field)(col, k == 0)
                        for k, col in enumerate(columns)] + [np.full(n, _LF, dtype="<u4")])
     data = words.T.tobytes()  # a field's words, row after row
-    del words  # each copy goes before the next is made
+    del words  # at most two copies of the run's text at a time
     data = data.translate(None, b"\0")
     return data.decode("ascii")
 
@@ -258,8 +258,8 @@ def write_triples(path, curve, psi: float, theta, blocks: Iterable[np.ndarray], 
     header = ["q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["x_point"] + [
         f"slack_f{j}" for j in range(1, m + 1)
     ]
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        try:
             fh.write(",".join(header) + "\n")
             for rows in _runs(blocks, size):
                 pts = (rows[:, 1] + lam) / rows[:, 0]
@@ -268,6 +268,7 @@ def write_triples(path, curve, psi: float, theta, blocks: Iterable[np.ndarray], 
                     y = rows[:, 0] * np.asarray(curve.coord_values(j, pts), dtype=float) - gam[j - 1]
                     columns.append(psi - np.abs(y - rows[:, 1 + j]))
                 fh.write(csv_text(columns))
-    except BaseException:
-        os.remove(path)
-        raise
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
