@@ -4,12 +4,15 @@ The set under study collects integer triples (q, a, b) with Q/2 < q <= Q,
 (a + lambda)/q inside a window B, and every |q f_j((a+lambda)/q) - gamma_j - b_j|
 strictly below psi.  Enumeration is O(Q^2) per configuration, for Q up to
 ``Q_CAP`` = 65536.  The q-range and the a-range of every q are decided in
-exact integers.  ``enumerate_R`` and coverage walk the (q, a) pairs in flat,
-cache-sized blocks of their canonical double y and keep those with a b
-(``_kept``, ``_b_counts``).  A psi sweep bins each pair by the 2^-16 cell that
-2^16 y rounds to, which gives ``_window``'s answer (below) off the tie cells,
-within two cells of a cut s, 1 - s, 0 or 1; a pair with a coordinate in a tie
-cell gets its canonical y and ``_window`` (``count_R_psi_sweep``).  Both take a
+exact integers.  One psi sweep gives the counts of ``enumerate_R``,
+``count_R_psi_sweep`` and the ``count`` mode: it bins each pair by the 2^-16
+cell that 2^16 y rounds to, which gives ``_window``'s answer (below) off the
+tie cells, within two cells of a cut s, 1 - s, 0 or 1; a pair with a
+coordinate in a tie cell gets its canonical y and ``_window`` (``_sweep``).  Its
+cuts at psi - 1e-12 and psi + 1e-12 give a cell's ``count`` and ``boundary``
+(``_counts``).  The triples and coverage's points come from flat, cache-sized
+blocks of the pairs' canonical double y, of which ``_kept`` keeps those with a
+b; ``_triples`` checks that its rows add up to the sweep's count.  All take a
 pair's (q, a) and y from its flat index (``_pair_ys``).
 
 The b-window is decided in doubles, by one predicate, ``_window``: the
@@ -22,7 +25,7 @@ configs/scaling.cfg reports 30,171,993 triples at Q = 8192, psi = 0.6 against
 an exact 30,171,986.  An exact integer test is item 1 of ROADMAP.md.
 
 The collecting paths hold a bounded part of a cell at a time.  ``count`` writes
-its triples as ``_TripleBlocks`` makes them, a block of pairs at a time, and
+its triples as ``_triples`` makes them, a block of pairs at a time, and
 turns them into text ``_CSV_BLOCK`` rows at a time.  Coverage walks B in slabs
 of about ``_SLAB`` pairs (``_coverage``), split where the points reach a cut,
 so the slabs in order hand their sorted balls to one exact union kernel
@@ -234,71 +237,57 @@ def _kept(curve: Curve, Q: int, psi: float, theta: Shift, a_lo: np.ndarray,
         yield q, a, ys, keep, counts[keep].astype(np.int64), inside, lo
 
 
-class _TripleBlocks:
-    """The triples of R at one cell, a block of ``_kept`` at a time, with ``count`` and ``boundary``.
+def _triples(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta: Shift,
+             count: int) -> Iterator[np.ndarray]:
+    """The triples of R on ``_checked``'s ``(Q, B, theta)``: int64 rows (q, a, b_1..b_m) per ``_kept`` block.
 
-    The inputs are checked at once (``_checked``), and ``Q``, ``B`` and ``theta`` hold the
-    checked ones.  Walking it yields each block's int64 rows (q, a, b_1..b_m), or none with
-    ``collect=False``; ``count`` and ``boundary`` add up as it goes.  A kept pair becomes its
-    triples in one step, the last b varying fastest, so the rows come out in ascending (q, a, b)
-    order.  The pairs within psi + GUARD but not psi - GUARD add to ``boundary``.
+    A kept pair becomes its triples in one step, the last b varying fastest, so the rows come
+    out in ascending (q, a, b) order.  ``count`` is the sweep's count of the cell (``_counts``):
+    rows that do not add up to it raise AssertionError, at the latest after the last block.
     """
-
-    def __init__(self, curve: Curve, Q: int, psi: float, B: tuple[float, float], theta=None,
-                 collect: bool = True):
-        self.Q, self.B, self.theta = _checked(curve, Q, (psi,), B, theta)
-        self.curve, self.psi, self.collect = curve, psi, collect
-        self.count = self.boundary = 0
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        m = self.curve.n - 1
-        wide_buf, floor_buf = np.empty((2, m, _BLOCK))  # b-counts at psi + GUARD, and their floors
-        for q, a, ys, keep, reps, inside, lo in _kept(self.curve, self.Q, self.psi, self.theta,
-                                                      *_q_rows(self.Q, self.B, self.theta[0])):
-            kept = int(reps.sum())
-            self.count += kept
-            wide = _b_counts(ys, self.psi + GUARD, wide_buf[:, :len(a)], floor_buf[:, :len(a)])
-            self.boundary += int(wide.sum()) - kept
-            if self.collect and len(keep):
-                pair = np.repeat(keep, reps)
-                # index of each triple within its pair, split into mixed-radix digits
-                digit = np.arange(len(pair), dtype=np.int64)
-                digit -= np.repeat(np.cumsum(reps) - reps, reps)
-                block = np.empty((len(pair), 2 + m), dtype=np.int64)
-                block[:, 0] = q[pair]
-                block[:, 1] = a[pair]
-                for j in range(m - 1, -1, -1):
-                    radix = inside[j, pair].astype(np.int64)
-                    block[:, 2 + j] = lo[j, pair]
-                    block[:, 2 + j] += 1 + digit % radix
-                    digit //= radix
-                yield block
+    m, made = curve.n - 1, 0
+    for q, a, _, keep, reps, inside, lo in _kept(curve, Q, psi, theta, *_q_rows(Q, B, theta[0])):
+        pair = np.repeat(keep, reps)
+        # index of each triple within its pair, split into mixed-radix digits
+        digit = np.arange(len(pair), dtype=np.int64)
+        digit -= np.repeat(np.cumsum(reps) - reps, reps)
+        block = np.empty((len(pair), 2 + m), dtype=np.int64)
+        block[:, 0] = q[pair]
+        block[:, 1] = a[pair]
+        for j in range(m - 1, -1, -1):
+            radix = inside[j, pair].astype(np.int64)
+            block[:, 2 + j] = lo[j, pair]
+            block[:, 2 + j] += 1 + digit % radix
+            digit //= radix
+        made += len(block)
+        if made > count:
+            break
+        yield block
+    if made != count:
+        raise AssertionError(f"curve {curve.label} at Q={Q}, psi={psi}: the kept pairs do not make "
+                             f"the sweep's {count} triples")
 
 
 def enumerate_R(curve: Curve, Q: int, psi: float, B: tuple[float, float],
                 theta=None, *, collect: bool = True) -> CountResult:
     """All integer triples of the near-curve set at height Q and width psi.
 
-    Iterates q with 2q > Q, q <= Q and a with (a + lambda)/q in B (exact
-    integer predicates) in flat blocks of (q, a) pairs, and per coordinate
-    every integer b_j with |y_j - b_j| < psi - GUARD (``_window``); the pairs
-    within psi + GUARD but not psi - GUARD add to ``boundary``
-    (``_TripleBlocks``).  The rows come out in ascending (q, a, b) order.
-    With ``collect=False`` only the counts are accumulated, which keeps
-    Q-sweeps cheap.  Q above ``Q_CAP`` raises ValueError.
+    ``count`` and ``boundary`` come from the psi sweep at the cuts psi - GUARD and psi + GUARD
+    (``_counts``): the triples with every |y_j - b_j| < psi - GUARD (``_window``), and those
+    within psi + GUARD but not psi - GUARD.  With ``collect=True`` the triples of q with
+    2q > Q, q <= Q and a with (a + lambda)/q in B (exact integer predicates) fill one array of
+    ``count`` rows in ascending (q, a, b) order (``_triples``); with ``collect=False`` only the
+    counts are taken, which keeps Q-sweeps cheap.  Q above ``Q_CAP`` raises ValueError.
     """
-    cell = _TripleBlocks(curve, Q, psi, B, theta, collect)
-    collected = list(cell)
+    Q, B, theta, count, boundary = _counts(curve, Q, psi, B, theta)
     triples = None
     if collect:
-        # each block is dropped once it is copied, so the triples are not held twice
-        triples, start = np.empty((cell.count, 1 + curve.n), dtype=np.int64), 0
-        for i, block in enumerate(collected):
+        triples, start = np.empty((count, 1 + curve.n), dtype=np.int64), 0
+        for block in _triples(curve, Q, psi, B, theta, count):
             triples[start:start + len(block)] = block
             start += len(block)
-            collected[i] = None
-    return CountResult(Q=cell.Q, psi=psi, B=cell.B, theta=cell.theta, count=cell.count,
-                       boundary=cell.boundary, triples=triples)
+    return CountResult(Q=Q, psi=psi, B=B, theta=theta, count=count, boundary=boundary,
+                       triples=triples)
 
 
 def _points(curve: Curve, Q: int, psi: float, theta: Shift, a_lo, a_hi) -> np.ndarray:
@@ -306,12 +295,6 @@ def _points(curve: Curve, Q: int, psi: float, theta: Shift, a_lo, a_hi) -> np.nd
     blocks = _kept(curve, Q, psi, theta, a_lo, a_hi)
     return np.concatenate([np.empty(0)] + [np.repeat((a[keep] + theta[0]) / q[keep], reps)
                                            for q, a, _, keep, reps, *_ in blocks])
-
-
-def _kept_points(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta=None) -> np.ndarray:
-    """The doubles of ``enumerate_R(...).points()`` in its order, from the kept pairs: no triples."""
-    Q, B, theta = _checked(curve, Q, (psi,), B, theta)
-    return _points(curve, Q, psi, theta, *_q_rows(Q, B, theta[0]))
 
 
 def _cut(q: np.ndarray, s: float, lam: float, a_lo: np.ndarray, a_hi: np.ndarray) -> np.ndarray:
@@ -363,18 +346,18 @@ def _coverage(curve: Curve, Q: int, psi: float, B: tuple[float, float], theta,
 
 
 def _cell_states(ss: Sequence[float], m: int):
-    """The cells' uint16 states, the number S of states that they decide, and per psi the b-counts.
+    """The cells' uint16 states, the number S of states that they decide, and per cut s the b-counts.
 
     Cell n holds the 2^16 y that round to n mod 2^16.  Its state counts the cuts s, 1 - s
     (s > 0) at or below n 2^-16; a tie cell, floor(2^16 c) - 1 ... floor(2^16 c) + 2 for c a
     cut, 0 or 1, holds BIG = S^m.  A d = y - floor(y) in state i has [d < s] + [d > 1 - s] b
-    with |y - b| < s (0 if s <= 0).  A joint state is m states in base S; S = 0 once the
-    number of psi times S^m reaches 2^16: no cell decides.
+    with |y - b| < s (0 if s <= 0), for s < 1.  A joint state is m states in base S; S = 0 once
+    the number of cuts times S^m reaches 2^16, or where a cut is 1 or more: no cell decides.
     """
     inner = [s for s in ss if s > 0]
     cuts = np.array(sorted(set(inner + [1 - s for s in inner])), dtype=float)
     S = len(cuts) + 1
-    if len(ss) * S**m >= _CELLS:
+    if len(ss) * S**m >= _CELLS or max(ss) >= 1:
         return None, 0, np.zeros((len(ss), 0), np.int64)
     first = np.ceil(cuts * _CELLS).astype(np.int64)  # the first cell at or above each cut
     table = np.repeat(np.arange(S, dtype=np.uint16), np.diff(first, prepend=0, append=_CELLS))
@@ -416,13 +399,32 @@ def _row_terms(curve: Curve, Q: int, B: tuple[float, float], gam: Sequence[float
 
 def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[float, float],
                       theta=None) -> list[int]:
-    """Counts of enumerate_R for several psi at one Q, from one histogram of cells.
+    """Counts of enumerate_R for several psi at one Q, from one histogram of cells (``_sweep``).
 
-    Raises ValueError wherever enumerate_R would for one of the psi.  Per q-row segment, a
-    producer writes v = 2^16 y per coordinate into a batch of at most ``_SWEEP_BATCH`` pairs:
-    with ``_row_terms``' terms, the row's scalars ``c_k 2^16 q^(1 - k)`` times slices of a
-    table of t^k, t = a + lambda (one multiply per segment for x^p and no shift), within half
-    a cell of V = 2^16 times the canonical y; else V (``_y``), or 0 where |y| >= 2^30 or nan.
+    Raises ValueError wherever enumerate_R would for one of the psi.
+    """
+    return _sweep(curve, Q, psis, [psi - GUARD for psi in psis], B, theta)[3]
+
+
+def _counts(curve: Curve, Q: int, psi: float, B: tuple[float, float],
+            theta) -> tuple[int, tuple[float, float], Shift, int, int]:
+    """``_checked``'s ``(Q, B, theta)`` of one cell, its ``count`` and its ``boundary``, from one sweep.
+
+    The sweep counts at psi - GUARD and psi + GUARD; the triples between the two are ``boundary``.
+    """
+    Q, B, theta, (count, wide) = _sweep(curve, Q, (psi,), (psi - GUARD, psi + GUARD), B, theta)
+    return Q, B, theta, count, wide - count
+
+
+def _sweep(curve: Curve, Q: int, psis: Sequence[float], cuts: Sequence[float], B: tuple[float, float],
+           theta) -> tuple[int, tuple[float, float], Shift, list[int]]:
+    """``_checked``'s ``(Q, B, theta)`` for ``psis``; per cut s, the triples with every |y_j - b_j| < s.
+
+    The one producer of ``count`` and ``boundary``.  Per q-row segment, a producer writes
+    v = 2^16 y per coordinate into a batch of at most ``_SWEEP_BATCH`` pairs: with
+    ``_row_terms``' terms, the row's scalars ``c_k 2^16 q^(1 - k)`` times slices of a table of
+    t^k, t = a + lambda (one multiply per segment for x^p and no shift), within half a cell of
+    V = 2^16 times the canonical y; else V (``_y``), or 0 where |y| >= 2^30 or nan.
     As |v| < 2^47 < 2^51, v + 1.5 2^52 is round(v) + 1.5 2^52 exactly, and the low 16 bits of
     its int64 view are the cell n = round(v) mod 2^16.  So V lies in [n - 1, n + 1] mod 2^16,
     which a cut at c cells, 0 or 2^16 meets only for the tie cells n = floor(c) - 1 ...
@@ -433,9 +435,9 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
     ``_window``.  Where no cell decides (S = 0), every pair is flushed, unbinned.
     """
     Q, B, (lam, gam) = _checked(curve, Q, psis, B, theta)
-    if not psis:
-        return []
-    m, ss, totals = curve.n - 1, [psi - GUARD for psi in psis], [0] * len(psis)
+    if not cuts:
+        return Q, B, (lam, gam), []
+    m, ss, totals = curve.n - 1, list(cuts), [0] * len(cuts)
     table, S, weights = _cell_states(ss, m)
     big, q0 = S**m, Q // 2 + 1
     a_lo, a_hi = _q_rows(Q, B, lam)
@@ -458,7 +460,7 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
     if not (S and total):  # no pair, or no cell decides: every pair goes to the flush, unbinned
         for start in range(0, total, _SWEEP_BATCH):
             flush(np.arange(start, min(start + _SWEEP_BATCH, total)))
-        return totals
+        return Q, B, (lam, gam), totals
     terms = _row_terms(curve, Q, B, gam)
     a_lo, sizes = a_lo.tolist(), np.diff(ends, prepend=0).tolist()
     rows = [r for r, size in enumerate(sizes) if size]
@@ -532,7 +534,7 @@ def count_R_psi_sweep(curve: Curve, Q: int, psis: Sequence[float], B: tuple[floa
     if pos:
         bin_batch(ends[-1] - pos, pos)
     flush(tie_at[:held])
-    return [n + int(w) for n, w in zip(totals, weights @ hist[:big])]
+    return Q, B, (lam, gam), [n + int(w) for n, w in zip(totals, weights @ hist[:big])]
 
 
 def _membership(curve: Curve, Q: float, psi: float, B: tuple[float, float], theta: Shift):

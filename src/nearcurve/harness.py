@@ -18,13 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import MODES, ExperimentConfig
-from .counting import (
-    _coverage,
-    _TripleBlocks,
-    _write_triples,
-    count_R_psi_sweep,
-    enumerate_R,
-)
+from .counting import _counts, _coverage, _triples, _write_triples, count_R_psi_sweep
 from .curves import Curve, midpoint_grid, resolve_curve, second_derivative_bound
 from .detector import RationalWitness, derive_constants, detect_witnesses, psi_floor, verify_witnesses
 from .errors import ConfigError
@@ -265,18 +259,16 @@ def _run_count(cfg, curve, consts, theta, out, seed):
     checks = None
     total = 0
     for Q, psi in _cells(cfg):
+        Q, B, shift, count, boundary = _counts(curve, Q, psi, cfg.B, theta)
         if cfg.count_write_triples:  # the triples go to the CSV as they come, a block at a time
-            res = _TripleBlocks(curve, Q, psi, cfg.B, theta)
             path = os.path.join(out, f"count_Q{Q}_psi{_tag(psi)}.csv")
-            _write_triples(path, curve, psi, res.theta, res)
+            _write_triples(path, curve, psi, shift, _triples(curve, Q, psi, B, shift, count))
             files.append(path)
-        else:
-            res = enumerate_R(curve, Q, psi, cfg.B, theta, collect=False)
-        lb = lower_bound_check(res.count, cfg.B, consts.C0, psi, Q, curve.n, consts.K0)
-        rows.append((Q, psi, res.count, res.boundary, lb.bound,
+        lb = lower_bound_check(count, cfg.B, consts.C0, psi, Q, curve.n, consts.K0)
+        rows.append((Q, psi, count, boundary, lb.bound,
                      "yes" if lb.in_regime else "no",
                      "" if lb.ok is None else ("yes" if lb.ok else "no")))
-        total += res.count
+        total += count
         if lb.in_regime:
             checks = bool(lb.ok) if checks is None else (checks and bool(lb.ok))
     summary_path = os.path.join(out, "counts.csv")

@@ -16,8 +16,10 @@ from nearcurve.counting import (
     witness_in_R,
     write_triples_csv,
 )
+from nearcurve.config import parse_config_text
 from nearcurve.curves import CallableCoordinate, Curve, MonomialCoordinate
 from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
+from nearcurve.harness import run_experiment
 from oracles import (
     exact_union_measure,
     grid_union_measure,
@@ -28,11 +30,22 @@ from oracles import (
 )
 
 
+def _block_walk(curve, Q, psi, B, theta=None):
+    """``(count, boundary)`` of a cell from ``_kept``'s blocks and their b-counts at psi + GUARD."""
+    Q, B, theta = counting._checked(curve, Q, (psi,), B, theta)
+    count = wide = 0
+    for _, _, ys, _, reps, *_ in counting._kept(curve, Q, psi, theta, *counting._q_rows(Q, B, theta[0])):
+        count += int(reps.sum())
+        wide += int(counting._b_counts(ys, psi + counting.GUARD, *np.empty((2,) + ys.shape)).sum())
+    return count, wide - count
+
+
 def test_enumeration_oracle_values(parabola):
     # frozen values, confirmed by the naive double-loop oracle below
     res = enumerate_R(parabola, 10, 0.5, (0.0, 1.0))
     assert res.count == 41
     assert res.boundary == 8  # the four half-integer pairs graze both neighbours
+    assert _block_walk(parabola, 10, 0.5, (0.0, 1.0)) == (41, 8)
     res2 = enumerate_R(parabola, 10, 1e-9, (0.0, 1.0))
     assert res2.count == 13
     naive41, triples41 = naive_count_R([lambda x: x * x], 10, 0.5, (0.0, 1.0))
@@ -154,7 +167,8 @@ def test_block_kernel_matches_row_oracle(monkeypatch, name, block):
                 for psi in (0.3, 0.5, 0.9):
                     res = enumerate_R(curve, Q, psi, B, theta)
                     count, boundary, triples = naive_enumerate(curve, Q, psi, B, theta)
-                    assert (res.count, res.boundary) == (count, boundary)
+                    assert (res.count, res.boundary) == (count, boundary) == \
+                        _block_walk(curve, Q, psi, B, theta)
                     assert res.triples.dtype == triples.dtype
                     assert np.array_equal(res.triples, triples)
 
@@ -370,6 +384,96 @@ def test_enumeration_at_the_height_cap(name):
         count_R_psi_sweep(curve, counting.Q_CAP + 1, [0.62], B)
 
 
+# ROADMAP item 10's cells, (curve, Q, psi, B, theta), and curves that bin no cell, take cells
+# from their canonical y, or flush nearly every pair as a tie
+SWEEP_CELLS = (
+    ("parabola", 512, 0.3, (0.0, 1.0), None),
+    ("parabola", 1024, 0.3, (0.0, 1.0), None),
+    ("parabola", 10, 0.1, (0.0, 1.0), None),
+    ("parabola", 200, 0.5, (0.0, 1.0), None),
+    ("parabola", 8192, 0.6, (0.0, 1.0), None),
+    ("veronese:3", 1024, 0.7, (0.1, 0.9), (0.1, (0.3, 0.0))),
+    ("veronese:3", 2048, 0.7, (0.0, 1.0), None),
+    ("parabola", 4096, 0.25, (0.0, 1.0), (0.1, (0.3,))),
+    ("veronese:7", 256, 0.3, (0.0, 1.0), None),
+    ("mixed", 512, 0.62, (0.1, 0.9), None),
+    ("poly:0,0,1e9", 300, 0.3, (0.0, 1.0), None),
+)
+
+
+@pytest.mark.parametrize("name, Q, psi, B, theta", SWEEP_CELLS)
+def test_the_sweep_gives_count_and_boundary(name, Q, psi, B, theta):
+    # the two cuts psi -+ GUARD of one sweep give the count and boundary of the block walk
+    curve = nc.resolve_curve(name)
+    counts = counting._counts(curve, Q, psi, B, theta)[3:]
+    assert counts == _block_walk(curve, Q, psi, B, theta)
+    if (name, Q, psi) == ("parabola", 8192, 0.6):
+        assert counts == (30_171_993, 3_911)  # the known float fault, see the module docstring
+    if (name, Q, psi) == ("parabola", 10, 0.1):
+        assert counts[1] == 4
+
+
+@pytest.mark.parametrize("name", ["parabola", "veronese:3"])
+@pytest.mark.parametrize("psi", [1 - 1e-13, 5e-13])
+def test_the_sweep_gives_count_and_boundary_at_cuts_outside_the_unit(name, psi):
+    # psi + GUARD >= 1 leaves up to 3 b in a window, which no cell state holds: every pair
+    # goes to the flush; psi - GUARD < 0 leaves none
+    curve = nc.resolve_curve(name)
+    for theta in (None, (0.1, (0.3,))):
+        for Q, B in ((24, (0.0, 1.0)), (256, (0.1, 0.9))):
+            res = enumerate_R(curve, Q, psi, B, theta)
+            count, boundary, triples = naive_enumerate(curve, Q, psi, B, theta)
+            assert (res.count, res.boundary) == (count, boundary) == _block_walk(curve, Q, psi, B, theta)
+            assert np.array_equal(res.triples, triples)
+            assert count > 0 if psi > 0.5 else count == 0
+
+
+def test_counts_walk_no_kept_pairs(tmp_path, monkeypatch):
+    # enumerate_R(collect=False) and a count run without triples take both numbers from the sweep
+    curve = nc.parabola()
+    expected = [(res.count, res.boundary) for res in
+                (enumerate_R(curve, Q, 0.3, (0.0, 1.0), (0.1, (0.3,))) for Q in (256, 512))]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a count without triples walks no kept pairs")
+
+    monkeypatch.setattr(counting, "_kept", refused)
+    assert [(res.count, res.boundary) for res in
+            (enumerate_R(curve, Q, 0.3, (0.0, 1.0), (0.1, (0.3,)), collect=False)
+             for Q in (256, 512))] == expected
+    cfg = parse_config_text(f"curve = parabola\nB = 0,1\npsi_list = 0.3\nQ_list = 256,512\n"
+                            f"theta.lambda = 0.1\ntheta.gamma = 0.3\ncount.write_triples = false\n"
+                            f"output_dir = {tmp_path}/c\n")
+    run_experiment(cfg, mode="count")
+    rows = list(csv.DictReader((tmp_path / "c" / "counts.csv").read_text().splitlines()))
+    assert [(int(r["count"]), int(r["boundary"])) for r in rows] == expected
+
+
+def test_collected_triples_are_held_once():
+    # Q = 2048, psi = 0.3: the triples array, filled block by block, and little beside it
+    result, peak = _traced_peak(lambda: enumerate_R(nc.parabola(), 2048, 0.3, (0.0, 1.0)))
+    assert result.count == len(result.triples) == 954_470
+    assert peak < result.triples.nbytes + 4 * 2**20
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_triples_that_miss_the_sweep_count_raise(tmp_path, monkeypatch, off):
+    sweep = counting._sweep
+
+    def miscounted(*args):
+        Q, B, theta, counts = sweep(*args)
+        return Q, B, theta, [counts[0] + off] + counts[1:]
+
+    monkeypatch.setattr(counting, "_sweep", miscounted)
+    with pytest.raises(AssertionError, match="the kept pairs do not make the sweep's"):
+        enumerate_R(nc.parabola(), 64, 0.3, (0.0, 1.0))
+    cfg = parse_config_text(f"curve = parabola\nB = 0,1\npsi_list = 0.3\nQ_list = 64\n"
+                            f"output_dir = {tmp_path}/c\n")
+    with pytest.raises(AssertionError, match="the kept pairs do not make the sweep's"):
+        run_experiment(cfg, mode="count")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_a_ranges_match_fractions(rng):
     from fractions import Fraction
 
@@ -473,7 +577,8 @@ def test_kept_points_match_the_collected_points(monkeypatch, name, block):
         for B in ((0.0, 1.0), (0.1, 0.9), (0.7, 0.2)):
             for psi in (0.3, 0.7):
                 res = enumerate_R(curve, 40, psi, B, theta)
-                pts = counting._kept_points(curve, 40, psi, B, theta)
+                Q, B, shift = counting._checked(curve, 40, (psi,), B, theta)
+                pts = counting._points(curve, Q, psi, shift, *counting._q_rows(Q, B, shift[0]))
                 assert len(pts) == res.count and pts.dtype == np.float64
                 assert np.array_equal(pts, res.points())
                 several |= len(np.unique(res.triples[:, :2], axis=0)) < res.count
@@ -490,7 +595,7 @@ def _coverage_cell(name, M, Q, psi, B, theta, scale):
     """A cell of COVERAGE_CELLS: its curve, rho, kept points and their ``_balls_oracle``, made once."""
     curve = nc.resolve_curve(name)
     rho = nc.derive_constants(curve.n, M, 1.0).rho(Q, psi) * scale
-    pts = counting._kept_points(curve, Q, psi, B, theta)
+    pts = enumerate_R(curve, Q, psi, B, theta).points()
     pts.flags.writeable = False
     return curve, rho, pts, _balls_oracle(pts, rho, B)
 
@@ -571,7 +676,7 @@ def test_coverage_in_one_pair_per_slab(monkeypatch, name):
         for B in ((0.0, 1.0), (0.1, 0.9), (0.7, 0.2)):
             Q, B, shift = counting._checked(curve, 24, (0.7,), B, theta)
             pairs = int(counting._pair_rows(*counting._q_rows(Q, B, shift[0]))[0][-1])
-            pts = np.sort(counting._kept_points(curve, Q, 0.7, B, theta))
+            pts = np.sort(enumerate_R(curve, Q, 0.7, B, theta).points())
             for rho in (1e-3, 1e6):
                 count, cov, chunks = _slab_coverage(monkeypatch, curve, Q, 0.7, B, theta, rho, 1)
                 assert len(chunks) == max(pairs, 1)
@@ -636,16 +741,18 @@ def test_coverage_holds_one_slab_at_a_time():
     assert peak < 32 * 2**20
 
 
+def _stream(path, curve, Q, psi, B, theta):
+    """The count mode's cell: count and boundary from the sweep, the triples streamed to ``path``."""
+    Q, B, theta, count, boundary = counting._counts(curve, Q, psi, B, theta)
+    counting._write_triples(path, curve, psi, theta, counting._triples(curve, Q, psi, B, theta, count))
+    return count, boundary
+
+
 def test_streamed_count_holds_one_run_of_rows(tmp_path):
     # Q = 2048, psi = 0.3: 954,470 triples, 22.9 MB as one array, and 49.6 MB of CSV
     curve, path = nc.parabola(), tmp_path / "count.csv"
 
-    def stream():
-        cell = counting._TripleBlocks(curve, 2048, 0.3, (0.0, 1.0))
-        counting._write_triples(path, curve, 0.3, cell.theta, cell)
-        return cell.count, cell.boundary
-
-    result, peak = _traced_peak(stream)
+    result, peak = _traced_peak(lambda: _stream(path, curve, 2048, 0.3, (0.0, 1.0), None))
     assert result == (954_470, 248)
     assert path.stat().st_size == 49_647_481
     assert peak < 8 * 2**20
@@ -670,9 +777,8 @@ def test_streamed_triples_csv_matches_the_collected_one(tmp_path, monkeypatch, n
     if block < counting._BLOCK:
         monkeypatch.setattr(counting, "_CSV_BLOCK", 7)
     for (theta, B, psi), want in zip(cells, expected):
-        cell = counting._TripleBlocks(curve, 24, psi, B, theta)
-        counting._write_triples(streamed, curve, psi, cell.theta, cell)
-        assert (streamed.read_bytes(), cell.count, cell.boundary) == want
+        count, boundary = _stream(streamed, curve, 24, psi, B, theta)
+        assert (streamed.read_bytes(), count, boundary) == want
     assert any(boundary for *_, boundary in expected)
 
 
@@ -690,7 +796,7 @@ def test_inputs_that_are_not_finite_are_named(parabola, B, theta, name):
 
 def test_delta_coverage_edge_points():
     assert nc.delta_coverage(np.empty(0), 0.1, (0.0, 1.0)) == 0.0
-    pts = counting._kept_points(nc.parabola(), 64, 0.3, (0.0, 1.0))
+    pts = enumerate_R(nc.parabola(), 64, 0.3, (0.0, 1.0)).points()
     assert nc.delta_coverage(pts, math.inf, (0.0, 1.0)) == _balls_oracle(pts, math.inf, (0.0, 1.0)) == 1.0
     for rho in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="rho must be positive"):
@@ -886,7 +992,7 @@ def test_a_y_past_the_doubles_is_named():
     with np.errstate(all="ignore"):
         for run in (lambda: enumerate_R(curve, 400, 0.3, (0.0, 1.0)),
                     lambda: enumerate_R(curve, 400, 0.3, (0.0, 1.0), collect=False),
-                    lambda: counting._kept_points(curve, 400, 0.3, (0.0, 1.0)),
+                    lambda: counting._coverage(curve, 400, 0.3, (0.0, 1.0), None, 1e-3),
                     lambda: count_R_psi_sweep(curve, 400, [0.1, 0.3], (0.0, 1.0))):
             with pytest.raises(ValueError, match=message):
                 run()

@@ -265,7 +265,7 @@ def test_run_coverage_and_rho_scale(tmp_path):
 
 def test_coverage_builds_no_triples_and_sorts_no_points_by_lo(tmp_path, monkeypatch):
     # coverage takes its points from the kept pairs and orders them by one value sort
-    from nearcurve import counting, harness
+    from nearcurve import counting
     from oracles import sweep_union_measure
 
     cfg = _cfg(f"""
@@ -297,7 +297,7 @@ def test_coverage_builds_no_triples_and_sorts_no_points_by_lo(tmp_path, monkeypa
         sorted_sizes.append(np.size(a))
         return real_argsort(a, *args, **kwargs)
 
-    for module, name in ((harness, "enumerate_R"), (counting, "enumerate_R"),
+    for module, name in ((counting, "enumerate_R"),
                          (counting, "interval_union_measure"), (counting.CountResult, "points")):
         monkeypatch.setattr(module, name, refused)
     monkeypatch.setattr(np, "argsort", argsort)

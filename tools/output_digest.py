@@ -56,6 +56,12 @@ whose coefficients have a common denominator that is not a power of two.
 ``theta.gamma = 0.3``, ``Q_list = 1024,4096``) runs coverage cells that
 span many slabs (about 20 at ``Q = 4096``) on shifted, non-dyadic inputs, so
 that the union carried from slab to slab is covered too.
+``count-no-triples`` (``curve = veronese:3``, ``M = 6``, ``B = 0.1,0.9``,
+``theta.lambda = 0.1``, ``theta.gamma = 0.3``,
+``psi_list = 0.3,0.7,0.9999999999999``, ``Q_list = 256,2048``,
+``count.write_triples = false``) covers the count mode that writes no
+triples, where every count and boundary comes from the psi sweep alone, up to
+a psi whose upper cut psi + 1e-12 passes 1.
 Each run goes in a fresh interpreter and into a temporary directory.
 Prints one ``<sha256>  <run>/<file>`` line per output file, sorted, so two
 checkouts compare with one diff:
@@ -131,6 +137,9 @@ RUNS = (
     ("detect-poly-third", "detect", "detect.cfg", {"curve": "poly:0.1,1/3,1"}),
     ("coverage-slabs", "coverage", "coverage.cfg",
      {"B": "0.1,0.9", "theta.lambda": "0.1", "theta.gamma": "0.3", "Q_list": "1024,4096"}),
+    ("count-no-triples", "count", "count.cfg",
+     {"curve": "veronese:3", "M": "6", "B": "0.1,0.9", "theta.lambda": "0.1", "theta.gamma": "0.3",
+      "psi_list": "0.3,0.7,0.9999999999999", "Q_list": "256,2048", "count.write_triples": "false"}),
 )
 
 
