@@ -25,7 +25,13 @@ DEFAULT_DOMAIN = (-10.0, 10.0)
 RANK_RTOL = 1e-8
 
 
-class PolynomialCoordinate:
+class _Coordinate:
+    def jet(self, x: float, order: int) -> list[float]:
+        """f^(0..order) at x: one point of ``jets(points, order)``, whose row k is f^(k) at every point."""
+        return self.jets([x], order)[:, 0].tolist()
+
+
+class PolynomialCoordinate(_Coordinate):
     """Coordinate function given by polynomial coefficients (low order first).
 
     ``coeffs`` holds them as exact rationals, which ``detector._near_curve``
@@ -42,11 +48,11 @@ class PolynomialCoordinate:
     def value(self, x):
         return np.polynomial.polynomial.polyval(x, self._float_coeffs)
 
-    def jet(self, x: float, order: int) -> list[float]:
-        out = []
-        cs = self._float_coeffs
-        for k in range(order + 1):
-            out.append(float(np.polynomial.polynomial.polyval(x, cs)) if cs.size else 0.0)
+    def jets(self, points, order: int) -> np.ndarray:
+        xs, cs = np.asarray(points, dtype=float), self._float_coeffs
+        out = np.zeros((order + 1, xs.size))
+        for k in range(min(order + 1, cs.size)):  # Horner on the array, as on one x
+            out[k] = np.polynomial.polynomial.polyval(xs, cs)
             cs = cs[1:] * np.arange(1, cs.size)
         return out
 
@@ -63,29 +69,26 @@ class MonomialCoordinate(PolynomialCoordinate):
     def value(self, x):
         return np.asarray(x, dtype=float) ** self.power
 
-    def jet(self, x: float, order: int) -> list[float]:
-        p = self.power
-        out = []
-        for k in range(order + 1):
-            if k > p:
-                out.append(0.0)
-            else:
-                out.append(math.perm(p, k) * x ** (p - k))
+    def jets(self, points, order: int) -> np.ndarray:
+        p, xs = self.power, np.asarray(points, dtype=float).tolist()
+        out = np.zeros((order + 1, len(xs)))
+        for k in range(min(order, p) + 1):  # float.__pow__ is libm pow, as x ** (p - k)
+            out[k] = math.perm(p, k) * np.fromiter(map(float.__pow__, xs, [p - k] * len(xs)), float, len(xs))
         return out
 
 
-class ExpCoordinate:
+class ExpCoordinate(_Coordinate):
     """e^x; every derivative is e^x.  No coefficients, so no exact evaluation."""
 
     def value(self, x):
         return np.exp(x)
 
-    def jet(self, x: float, order: int) -> list[float]:
-        e = math.exp(x)
-        return [e] * (order + 1)
+    def jets(self, points, order: int) -> np.ndarray:
+        e = np.fromiter(map(math.exp, np.asarray(points, dtype=float).tolist()), float)
+        return np.tile(e, (order + 1, 1))
 
 
-class CallableCoordinate:
+class CallableCoordinate(_Coordinate):
     """User-supplied coordinate differentiated by Taylor-mode evaluation.
 
     ``fn`` must accept a :class:`nearcurve.jets.Taylor` seed (plain arithmetic
@@ -97,12 +100,12 @@ class CallableCoordinate:
         self.label = label
 
     def value(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.array([jets.derivatives(self.fn, float(v), 0)[0] for v in xs])
+        vals = self.jets(np.atleast_1d(x), 0)[0]
         return vals if np.ndim(x) else float(vals[0])
 
-    def jet(self, x: float, order: int) -> list[float]:
-        return jets.derivatives(self.fn, x, order)
+    def jets(self, points, order: int) -> np.ndarray:
+        rows = [jets.derivatives(self.fn, x, order) for x in np.asarray(points, dtype=float).tolist()]
+        return np.array(rows, dtype=float).reshape(-1, order + 1).T
 
 
 @dataclass(frozen=True)
@@ -196,16 +199,12 @@ def second_derivative_bound(
         raise ValueError("interval not contained in curve domain")
     xs = np.linspace(lo, hi, grid)
     worst = 0.0
-    for j, coord in enumerate(curve.coords, start=1):
-        if isinstance(coord, PolynomialCoordinate):
-            cs = coord._float_coeffs
-            d2 = cs[2:] * np.arange(2, cs.size) * np.arange(1, cs.size - 1) if cs.size > 2 else np.zeros(1)
-            vals = np.abs(np.polynomial.polynomial.polyval(xs, d2)) if d2.size else np.zeros_like(xs)
-            worst = max(worst, float(vals.max()))
-        elif isinstance(coord, ExpCoordinate):
-            worst = max(worst, float(np.exp(xs).max()))
+    for coord in curve.coords:
+        if isinstance(coord, PolynomialCoordinate):  # by Horner, monomials too
+            d2 = PolynomialCoordinate.jets(coord, xs, 2)[2]
         else:
-            worst = max(worst, max(abs(coord.jet(float(v), 2)[2]) for v in xs))
+            d2 = np.exp(xs) if isinstance(coord, ExpCoordinate) else coord.jets(xs, 2)[2]
+        worst = max(worst, float(np.abs(d2).max()))
     return worst * safety
 
 

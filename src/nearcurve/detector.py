@@ -172,7 +172,7 @@ def detect_witnesses(curve: Curve, xs: Sequence[float], params: ApproxParams,
     point = np.ones((len(xg), n + 1))  # (1, x, f(x)) at every good x
     point[:, 1] = xg
     for j, coord in enumerate(curve.coords):
-        point[:, 2 + j] = np.fromiter((coord.jet(x, 0)[0] for x in xg.tolist()), dtype=float, count=len(xg))
+        point[:, 2 + j] = coord.jets(xg, 0)[0]
     target = np.array((0.0, lam, *gam)) - omega0 * point
     eta = np.linalg.solve(W, np.matmul(-B, target[:, :, None]))[:, :, 0]
     t = np.rint(eta).astype(np.int64)

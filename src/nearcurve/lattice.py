@@ -15,10 +15,13 @@ struct-of-arrays record that the shortest-vector and witness callers share.
 Its LLL runs all N bases in lockstep as one numpy kernel, each basis bit for
 bit as the scalar kernel would reduce it alone, and its ball enumeration
 expands all of them level by level, each leaf in the order and with the sup
-the per-basis search gave it.  A stack of one pays these kernels' fixed
-numpy cost of about 2-4 ms, so callers pass whole grids; the single-basis
-entry points (``build_G``, ``build_h``, ``reduce_at``, ``shortest_sup``,
-``reduced_basis``, ``successive_minima_sup``) pass a stack of one.
+the per-basis search gave it.  Both index each C-contiguous array flat:
+W[s, c, k] (and U's) at s n^2 + c n + k, mu[s, _row(k) + j] at
+s n(n-1)/2 + _row(k) + j and norms2[s, k] at s n + k, so ``_stack`` copies a
+strided stack.  A stack of one pays a fixed numpy cost of about 1.5-3 ms, so
+callers pass whole grids; the single-basis entry points (``build_G``,
+``build_h``, ``reduce_at``, ``shortest_sup``, ``reduced_basis``,
+``successive_minima_sup``) pass a stack of one.
 """
 
 from __future__ import annotations
@@ -183,8 +186,8 @@ def frame_matrices(curve: Curve, xs: Sequence[float]) -> np.ndarray:
 
     Rows 1..m: (f_j - x f_j', f_j', -e_j); row m+1: (x, -1, 0); row m+2:
     (1, 0, ..., 0).  |det G| = 1 by cofactor expansion along the unit
-    structure.  Each jet is the coordinate's scalar ``jet(x, 1)`` in Python
-    floats, so every power is libm's; the rows are then filled as arrays.
+    structure.  The jets come from each coordinate's ``jets(xs, 1)``, the
+    same bits as its scalar ``jet(x, 1)`` at every x.
     """
     xs = np.asarray(xs, dtype=float)
     lo, hi = curve.domain
@@ -194,11 +197,9 @@ def frame_matrices(curve: Curve, xs: Sequence[float]) -> np.ndarray:
     if curve.l_max < 1:
         raise ValueError(f"order 1 exceeds l_max={curve.l_max}")
     N, m = len(xs), curve.n - 1
-    points = xs.tolist()
     G = np.zeros((N, m + 2, m + 2))
     for j, coord in enumerate(curve.coords):
-        jet = np.fromiter((v for x in points for v in coord.jet(x, 1)), dtype=float, count=2 * N)
-        f, fp = jet[0::2], jet[1::2]
+        f, fp = coord.jets(xs, 1)
         G[:, j, 0] = f - fp * xs
         G[:, j, 1] = fp
         G[:, j, 2 + j] = -1.0
@@ -245,8 +246,8 @@ def build_h(curve: Curve, x: float, params: ApproxParams) -> np.ndarray:
 
 
 def _stack(bases, max_dim: Optional[int] = None) -> np.ndarray:
-    """The bases as a float stack ``(N, n, n)``, with n checked against ``max_dim``."""
-    B = np.asarray(bases, dtype=float)
+    """The bases as a C-contiguous float stack ``(N, n, n)``, with n checked against ``max_dim``."""
+    B = np.ascontiguousarray(bases, dtype=float)
     if B.ndim != 3 or B.shape[1] != B.shape[2]:
         raise ValueError("bases must be a stack (N, n, n) of square matrices")
     if max_dim is not None and B.shape[1] > max_dim:
@@ -309,98 +310,91 @@ def _gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, norms2
 
 
-def _size_reduce(W: np.ndarray, U: Optional[np.ndarray], mu: np.ndarray,
-                 act: np.ndarray, ka: np.ndarray) -> None:
-    """Size-reduce column k = ``ka`` of every active basis ``act`` against j = k-1, ..., 0.
+def _size_reduce(cols: tuple, mu: np.ndarray, n: int, ka: np.ndarray, wk: np.ndarray, mk: np.ndarray) -> None:
+    """Size-reduce column k = ``ka`` of every active basis against j = k-1, ..., 0.
 
-    Only the bases whose q is not 0 are touched, one coordinate at a time,
-    which keeps the temporaries at a few values per basis.
+    ``cols`` (W, and U if tracked) and ``mu`` are flat, as in ``_lll_stack``;
+    ``wk`` holds the offsets of W[s, 0, k] (and U's), ``mk`` those of row k of mu.
     """
-    n = W.shape[1]
     for j in range(n - 2, -1, -1):
         r = np.flatnonzero(ka > j)
-        q = np.rint(mu[act[r], _row(ka[r]) + j])  # half to even, as round()
+        q = np.rint(mu[mk[r] + j])  # half to even, as round()
         nz = np.flatnonzero(q)
         if not nz.size:
             continue
-        q, r = q[nz], r[nz]
-        s, ks = act[r], ka[r]
-        del r, nz
-        if U is not None:
-            _transform_step(U, s, ks, j, q)
-        for c in range(n):
-            Wk, Wj = W[s, c, ks], W[s, c, j]
-            Wj *= q
-            Wk -= Wj
-            W[s, c, ks] = Wk
-        rs = _row(ks)
-        for i in range(j):
-            mu[s, rs + i] = mu[s, rs + i] - q * mu[s, _row(j) + i]
-        mu[s, rs + j] = mu[s, rs + j] - q
+        r = r[nz]
+        q, rs = q[nz], mk[r]
+        if j:
+            rj = rs - _row(ka[r]) + _row(j)  # row j of mu
+            for i in range(j):
+                mu[rs + i] = mu[rs + i] - q * mu[rj + i]
+        mu[rs + j] = mu[rs + j] - q
+        ks = wk[r]
+        js = ks - ka[r] + j  # W[s, 0, j]
+        del r, rs, nz
+        for A in cols:
+            _column_step(A, n, ks, js, q)
 
 
-def _transform_step(U: np.ndarray, s: np.ndarray, ks: np.ndarray, j: int, q: np.ndarray) -> None:
-    """U_k -= q U_j on the bases s, exactly.
+def _column_step(A: np.ndarray, n: int, ks: np.ndarray, js: np.ndarray, q: np.ndarray) -> None:
+    """A_k -= q A_j on the flat W or U, one coordinate at a time; column k at ``ks``, j at ``js``.
 
-    In int64, ``max |U_k| + max |q| max |U_j|`` bounds every new entry; when
-    it reaches ``_U_BOUND`` this raises ``_TransformOverflow`` instead.
+    Exact on U: in int64, ``max |U_k| + max |q| max |U_j|`` bounds every new
+    entry, and when that reaches ``_U_BOUND`` this raises ``_TransformOverflow``.
     """
-    qmax = float(np.abs(q).max())
-    qi = q.astype(np.int64) if U.dtype != object else np.array([int(v) for v in q], dtype=object)
-    for c in range(U.shape[1]):
-        Uk, Uj = U[s, c, ks], U[s, c, j]
-        if U.dtype != object and _sup(Uk) + qmax * _sup(Uj) >= _U_BOUND:
+    exact = A.dtype == np.int64
+    if A.dtype != float:
+        qmax = float(np.abs(q).max())
+        q = q.astype(np.int64) if exact else np.array([int(v) for v in q], dtype=object)
+    for c in range(0, n * n, n):
+        Ak, Aj = A[ks + c], A[js + c]
+        if exact and max(Ak.max(), -Ak.min()) + qmax * max(Aj.max(), -Aj.min()) >= _U_BOUND:
             raise _TransformOverflow
-        Uj *= qi
-        Uk -= Uj
-        U[s, c, ks] = Uk
+        Aj *= q
+        Ak -= Aj
+        A[ks + c] = Ak
 
 
-def _sup(a: np.ndarray) -> float:
-    """max |a| of a nonempty int64 array, as a float."""
-    return float(max(a.max(), -a.min()))
-
-
-def _lovasz_fails(mu: np.ndarray, norms2: np.ndarray, act: np.ndarray, ka: np.ndarray) -> np.ndarray:
-    """Whether the Lovasz condition fails at k = ``ka`` for each active basis."""
-    m = mu[act, _row(ka) + ka - 1]
-    nk, n1 = norms2[act, ka], norms2[act, ka - 1]
-    rhs = (LOVASZ - m * m) * n1
-    fails = ~(nk >= rhs)
+def _lovasz_fails(mu: np.ndarray, norms2: np.ndarray, mkk: np.ndarray, nk: np.ndarray) -> np.ndarray:
+    """Whether the Lovasz condition fails at k, with mu_k,k-1 at ``mkk`` and |b*_k|^2 at ``nk``."""
+    m, bk, b1 = mu[mkk], norms2[nk], norms2[nk - 1]
+    rhs = (LOVASZ - m * m) * b1
+    fails = ~(bk >= rhs)
     # the scalar kernel squares m with libm pow, which can differ from m * m
     # in the last bit; decide the tests that close to a tie with it
-    for i in np.flatnonzero(np.abs(nk - rhs) <= 1e-12 * np.abs(rhs)):
-        fails[i] = not float(nk[i]) >= (LOVASZ - float(m[i]) ** 2) * float(n1[i])
+    for i in np.flatnonzero(np.abs(bk - rhs) <= 1e-12 * np.abs(rhs)):
+        fails[i] = not float(bk[i]) >= (LOVASZ - float(m[i]) ** 2) * float(b1[i])
     return fails
 
 
-def _swap(W: np.ndarray, U: Optional[np.ndarray], mu: np.ndarray, norms2: np.ndarray,
-          s: np.ndarray, ks: np.ndarray) -> None:
+def _swap(cols: tuple, mu: np.ndarray, norms2: np.ndarray, n: int, s: np.ndarray, ks: np.ndarray) -> None:
     """Swap columns k-1 and k = ``ks`` of the bases ``s`` and update their Gram-Schmidt data."""
-    n = W.shape[1]
-    b = _row(ks)  # row k of mu; row k-1 starts k-1 places before it
-    m = mu[s, b + ks - 1]
-    for A in (W, U) if U is not None else (W,):
-        for c in range(n):
-            A[s, c, ks - 1], A[s, c, ks] = A[s, c, ks], A[s, c, ks - 1]
-    old, nk = norms2[s, ks - 1], norms2[s, ks]
-    norms2[s, ks - 1] = new = nk + m * m * old
-    norms2[s, ks] = old * nk / new
-    mu[s, b + ks - 1] = m_new = m * old / new
-    del old, nk, new
+    sk = s * _row(n) + ks  # s P + k, taken here so that no offset of the active set is held
+    mkk = sk + _row(ks) - 1  # mu_k,k-1; row k-1 starts k-1 places before row k
+    m = mu[mkk]
+    w = s * (n * n) + ks  # W[s, 0, k]
+    for A in cols:
+        for c in range(0, n * n, n):
+            A[w + (c - 1)], A[w + c] = A[w + c], A[w + (c - 1)]
+    w = s * n + ks  # norms2[s, k]
+    old, cur = norms2[w - 1], norms2[w]
+    norms2[w - 1] = new = cur + m * m * old
+    norms2[w] = old * cur / new
+    mu[mkk] = m_new = m * old / new
+    del w, old, cur, new
     for c in range(n - 2):  # row k-1 becomes mu_k0..mu_k,k-2 and row k starts with row k-1
         r = np.flatnonzero(ks - 1 > c)
         if r.size:
-            sr, pb = s[r], b[r] + c
+            pb = mkk[r] - ks[r] + (c + 1)
             pa = pb - ks[r] + 1
-            mu[sr, pa], mu[sr, pb] = mu[sr, pb], mu[sr, pa]
-    for i in range(2, n):  # rows i > k
+            mu[pa], mu[pb] = mu[pb], mu[pa]
+    for i in range(2, n):  # rows i > k: mu_ik sits at sk + _row(i)
         r = np.flatnonzero(ks < i)
         if r.size:
-            si, pk = s[r], _row(i) + ks[r]
-            t = mu[si, pk]
-            mu[si, pk] = new_k = mu[si, pk - 1] - m[r] * t
-            mu[si, pk - 1] = t + m_new[r] * new_k
+            pk = sk[r] + _row(i)
+            t = mu[pk]
+            mu[pk] = new_k = mu[pk - 1] - m[r] * t
+            mu[pk - 1] = t + m_new[r] * new_k
 
 
 def _lll_stack(W: np.ndarray, U: Optional[np.ndarray],
@@ -417,18 +411,21 @@ def _lll_stack(W: np.ndarray, U: Optional[np.ndarray],
     if max_swaps is None:
         max_swaps = 10_000 * n * n
     mu, norms2 = _gram_schmidt(W)
+    cols = tuple(A.reshape(-1, copy=False) for A in (W, U) if A is not None)  # views, never copies
+    muf, nf = mu.reshape(-1), norms2.reshape(-1)
     k = np.ones(N, dtype=np.intp)
     swaps = np.zeros(N, dtype=np.intp)
     act = np.arange(N)[k < n]
     while act.size:
         ka = k[act]
-        _size_reduce(W, U, mu, act, ka)
-        fails = _lovasz_fails(mu, norms2, act, ka)
+        mk = act * _row(n) + _row(ka)  # row k of mu
+        _size_reduce(cols, muf, n, ka, act * (n * n) + ka, mk)
+        fails = _lovasz_fails(muf, nf, mk + ka - 1, act * n + ka)
         k[act[~fails]] += 1
         s, ks = act[fails], ka[fails]
-        del ka, fails
+        del ka, mk, fails
         if s.size:
-            _swap(W, U, mu, norms2, s, ks)
+            _swap(cols, muf, nf, n, s, ks)
             k[s] = np.maximum(ks - 1, 1)
             swaps[s] += 1
             for i in s[swaps[s] > max_swaps]:
@@ -456,7 +453,7 @@ def lll_reduce(bases, max_swaps: Optional[int] = None) -> LLLResult:
     data is computed once per basis and updated on each swap.  The integer
     transform is exact: it is int64 while a bound keeps every update below
     ``_U_BOUND``, and the stack is run again in Python ints when it does not.
-    A stack of one costs about 1-2 ms, so callers pass whole grids.
+    A stack of one costs about 1.2-1.5 ms, so callers pass whole grids.
     """
     B = _stack(bases)
     N, n, _ = B.shape
@@ -488,6 +485,7 @@ def _ball(mu: np.ndarray, norms2: np.ndarray, radius2: np.ndarray) -> tuple[np.n
     (t[n-1], ..., t[0]).
     """
     N, n = norms2.shape
+    mu, norms2 = mu.reshape(-1), norms2.reshape(-1)  # flat, as in _lll_stack
     owner = np.arange(N)
     T = np.zeros((N, n), dtype=np.int64)
     acc = np.zeros(N)
@@ -497,8 +495,9 @@ def _ball(mu: np.ndarray, norms2: np.ndarray, radius2: np.ndarray) -> tuple[np.n
         owner, T, acc, rem = owner[keep], T[keep], acc[keep], rem[keep]
         center = np.zeros(len(owner))
         for j in range(i + 1, n):
-            center -= mu[owner, _row(j) + i] * T[:, j]
-        half = np.sqrt(rem / norms2[owner, i])
+            center -= mu[owner * _row(n) + (_row(j) + i)] * T[:, j]
+        level = norms2[owner * n + i]
+        half = np.sqrt(rem / level)
         lo = np.ceil(center - half - 1e-9)
         width = np.maximum(np.floor(center + half + 1e-9) - lo + 1, 0).astype(np.intp)
         step = np.arange(int(width.sum())) - np.repeat(np.cumsum(width) - width, width)
@@ -506,7 +505,7 @@ def _ball(mu: np.ndarray, norms2: np.ndarray, radius2: np.ndarray) -> tuple[np.n
         y = np.repeat(lo, width) + step
         T[:, i] = y
         y -= np.repeat(center, width)
-        acc += norms2[owner, i] * y * y
+        acc += np.repeat(level, width) * y * y
     leaf = np.flatnonzero(T.any(axis=1))
     return owner[leaf], T[leaf]
 
@@ -564,9 +563,9 @@ def reduce(bases) -> LatticeReductions:
 def shortest_sups(bases) -> np.ndarray:
     """``reduce(bases).delta``, bit for bit, with the stack reduced in place.
 
-    For callers that need only the deltas: no integer transform is tracked
-    and a float64 stack is not copied, so nothing else of its size is held.
-    The stack ends up LLL-reduced.
+    For callers that need only the deltas: no integer transform is tracked,
+    and a C-contiguous float64 stack is reduced where it is, with nothing else
+    of its size held.  Any other stack is reduced in a copy.
     """
     W = _stack(bases, MAX_SVP_DIM)
     mu, norms2 = _lll_stack(W, None)

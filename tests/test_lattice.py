@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
-from nearcurve import lattice
-from nearcurve.curves import midpoint_grid
+from nearcurve import jets, lattice
+from nearcurve.curves import (CallableCoordinate, Curve, ExpCoordinate, MonomialCoordinate, PolynomialCoordinate,
+                              midpoint_grid)
 from nearcurve.intlinalg import det_int
 from nearcurve.lattice import MAX_SVP_DIM, curve_lattice_bases, lll_reduce, scaling_diagonal
 from oracles import brute_svp_sup, dfs_shortest, exact_lll_meets_tie, exact_svp_sup, incremental_lll, naive_gso, naive_lll
@@ -73,10 +74,43 @@ def test_build_h(parabola, rng):
             assert abs(abs(np.linalg.det(nc.build_h(parabola, float(x), pc))) - 1) < 1e-9
 
 
+def _scalar_jet(coord, x, order):
+    """Orders 0..order of a coordinate at one x, as the per-point kernels computed them: libm pow
+    for a monomial, one polyval per x for a polynomial, math.exp, and the Taylor loop of a callable."""
+    if isinstance(coord, MonomialCoordinate):
+        p = coord.power
+        return [math.perm(p, k) * x ** (p - k) if k <= p else 0.0 for k in range(order + 1)]
+    if isinstance(coord, PolynomialCoordinate):
+        out, cs = [], coord._float_coeffs
+        for _ in range(order + 1):
+            out.append(float(np.polynomial.polynomial.polyval(x, cs)) if cs.size else 0.0)
+            cs = cs[1:] * np.arange(1, cs.size)
+        return out
+    if isinstance(coord, ExpCoordinate):
+        return [math.exp(x)] * (order + 1)
+    return jets.derivatives(coord.fn, x, order)
+
+
 def test_frame_matrices_match_scalar_jets():
-    # every row of the stacked builder is the d = 1 Monge frame of eval_jet's floats
-    xs = midpoint_grid(0.1, 0.9, 301).tolist() + [0.0, 0.5, -1.25]
-    for curve in (nc.parabola(), nc.veronese(3), nc.veronese(5), nc.resolve_curve("mixed")):
+    # each coordinate's jets are, bit for bit, its one-point jet and the per-point
+    # kernel at every x: 0, negative x and the domain ends included; and every row
+    # of the stacked builder is the d = 1 Monge frame of eval_jet's floats
+    taylor = Curve(n=3, domain=(-2.0, 2.0), label="x^2 e^x, x^3",
+                   coords=(CallableCoordinate(lambda t: t * t * jets.exp(t)), MonomialCoordinate(3)))
+    curves = [nc.parabola(), *(nc.veronese(k) for k in range(3, 8)),
+              nc.resolve_curve("poly:1/3,-2,0,0.5,7;0.25,1e3"), nc.resolve_curve("mixed"), taylor]
+    for curve in curves:
+        lo, hi = curve.domain
+        xs = midpoint_grid(0.1, 0.9, 301).tolist() + [0.0, -0.0, 0.5, -1.25, -0.1, lo, hi, lo / 3]
+        for coord in curve.coords:
+            for order in (0, 1, 2, 9):
+                rows = coord.jets(np.array(xs), order)
+                assert rows.shape == (order + 1, len(xs))
+                for x, column in zip(xs, rows.T):
+                    expected = np.array(_scalar_jet(coord, x, order))
+                    assert column.tobytes() == expected.tobytes(), (curve.label, x, order)
+                    assert np.array(coord.jet(x, order)).tobytes() == expected.tobytes(), (curve.label, x)
+            assert coord.jets([], 1).shape == (2, 0)
         G = lattice.frame_matrices(curve, xs)
         m = curve.n - 1
         for x, Gx in zip(xs, G):
@@ -410,6 +444,27 @@ def test_shortest_sups_is_reduce_delta_in_place(name, samples):
     deltas = lattice.shortest_sups(bases)
     assert deltas.tobytes() == full.delta.tobytes()
     assert bases.tobytes() == full.columns.tobytes()
+
+
+@pytest.mark.parametrize("name,samples", [("parabola", 8000), ("veronese:3", 3000)])
+def test_a_strided_stack_reduces_as_its_contiguous_copy(name, samples):
+    # every other basis of a qnd stack, as a view with strides: the kernels index
+    # their arrays flat, so _stack must copy it, and the caller's stack stays as it was
+    big = _grid_bases(name, 1.0, 10000.0, 0.3, samples, h=True)
+    strided, before = big[::2], big.tobytes()
+    assert not strided.flags.c_contiguous
+    dense = strided.copy()
+    full = lattice.reduce(dense)
+    got = lattice.reduce(strided)
+    for field in ("source", "columns", "preimage", "delta", "coords"):
+        assert getattr(got, field).tobytes() == getattr(full, field).tobytes(), field
+    run, ref = lll_reduce(strided), lll_reduce(dense)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(run, ref))
+    assert lattice.shortest_sups(strided).tobytes() == full.delta.tobytes()
+    assert big.tobytes() == before
+    # a C-contiguous float64 stack is the one reduced where it is
+    assert lattice.shortest_sups(dense).tobytes() == full.delta.tobytes()
+    assert dense.tobytes() == full.columns.tobytes()
 
 
 def _random_integer_basis(rng, dim, span):
