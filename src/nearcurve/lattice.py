@@ -315,7 +315,6 @@ def _size_reduce(cols: tuple, mu: np.ndarray, n: int, ka: np.ndarray, wk: np.nda
 
     ``cols`` (W, and U if tracked) and ``mu`` are flat, as in ``_lll_stack``;
     ``wk`` holds the offsets of W[s, 0, k] (and U's), ``mk`` those of row k of mu.
-    W_k -= q W_j runs one coordinate at a time, to bound the temporaries.
     """
     for j in range(n - 2, -1, -1):
         r = np.flatnonzero(ka > j)
@@ -333,26 +332,27 @@ def _size_reduce(cols: tuple, mu: np.ndarray, n: int, ka: np.ndarray, wk: np.nda
         ks = wk[r]
         js = ks - ka[r] + j  # W[s, 0, j]
         del r, rs, nz
-        W = cols[0]
-        for c in range(0, n * n, n):
-            W[ks + c] = W[ks + c] - W[js + c] * q
-        if len(cols) > 1:
-            _transform_step(cols[1], n, ks, js, q)
+        for A in cols:
+            _column_step(A, n, ks, js, q)
 
 
-def _transform_step(U: np.ndarray, n: int, ks: np.ndarray, js: np.ndarray, q: np.ndarray) -> None:
-    """U_k -= q U_j exactly on the flat U, int64 or object; column k at ``ks``, j at ``js``.
+def _column_step(A: np.ndarray, n: int, ks: np.ndarray, js: np.ndarray, q: np.ndarray) -> None:
+    """A_k -= q A_j in place on the flat W or U, one coordinate at a time; k at ``ks``, j at ``js``.
 
-    In int64, ``max |U_k| + max |q| max |U_j|`` bounds every new entry; when
-    it reaches ``_U_BOUND`` this raises ``_TransformOverflow`` instead.
+    A float64 A is W.  An int64 or object A is U, exact: in int64, ``max |U_k| + max |q| max |U_j|``
+    bounds every new entry, and when that reaches ``_U_BOUND`` this raises ``_TransformOverflow``.
     """
-    qmax, exact = float(np.abs(q).max()), U.dtype == np.int64
-    q = q.astype(np.int64) if exact else np.array([int(v) for v in q], dtype=object)
+    exact = A.dtype == np.int64
+    if A.dtype != float:
+        qmax = float(np.abs(q).max())
+        q = q.astype(np.int64) if exact else np.array([int(v) for v in q], dtype=object)
     for c in range(0, n * n, n):
-        Uk, Uj = U[ks + c], U[js + c]
-        if exact and max(Uk.max(), -Uk.min()) + qmax * max(Uj.max(), -Uj.min()) >= _U_BOUND:
+        Ak, Aj = A[ks + c], A[js + c]
+        if exact and max(Ak.max(), -Ak.min()) + qmax * max(Aj.max(), -Aj.min()) >= _U_BOUND:
             raise _TransformOverflow
-        U[ks + c] = Uk - Uj * q
+        Aj *= q
+        Ak -= Aj
+        A[ks + c] = Ak
 
 
 def _lovasz_fails(mu: np.ndarray, norms2: np.ndarray, mkk: np.ndarray, nk: np.ndarray) -> np.ndarray:
@@ -411,7 +411,6 @@ def _lll_stack(W: np.ndarray, U: Optional[np.ndarray],
     if max_swaps is None:
         max_swaps = 10_000 * n * n
     mu, norms2 = _gram_schmidt(W)
-    assert all(A.flags.c_contiguous for A in (W, U) if A is not None)  # else reshape copies
     cols = tuple(A.reshape(-1) for A in (W, U) if A is not None)
     muf, nf = mu.reshape(-1), norms2.reshape(-1)
     k = np.ones(N, dtype=np.intp)
