@@ -19,7 +19,7 @@ import numpy as np
 from . import lattice as lat
 from .curves import Curve
 from .errors import PreconditionError
-from .intlinalg import is_unimodular
+from .intlinalg import det_stack
 from .lattice import ApproxParams
 
 log = logging.getLogger("nearcurve")
@@ -138,11 +138,23 @@ def detect_witnesses(curve: Curve, xs: Sequence[float], params: ApproxParams,
     its ``RationalWitness`` or the ``PreconditionError`` it met.  The checks,
     in order: psi above its admissibility floor (delta is computed even when
     it is not), x in the rho-interior, x in the good set, and the exact
-    unimodularity of the LLL transform, whose failure raises AssertionError.
+    unimodularity of the LLL transforms, whose failure raises AssertionError.
     The real coordinates of the target (-w0, lambda - w0 x, gamma - w0 f(x)),
     w0 = 3(n+1)Q, in the reduced basis are rounded to a nonzero integer t, and
     the witness is U t.  This sign lands q inside the stated positive range;
     the plus-sign variant would produce q near -3(n+1)Q instead.
+    """
+    delta, _, p, error = _detect(curve, xs, params, guard)
+    return delta, [PreconditionError(e) if e else RationalWitness(q=w[0], a=w[1], b=tuple(w[2:]))
+                   for w, e in zip(p.tolist(), error.tolist())]
+
+
+def _detect(curve: Curve, xs: Sequence[float], params: ApproxParams, guard: float):
+    """``detect_witnesses`` as arrays ``(delta, good, p, error)``, with no object per x.
+
+    ``good`` marks the x in the good set, row i of ``p`` (N, n + 1) is x_i's
+    witness (q, a, b) with q > 0, and ``error[i]`` the text of its
+    ``PreconditionError``, "" where it has a witness.
     """
     xs = np.array(xs, dtype=float)
     n = params.n
@@ -152,20 +164,22 @@ def detect_witnesses(curve: Curve, xs: Sequence[float], params: ApproxParams,
     reduction = lat.reduce(lat.curve_lattice_bases(curve, xs[interior], params))
     delta = np.full(len(xs), np.nan)
     delta[interior] = reduction.delta
+    good = delta >= 1.0 - guard  # nan outside the interior compares False
+    p, error = np.zeros((len(xs), n + 1), reduction.preimage.dtype), np.full(len(xs), "", dtype=object)
     floor = psi_floor(params.Q, params.m)
     if params.psi < floor * (1 - 1e-12):
-        return delta, [PreconditionError(f"psi={params.psi} below the admissibility floor {floor:.3g}")
-                       for _ in xs]
-    good = delta >= 1.0 - guard  # nan outside the interior compares False
+        error[:] = f"psi={params.psi} below the admissibility floor {floor:.3g}"
+        return delta, good, p, error
+    error[~interior] = [f"x={x} outside the rho-interior of B={params.B}" for x in xs[~interior].tolist()]
+    bad = interior & ~good
+    error[bad] = [f"x={x} not in the good set (delta={d:.6g})" for x, d in zip(xs[bad].tolist(), delta[bad].tolist())]
     rows = np.flatnonzero(good[interior])
     B, W, U = reduction.source[rows], reduction.columns[rows], reduction.preimage[rows]
-    inv_c = 1.0 / params.c
-    for u, max_sup in zip(U, np.abs(W).max(axis=(1, 2)).tolist()):
-        if not is_unimodular(u.tolist()):
-            raise AssertionError("LLL transform lost unimodularity")
-        if max_sup > inv_c * (1 + 1e-9):
-            log.debug("reduced basis exceeds 1/c: max sup %.6g > %.6g (witness still attempted)",
-                      max_sup, inv_c)
+    if not (abs(det_stack(U)) == 1).all():
+        raise AssertionError("LLL transform lost unimodularity")
+    inv_c, max_sup = 1.0 / params.c, np.abs(W).max(axis=(1, 2))
+    for v in max_sup[max_sup > inv_c * (1 + 1e-9)].tolist():
+        log.debug("reduced basis exceeds 1/c: max sup %.6g > %.6g (witness still attempted)", v, inv_c)
     lam, gam = params.theta
     omega0 = 3.0 * (n + 1) * params.Q
     xg = xs[good]
@@ -179,22 +193,14 @@ def detect_witnesses(curve: Curve, xs: Sequence[float], params: ApproxParams,
     zero = np.flatnonzero(~t.any(axis=1))
     i_star = np.abs(eta[zero]).argmax(axis=1)
     t[zero, i_star] = np.where(eta[zero, i_star] > 0, 1, -1)
-    witnesses = iter(np.matmul(U, t.astype(U.dtype)[:, :, None])[:, :, 0].tolist())
-    outcomes = []
-    for x, x_delta, inside, x_good in zip(xs.tolist(), delta.tolist(), interior.tolist(), good.tolist()):
-        p = next(witnesses) if x_good else None
-        if not inside:
-            outcomes.append(PreconditionError(f"x={x} outside the rho-interior of B={params.B}"))
-        elif not x_good:
-            outcomes.append(PreconditionError(f"x={x} not in the good set (delta={x_delta:.6g})"))
-        elif p[0] < 0 and any((lam, *gam)):
-            outcomes.append(PreconditionError("construction produced q < 0 in an inhomogeneous run"))
-        elif p[0] == 0:
-            outcomes.append(PreconditionError("construction collapsed to q = 0"))
-        else:
-            p = p if p[0] > 0 else [-v for v in p]  # exact symmetry of the homogeneous inequalities
-            outcomes.append(RationalWitness(q=p[0], a=p[1], b=tuple(p[2:])))
-    return delta, outcomes
+    p[good] = np.matmul(U, t.astype(U.dtype)[:, :, None])[:, :, 0]
+    negative = good & (p[:, 0] < 0)
+    if any((lam, *gam)):
+        error[negative] = "construction produced q < 0 in an inhomogeneous run"
+    else:
+        p[negative] = -p[negative]  # exact symmetry of the homogeneous inequalities
+    error[good & (p[:, 0] == 0)] = "construction collapsed to q = 0"
+    return delta, good, p, error
 
 
 def detect_witness(curve: Curve, x: float, params: ApproxParams,
@@ -209,11 +215,13 @@ def detect_witness(curve: Curve, x: float, params: ApproxParams,
 def _near_curve(curve: Curve, theta: lat.Shift, limit: float):
     """``test(q, a, b) -> (P, D, ok, gaps)``: is every |q f_j((a + lambda)/q) - gamma_j - b_j| < limit?
 
-    lambda, gamma_j and the limit are read as the dyadic rationals they hold,
-    and (a + lambda)/q as P/D.  A coordinate with ``coeffs`` is decided in ints,
-    by homogeneous Horner over one denominator E with gamma_j; any other in
-    doubles at the rounded point, as |q f_j - b_j - gamma_j|.  ``gaps`` holds
-    (left side, limit) per j, as doubles, the left side correctly rounded.
+    q, a and each b_j are ints, or columns of them (object arrays), decided
+    element by element.  lambda, gamma_j and the limit are read as the dyadic
+    rationals they hold, and (a + lambda)/q as P/D.  A coordinate with
+    ``coeffs`` is decided in ints, by homogeneous Horner over one denominator
+    E with gamma_j; any other in doubles at the rounded point, as
+    |q f_j - b_j - gamma_j|.  ``gaps`` holds (left side, limit) per j, as
+    doubles, the left side correctly rounded.
     """
     l_num, l_den = theta[0].as_integer_ratio()
     L_num, L_den = limit.as_integer_ratio()
@@ -224,12 +232,13 @@ def _near_curve(curve: Curve, theta: lat.Shift, limit: float):
         C = None if cs is None else [c.numerator * (E // c.denominator) for c in reversed(cs)]
         coords.append((coord, g, g_num * (E // g_den), E, C))
 
-    def test(q: int, a: int, bs: Sequence[int]):
+    def test(q, a, bs):
         P, D = a * l_den + l_num, q * l_den
         ok, gaps = True, []
         for (coord, g, G, E, C), b in zip(coords, bs):
             if C is None:
-                gap = abs(q * float(coord.value(P / D)) - b - g)
+                f = np.asarray(coord.value(np.asarray(P / D, dtype=float)), dtype=float).astype(object)
+                gap = abs(q * f - b - g)  # Python floats, as q * float(f) - b - g on one triple
                 ok &= gap < limit
             else:
                 N, Dk = C[0], 1  # at the end, Dk = D^deg and f_j(P/D) = N / (E Dk)
@@ -247,28 +256,34 @@ def _near_curve(curve: Curve, theta: lat.Shift, limit: float):
 
 def verify_witnesses(witnesses: Sequence[RationalWitness], curve: Curve, xs: Sequence[float],
                      params: ApproxParams, consts: DerivedConstants) -> list[WitnessReport]:
-    """Every witness's three inequality families at its x, decided in one integer pass.
+    """Every witness's three inequality families at its x, decided exactly, column by column.
 
     x and the x-limit are read as the dyadic rationals they hold; the f-family
     is ``_near_curve``'s at the taming limit.  Reports round exact values
     correctly.
     """
-    n = params.n
-    q_lo, q_hi = 2.0 * (n + 1) * params.Q, 4.0 * (n + 1) * params.Q
+    p = np.array([(w.q, w.a, *w.b) for w in witnesses], dtype=object).reshape(len(witnesses), params.n + 1)
+    return [WitnessReport(*fields) for fields in zip(*_verify(p, xs, curve, params, consts))]
+
+
+def _verify(p: np.ndarray, xs: Sequence[float], curve: Curve, params: ApproxParams, consts: DerivedConstants):
+    """``verify_witnesses`` on the columns of witness rows p (N, n + 1) at their xs, in Python ints.
+
+    Returns the reports' fields in ``WitnessReport`` order, one list each.
+    """
+    n, N = params.n, len(p)
+    q_range = (2.0 * (n + 1) * params.Q, 4.0 * (n + 1) * params.Q)
     x_limit, f_limit = (n + 1) / params.c * params.x_scale, consts.taming_factor() * params.psi
     xl_num, xl_den = x_limit.as_integer_ratio()
-    near = _near_curve(curve, params.theta, f_limit)
-    reports = []
-    for w, x in zip(witnesses, xs):
-        x_num, x_den = float(x).as_integer_ratio()
-        P, D, f_ok, gaps = near(w.q, w.a, w.b)
-        x_top, x_bot = w.q * abs(x_num * D - P * x_den), x_den * D  # q |x - P/D|
-        q_range_ok = q_lo < w.q < q_hi
-        reports.append(WitnessReport(q=w.q, q_range=(q_lo, q_hi), q_range_ok=q_range_ok,
-                                     x_bounds=(x_top / x_bot, x_limit), f_bounds=tuple(gaps),
-                                     all_ok=q_range_ok and x_top * xl_den < xl_num * x_bot and f_ok,
-                                     point=P / D))
-    return reports
+    q, a, *bs = np.asarray(p, dtype=object).T
+    x_num, x_den = np.array([float(x).as_integer_ratio() for x in xs], dtype=object).reshape(-1, 2).T
+    P, D, f_ok, gaps = _near_curve(curve, params.theta, f_limit)(q, a, bs)
+    x_top, x_bot = q * abs(x_num * D - P * x_den), x_den * D  # q |x - P/D|
+    q_range_ok = (q_range[0] < q) & (q < q_range[1])
+    all_ok = q_range_ok & (x_top * xl_den < xl_num * x_bot) & f_ok
+    f_bounds = zip(*(zip(gap.tolist(), [limit] * N) for gap, limit in gaps))
+    return (q.tolist(), [q_range] * N, q_range_ok.tolist(), list(zip((x_top / x_bot).tolist(), [x_limit] * N)),
+            list(f_bounds), all_ok.tolist(), (P / D).tolist())
 
 
 def verify_witness(w: RationalWitness, curve: Curve, x: float, params: ApproxParams,

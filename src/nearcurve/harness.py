@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import __version__
 from .config import MODES, ExperimentConfig
 from .counting import _counts, _coverage, _triples, _write_triples, count_R_psi_sweep
 from .curves import Curve, midpoint_grid, resolve_curve, second_derivative_bound
-from .detector import RationalWitness, derive_constants, detect_witnesses, psi_floor, verify_witnesses
+from .detector import _detect, _verify, derive_constants, psi_floor
 from .errors import ConfigError
 from .goodness import MinorSpec, hodge_dual_basis, phi_closed_form, phi_minor, qnd_bound_check, scale_factor
 from .intlinalg import rank_int
@@ -151,8 +152,9 @@ class ExperimentOutcome:
     summary: dict
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _field(value):
+    """A str or int as it is, any other value as the repr of its float."""
+    return value if isinstance(value, (str, int)) else repr(float(value))
 
 
 def _tag(value: float) -> str:
@@ -160,13 +162,18 @@ def _tag(value: float) -> str:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """The header and the ``_field`` of every value, by ``csv.writer`` with LF line ends.
+
+    Rows of str, int and float values, which ``csv.writer`` writes as ``_field``
+    would, go to it as they are, with no Python call per value.
+    """
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, (str, int)) else _fmt(v) for v in row])
+        plain = set(map(type, chain.from_iterable(rows))) <= {str, int, bool, float}
+        writer.writerows(rows if plain else ([_field(v) for v in row] for row in rows))
 
 
 def _params(cfg: ExperimentConfig, curve: Curve, theta: Shift, Q: float, psi: float) -> ApproxParams:
@@ -279,40 +286,26 @@ def _run_count(cfg, curve, consts, theta, out, seed):
 
 def _run_detect(cfg, curve, consts, theta, out, seed):
     m = curve.n - 1
-    files = []
-    n_good = 0
-    n_fail = 0
+    files, n_good, n_fail = [], 0, 0
+    header = ["x", "delta", "good", "q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["all_ok"]
     for Q, psi in _cells(cfg):
         params = _params(cfg, curve, theta, Q, psi)
         rho = consts.interior_rho(Q, psi)
-        xs = [float(x) for x in midpoint_grid(cfg.B[0], cfg.B[1], cfg.grid_points)
-              if cfg.B[0] + rho <= x <= cfg.B[1] - rho]
-        delta, outcomes = detect_witnesses(curve, xs, params, guard=cfg.guard)
-        found = [(w, x) for x, w in zip(xs, outcomes) if isinstance(w, RationalWitness)]
-        reports = iter(verify_witnesses([w for w, _ in found], curve, [x for _, x in found], params, consts))
-        rows = []
-        for x, d, w in zip(xs, delta.tolist(), outcomes):
-            good = d >= 1.0 - cfg.guard
-            rec = [x, d, "yes" if good else "no"]
-            if good:
-                n_good += 1
-                if isinstance(w, RationalWitness):
-                    ok = next(reports).all_ok
-                    rec += [w.q, w.a, *w.b, "yes" if ok else "no"]
-                else:
-                    ok = False
-                    rec += ["", "", *[""] * m, f"error:{w}"]
-                if not ok:
-                    n_fail += 1
-            else:
-                rec += ["", "", *[""] * m, ""]
-            rows.append(rec)
+        xs = midpoint_grid(cfg.B[0], cfg.B[1], cfg.grid_points)
+        xs = xs[(cfg.B[0] + rho <= xs) & (xs <= cfg.B[1] - rho)]
+        delta, good, p, error = _detect(curve, xs, params, cfg.guard)
+        found = error == ""  # a witness, at a good x
+        all_ok = np.zeros(len(xs), dtype=bool)
+        all_ok[found] = _verify(p[found], xs[found].tolist(), curve, params, consts)[5]
+        verdict = np.where(found, np.where(all_ok, "yes", "no"), np.where(good, "error:" + error, ""))
+        witness = np.where(found[:, None], p.astype(str), "").T.tolist()
+        rows = zip(xs.tolist(), delta.tolist(), np.where(good, "yes", "no").tolist(), *witness, verdict.tolist())
+        n_good += int(good.sum())
+        n_fail += int((good & ~all_ok).sum())
         path = os.path.join(out, f"detect_Q{Q}_psi{_tag(psi)}.csv")
-        header = ["x", "delta", "good", "q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["all_ok"]
-        _write_csv(path, header, rows)
+        _write_csv(path, header, list(rows))
         files.append(path)
-    checks = n_fail == 0
-    return files, checks, {"good_points": n_good, "failures": n_fail}
+    return files, n_fail == 0, {"good_points": n_good, "failures": n_fail}
 
 
 def _run_coverage(cfg, curve, consts, theta, out, seed):

@@ -1,7 +1,8 @@
 """Exact integer linear algebra on small matrices.
 
-Everything here runs on Python ints, so determinants, kernels and minors are
-exact regardless of entry size.  Matrices are given as sequences of rows.
+Everything here is exact regardless of entry size: it runs on Python ints, or
+on int64 where a bound keeps every intermediate in range.  Matrices are given
+as sequences of rows.
 """
 
 from __future__ import annotations
@@ -10,36 +11,43 @@ import math
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def _as_rows(mat) -> list[list[int]]:
     return [[int(v) for v in row] for row in mat]
 
 
 def det_int(mat) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant: ``det_stack`` of a stack of one, in Python ints."""
     a = _as_rows(mat)
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
+    return int(det_stack(np.array(a, dtype=object).reshape(1, len(a), len(a)))[0])
+
+
+def det_stack(stack) -> np.ndarray:
+    """Exact determinants of a stack (N, n, n) of integer matrices, by Bareiss (1968) elimination.
+
+    Every intermediate is a product of two minors, each at most the Hadamard
+    bound H = prod_i max(1, |row_i|_2).  An int64 stack with H^2 < 2^62 for
+    every matrix is eliminated in int64; any other stack, in Python ints
+    (dtype object).  A zero pivot swaps in the first nonzero row below it.
+    """
+    A = np.array(stack)
+    if A.dtype != np.int64 or A.size and np.prod(
+            np.maximum(1.0, np.square(A, dtype=float).sum(axis=2)), axis=1).max() >= 2.0**62:
+        A = A.astype(object)
+    N, n, _ = A.shape
+    sign, prev, singular = np.ones(N, np.int64), np.ones(N, A.dtype), np.zeros(N, bool)
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        pivot = k + (A[:, k:, k] != 0).argmax(axis=1)
+        s = np.flatnonzero(pivot != k)
+        A[s, k], A[s, pivot[s]], sign[s] = A[s, pivot[s]], A[s, k], -sign[s]
+        dead = A[:, k, k] == 0  # no nonzero pivot: det 0, and an identity runs on in its place
+        A[dead], prev[dead], singular[dead] = np.eye(n, dtype=np.int64), 1, True
+        A[:, k + 1:, k + 1:] = (A[:, k + 1:, k + 1:] * A[:, k, k, None, None]
+                                - A[:, k + 1:, k, None] * A[:, None, k, k + 1:]) // prev[:, None, None]
+        prev = A[:, k, k].copy()
+    return np.where(singular, 0, sign * A[:, -1, -1]) if n else np.ones(N, np.int64)
 
 
 def rank_int(mat) -> int:
@@ -130,4 +138,5 @@ def gcd_list(values: Iterable[int]) -> int:
 
 
 def is_unimodular(mat) -> bool:
-    return abs(det_int(mat)) == 1
+    """Whether |det mat| = 1, exactly: ``det_stack`` of a stack of one."""
+    return bool(abs(det_stack(np.asarray(mat)[None])[0]) == 1)

@@ -122,7 +122,7 @@ class LatticeBasis:
 
     def assert_unimodular(self) -> None:
         """Exact check that ``|det preimage| = 1``."""
-        if not is_unimodular(self.preimage.tolist()):
+        if not is_unimodular(self.preimage):
             raise AssertionError("LLL transform lost unimodularity")
 
 

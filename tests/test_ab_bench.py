@@ -1,7 +1,8 @@
-"""The summary of tools/ab_bench.py against the pairs that BENCH_18.json lists."""
+"""tools/ab_bench.py: its summary against the pairs that BENCH_18.json lists, and its checkout names."""
 
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -83,3 +84,17 @@ def test_bounds_are_read_in_the_metric_unit(tool):
     assert up["change_wins"] == {"peak_rss_mb": 0, "wall_s": 0}
     near = tool.summarize([pair(k, 37.0 + 0.01 * k, 37.05 + 0.01 * k) for k in range(10)], metrics)
     assert not any(near["workloads"]["w"]["beyond_bound"].values())
+
+
+def test_checkout_names_cycle_through_three_lengths(tool):
+    # both sides of a pair get names of one length; six pairs meet each length with each side first
+    base = os.path.join("runs", "ab")
+    seen = set()
+    for pair in range(6):
+        dirs = tool.checkout_dirs(base, pair)
+        assert list(dirs) == list(tool.SIDES) and all(os.path.dirname(p) == base for p in dirs.values())
+        names = {os.path.basename(p) for p in dirs.values()}
+        assert len(names) == 2 and {len(n) for n in names} == {tool.NAME_LENGTHS[pair % 3]}
+        seen.add((tool.NAME_LENGTHS[pair % 3], pair % 2))  # the side that runs first alternates
+    assert tool.NAME_LENGTHS == (2, 7, 12) and len(seen) == 6
+    assert tool.checkout_dirs(base, 3) == tool.checkout_dirs(base, 0)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
-from nearcurve import detector, lattice
+from nearcurve import counting, detector, lattice
 from nearcurve.detector import GOOD_SET_GUARD, detect_witnesses
 from nearcurve.errors import PreconditionError
-from oracles import curve_delta_oracle, detect_witness_oracle, fraction_coord, verify_witness_oracle
+from oracles import (curve_delta_oracle, detect_witness_oracle, fraction_coord, naive_enumerate,
+                     verify_witness_oracle)
 
 
 def _params(curve, **kw):
@@ -374,6 +375,113 @@ def test_verify_witnesses_fail_an_exact_tie(parabola, family, w, x, gamma):
     assert not rep.all_ok
 
 
+def _ys(curve, q, a, theta):
+    """q f_j((a + lambda)/q) - gamma_j: in ``Fraction`` for a coordinate with coeffs, else in doubles."""
+    lam, gam = theta
+    x = (a + Fraction(lam)) / q
+    return [q * fraction_coord(c, x) - Fraction(g) if hasattr(c, "coeffs")
+            else q * float(c.value(float(x))) - g for c, g in zip(curve.coords, gam)]
+
+
+def _x_ties(q_lo, q_hi, lam, limit, count):
+    """``count`` triples (q, a, x), q inside (q_lo, q_hi), with q x - a - lambda = +-limit exactly.
+
+    With lambda = l/2^e and the limit L/2^f, E = max(e, f), the sum
+    T = 2^E (lambda +- limit) is an integer.  For odd q, a = -T 2^-E mod q
+    makes q divide N = a 2^E + T, and x = (N/q) / 2^E is a double when
+    |N/q| < 2^53.
+    """
+    den = max(Fraction(lam).denominator, Fraction(limit).denominator)
+    found = []
+    for q in range(int(q_lo) + 1 | 1, int(q_hi), 2):
+        sign = 1 if len(found) % 2 == 0 else -1
+        T = int((Fraction(lam) + sign * Fraction(limit)) * den)
+        a0 = -T * pow(den, -1, q) % q
+        for a in (a0, a0 - q):
+            M = (a * den + T) // q
+            if abs(M) < 2**53:
+                x = M / den
+                assert q * Fraction(x) - a - Fraction(lam) == sign * Fraction(limit)
+                found.append((q, a, x))
+                break
+        if len(found) == count:
+            return found
+    raise AssertionError("no exact x-tie in the q-range")
+
+
+@pytest.mark.parametrize("name", ["parabola", "veronese:3", "poly:0.1,1/3,1", "mixed"])
+def test_verify_witnesses_decide_every_row_alone(name):
+    """One call mixes exact ties, near-ties and witnesses whose products pass 2^63.
+
+    c = n + 1 and M = 0 make the f-limit psi.  psi is the double of the first
+    witness's exact f_1-gap: at lambda = 0 its q is a power of two, so on a
+    dyadic curve that gap is a double and the witness an exact tie; otherwise
+    a near-tie.  The x-ties meet the x-limit exactly, and their neighbouring
+    doubles are near-ties.
+    """
+    curve = nc.resolve_curve(name)
+    n, m = curve.n, curve.n - 1
+    rng = np.random.default_rng(28)
+    consts = nc.derive_constants(n, 0.0, n + 1.0)
+    ties = {"x": 0, "f": 0}
+    for theta in ((0.0, (0.0,) * m), (0.1, (0.3,) * m)):
+        lam, gam = theta
+        Q = 1000.0
+        q_lo, q_hi = 2 * (n + 1) * Q, 4 * (n + 1) * Q
+        q0 = 2 ** math.ceil(math.log2(q_lo))
+        for a0 in range(q0 // 3, q0):
+            y0 = _ys(curve, q0, a0, theta)[0]
+            if abs(y0 - round(y0)) > 0.01:
+                break
+        w0 = nc.RationalWitness(q=q0, a=a0, b=tuple(round(y) for y in _ys(curve, q0, a0, theta)))
+        psi = float(abs(y0 - w0.b[0]))
+        p = _params(curve, c=n + 1.0, Q=Q, psi=psi, B=(0.0, 1.0), lam=lam, gamma=gam)
+        x_limit = (n + 1) / p.c * p.x_scale
+        pairs = [(w0, (a0 + lam) / q0)]
+        for q, a, x in _x_ties(q_lo, q_hi, lam, x_limit, 6):
+            w = nc.RationalWitness(q=q, a=a, b=tuple(round(y) for y in _ys(curve, q, a, theta)))
+            pairs += [(w, x), (w, math.nextafter(x, math.inf)), (w, math.nextafter(x, -math.inf))]
+        for q in (2**45 + 1, 2**70 + 3):  # out of the q-range; every product passes 2^63
+            a = int(q * 0.4)
+            pairs.append((nc.RationalWitness(q=q, a=a, b=tuple(round(y) for y in _ys(curve, q, a, theta))),
+                          (a + lam) / q))
+        for _ in range(40):
+            q = int(rng.integers(int(q_lo) + 1, int(q_hi)))
+            a = int(rng.integers(0, q))
+            bs = tuple(round(y) + int(rng.integers(-1, 2)) for y in _ys(curve, q, a, theta))
+            pairs.append((nc.RationalWitness(q=q, a=a, b=bs), (a + lam) / q))
+        witnesses, xs = [w for w, _ in pairs], [x for _, x in pairs]
+        got = nc.verify_witnesses(witnesses, curve, xs, p, consts)
+        assert got == [verify_witness_oracle(w, curve, x, p, consts) for w, x in pairs], theta
+        assert got == [nc.verify_witness(w, curve, x, p, consts) for w, x in pairs]
+        assert {r.all_ok for r in got} == {True, False}
+        for (w, x), r in zip(pairs, got):
+            if abs(w.q * Fraction(x) - w.a - Fraction(lam)) == Fraction(x_limit):
+                assert r.x_bounds[0] == r.x_bounds[1] and not r.all_ok
+                ties["x"] += 1
+        if isinstance(y0, Fraction) and abs(y0 - w0.b[0]) == Fraction(psi):
+            assert got[0].f_bounds[0] == (psi, psi) and not got[0].all_ok
+            ties["f"] += 1
+    assert ties["x"] == 12 and ties["f"] == (0 if name == "poly:0.1,1/3,1" else 1)
+
+
+@pytest.mark.parametrize("Q", [40, 200])
+def test_membership_agrees_with_naive_enumeration_on_tie_rich_cells(parabola, Q):
+    # psi = 0.5 meets exact ties (a^2 / q half an integer); 0.1 lies above its double's decimal
+    for psi in (0.1, 0.5):
+        for theta in ((0.0, (0.0,)), (0.1, (0.3,))):
+            count, _, triples = naive_enumerate(parabola, Q, psi, (0.0, 1.0), theta)
+            assert count == len(triples) > 0
+            result = counting.CountResult(Q=Q, psi=psi, B=(0.0, 1.0), theta=theta, count=count,
+                                             boundary=0, triples=triples)
+            assert counting.recheck_triples(parabola, result)
+            for q, a, b in triples.tolist():
+                assert counting.witness_in_R(nc.RationalWitness(q=q, a=a, b=(b,)), parabola, Q, psi,
+                                                (0.0, 1.0), theta)
+                moved = nc.RationalWitness(q=q, a=a, b=(b + 1,))  # |y - b - 1| >= 1 - psi >= psi
+                assert not counting.witness_in_R(moved, parabola, Q, psi, (0.0, 1.0), theta)
+
+
 def _fraction_ys(curve, q, a, theta):
     """q f_j((a + lambda)/q) - gamma_j per coordinate, in ``Fraction``."""
     lam, gam = theta
@@ -462,7 +570,7 @@ def test_membership_and_verification_agree(name):
         p = _params(curve, c=n + 1.0, Q=w.q / (3 * (n + 1)), psi=psi, B=(0.0, 1.0), lam=lam, gamma=gam)
         (rep,) = nc.verify_witnesses([w], curve, [(w.a + lam) / w.q], p, consts)
         assert rep.q_range_ok and rep.x_bounds[0] < rep.x_bounds[1] and rep.f_bounds[0][1] == psi
-        member = nc.counting.witness_in_R(w, curve, w.q, psi, (0.0, 1.0), (lam, gam))
+        member = counting.witness_in_R(w, curve, w.q, psi, (0.0, 1.0), (lam, gam))
         assert member == rep.all_ok, (w, lam)
         seen.add(member)
     assert seen == {True, False}

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import nearcurve as nc
+from nearcurve.cli import main
 from nearcurve.config import parse_config_text
+from nearcurve.curves import midpoint_grid
 from nearcurve.errors import ConfigError
 from nearcurve.harness import dim_exponent, divergence_partial_sum, run_experiment
 
@@ -230,6 +233,49 @@ def test_run_detect_cell_below_the_psi_floor(tmp_path):
         else:
             assert (flag, witness, all_ok) == ("no", ["", "", ""], "")
     assert good == 16
+
+
+def _detect_csv_reference(cfg, Q, psi):
+    """A detect CSV of one cell, by ``csv.writer`` over ``detect_witnesses`` and ``verify_witnesses``."""
+    curve = nc.resolve_curve(cfg.curve)
+    m = curve.n - 1
+    consts = nc.derive_constants(curve.n, cfg.M, cfg.c)
+    params = nc.ApproxParams.for_curve(curve, c=cfg.c, Q=Q, psi=psi, B=cfg.B)
+    rho = consts.interior_rho(Q, psi)
+    xs = [x for x in midpoint_grid(*cfg.B, cfg.grid_points).tolist()
+          if cfg.B[0] + rho <= x <= cfg.B[1] - rho]
+    delta, outcomes = nc.detect_witnesses(curve, xs, params, cfg.guard)
+    found = [(w, x) for x, w in zip(xs, outcomes) if isinstance(w, nc.RationalWitness)]
+    reports = iter(nc.verify_witnesses([w for w, _ in found], curve, [x for _, x in found], params, consts))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["x", "delta", "good", "q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["all_ok"])
+    for x, d, w in zip(xs, delta.tolist(), outcomes):
+        if d < 1.0 - cfg.guard:
+            writer.writerow([repr(x), repr(d), "no"] + [""] * (m + 3))
+        elif isinstance(w, nc.RationalWitness):
+            writer.writerow([repr(x), repr(d), "yes", w.q, w.a, *w.b, "yes" if next(reports).all_ok else "no"])
+        else:
+            writer.writerow([repr(x), repr(d), "yes"] + [""] * (m + 2) + [f"error:{w}"])
+    return text.getvalue()
+
+
+def test_detect_error_rows_are_csv_writer_bytes(tmp_path):
+    # psi = 0.0005 lies below the floor 1/Q = 0.001 at Q = 1000 and above 0.0001 at Q = 10000
+    text = (Path(__file__).resolve().parents[1] / "configs" / "detect.cfg").read_text(encoding="utf-8")
+    text = text.replace("psi_list = 0.1,0.3", "psi_list = 0.0005")
+    text = text.replace("output_dir = out/detect", f"output_dir = {tmp_path}/d")
+    (tmp_path / "detect.cfg").write_text(text, encoding="utf-8")
+    assert main(["detect", "--config", str(tmp_path / "detect.cfg")]) == 3
+    cfg = _cfg(text)
+    low = Path(f"{tmp_path}/d/detect_Q1000_psi0p0005.csv").read_text(encoding="utf-8")
+    assert low == _detect_csv_reference(cfg, 1000, 0.0005)
+    errors = [row for row in low.splitlines() if "error:" in row]
+    assert len(errors) == 336
+    assert {row.split(",")[-1] for row in errors} == {"error:psi=0.0005 below the admissibility floor 0.001"}
+    high = Path(f"{tmp_path}/d/detect_Q10000_psi0p0005.csv").read_text(encoding="utf-8")
+    assert high == _detect_csv_reference(cfg, 10000, 0.0005)
+    assert "error:" not in high and ",yes\n" in high
 
 
 def test_run_qnd_reduces_its_samples_as_one_stack(tmp_path, monkeypatch):

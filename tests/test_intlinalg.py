@@ -5,6 +5,7 @@ import pytest
 
 from nearcurve.intlinalg import (
     det_int,
+    det_stack,
     gcd_list,
     is_unimodular,
     kernel_basis_int,
@@ -82,6 +83,67 @@ def test_unimodular():
     assert is_unimodular([[1, 5], [0, 1]])
     assert is_unimodular([[0, 1], [-1, 0]])
     assert not is_unimodular([[2, 0], [0, 1]])
+
+
+def _stack_with_dets(rng, n, dets, size):
+    """``size`` random int64 matrices of dimension n, each with its determinant drawn from ``dets``.
+
+    diag(d, 1, ..., 1), mixed by n random row or column additions of +-1
+    times another, keeps its determinant d; a row swap negates it.
+    """
+    mats, expected = [], []
+    for _ in range(size):
+        d = int(rng.choice(dets))
+        A = np.eye(n, dtype=np.int64)
+        A[0, 0] = d
+        for _ in range(n):
+            i, j = rng.choice(n, size=2, replace=False)
+            f = int(rng.choice((-1, 1)))
+            if rng.random() < 0.5:
+                A[i] += f * A[j]
+            else:
+                A[:, i] += f * A[:, j]
+        if rng.random() < 0.3:
+            i, j = rng.choice(n, size=2, replace=False)
+            A[[i, j]] = A[[j, i]]
+            d = -d
+        mats.append(A)
+        expected.append(d)
+    return np.array(mats), expected
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_det_stack_in_int64_equals_det_int(rng, n):
+    stack, expected = _stack_with_dets(rng, n, (1, -1, 0, 2, -2), 60)
+    dets = det_stack(stack)
+    assert dets.dtype == np.int64  # every Hadamard bound here keeps to int64
+    assert dets.tolist() == expected == [det_int(m) for m in stack.tolist()] == \
+        [_fraction_det(m) for m in stack.tolist()]
+    assert [is_unimodular(m) for m in stack] == [abs(d) == 1 for d in expected]
+
+
+def test_det_stack_takes_python_ints_past_the_bound():
+    # int64 entries whose Hadamard bound H has H^2 past 2^62: det 1 and -1
+    K, L = 2**20, 2**31
+    big = np.array([[[1, K, 0], [0, 1, 0], [K, K * K + 1, 1]],
+                    [[L + 1, L, 0], [L, L - 1, 0], [0, 0, 1]]], dtype=np.int64)
+    dets = det_stack(big)
+    assert dets.dtype == object and dets.tolist() == [det_int(m) for m in big.tolist()] == [1, -1]
+    # the LLL transform of the overflow fallback comes as dtype object, entries past 2^63 too
+    huge = [[[2**70, 2**70 - 1], [2**70 + 1, 2**70]], [[0, 1], [1, 0]], [[3, 5], [6, 10]]]
+    dets = det_stack(np.array(huge, dtype=object))
+    assert dets.dtype == object and dets.tolist() == [det_int(m) for m in huge] == [1, -1, 0]
+    assert is_unimodular(np.array(huge[0], dtype=object))
+
+
+def test_det_stack_swaps_in_a_row_at_a_zero_pivot():
+    mats = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],  # zero at the first pivot
+            [[1, 1, 0], [1, 1, 1], [0, 1, 0]],  # zero at the second, after one elimination step
+            [[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+            [[0, 1, 2], [0, 3, 4], [0, 5, 6]]]  # no nonzero pivot in the first column
+    dets = det_stack(np.array(mats))
+    assert dets.dtype == np.int64
+    assert dets.tolist() == [det_int(m) for m in mats] == [_fraction_det(m) for m in mats] == [-1, -1, -6, 0]
 
 
 def test_gcd_list():

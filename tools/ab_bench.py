@@ -4,10 +4,13 @@
                               [--pairs 10] [--claim WORKLOAD:METRIC] [--dir DIR]
                               [--out FILE] [--append FILE]
 
-Checks out PARENT (before) and ``HEAD`` (after) as two detached ``git worktree``
-checkouts named ``parent`` and ``change`` under DIR (a fresh temporary
-directory by default), so that both paths have the same length: path length
-alone moved ``wall_s`` by 4-5 %.  Every seed gets ``--pairs`` pairs per
+Checks out PARENT (before) and ``HEAD`` (after) as detached ``git worktree``
+checkouts under DIR (a fresh temporary directory by default).  Both sides of a
+pair run from directory names of the same length, because path length alone
+moved ``wall_s`` by 4-5 %; and from pair to pair that length cycles through
+``NAME_LENGTHS`` (2, 7 and 12 characters), because the heap left by compiling
+nearcurve from source moved ``peak_rss_mb`` by about 1 MB between names of 2
+and 12 characters.  Every seed gets ``--pairs`` pairs per
 workload; a pair runs ``bench/run.py --workload W --seed S --seconds N``
 unchanged in each checkout, one after the other, with N the ``run_seconds`` of
 ``BENCHMARK.json``, and the side that runs first alternates from pair to pair,
@@ -18,8 +21,9 @@ worktrees, and a temporary directory, are removed at the end.
 With ``--append FILE`` the pairs of an earlier run on the same two ``src``
 trees come first, so one JSON can hold workloads run with different seeds,
 pair counts and checkout directories.  The JSON holds every pair
-(``per_pair``: the seed, which side ran ``first``, the ``invocation`` of this
-tool that ran it, as an index into ``tools``, and per side each
+(``per_pair``: the seed, which side ran ``first``, the ``name_length`` of both
+checkout directories, the ``invocation`` of this tool that ran it, as an index
+into ``tools``, and per side each
 end-to-end metric of ``BENCHMARK.json``, ``correct``, ``failed`` and
 ``attempted``); per workload the medians and quartiles
 (``statistics.quantiles(n=4)``) of each side, the pairs the change wins per
@@ -50,6 +54,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RULE = ("change wins >= 9 in 10 of the pairs and the medians differ by more than the parent's "
         "interquartile range, on all pairs and on every seed with two or more")
 SIDES = ("before", "after")
+NAME_LENGTHS = (2, 7, 12)  # characters in the name of both checkout directories, pair after pair
+
+
+def checkout_dirs(base: str, pair: int) -> dict:
+    """``{side: path}`` of the two checkouts that pair number ``pair`` runs in, under ``base``.
+
+    Both names have ``NAME_LENGTHS[pair % 3]`` characters: the side's name,
+    cut or padded with "_".
+    """
+    length = NAME_LENGTHS[pair % len(NAME_LENGTHS)]
+    return {side: os.path.join(base, (side + "_" * length)[:length]) for side in SIDES}
 
 
 def _benchmark(root: str = ROOT) -> dict:
@@ -157,10 +172,9 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     claim = tuple(args.claim.split(":")) if args.claim else None
     base = args.dir or tempfile.mkdtemp(prefix="ab_bench_")
-    sides = {"before": (args.parent, os.path.join(base, "parent")),
-             "after": ("HEAD", os.path.join(base, "change"))}
+    sides = {"before": args.parent, "after": "HEAD"}
     revs = {side: {"rev": rev, "git_sha": _git("rev-parse", rev), "src_tree": _git("rev-parse", f"{rev}:src")}
-            for side, (rev, _) in sides.items()}
+            for side, rev in sides.items()}
     command = [args.parent, *(f"--workload {w}" for w in args.workload), "--seeds", args.seeds,
                "--pairs", str(args.pairs)]
     command += ["--claim", args.claim] if args.claim else []
@@ -174,17 +188,19 @@ def main(argv=None) -> int:
         tools, per_pair = earlier["tools"] + tools, earlier["per_pair"]
     added = []
     try:
-        for rev, path in sides.values():
-            _git("worktree", "add", "--detach", path, rev)
-            added.append(path)
         for workload in args.workload:
             for seed in seeds:
                 for _ in range(args.pairs):
                     order = SIDES if len(per_pair) % 2 == 0 else SIDES[::-1]
+                    dirs = checkout_dirs(base, len(per_pair))
+                    for side, path in dirs.items():
+                        if path not in added:
+                            _git("worktree", "add", "--detach", path, sides[side])
+                            added.append(path)
                     row = {"workload": workload, "seed": seed, "first": order[0],
-                           "invocation": len(tools) - 1}
+                           "name_length": len(os.path.basename(dirs["before"])), "invocation": len(tools) - 1}
                     for side in order:
-                        run = _run(sides[side][1], workload, seed, seconds, metrics)
+                        run = _run(dirs[side], workload, seed, seconds, metrics)
                         row.update({f"{side}_{key}": value for key, value in run.items()})
                     per_pair.append(row)
                     print(json.dumps(row), file=sys.stderr)
