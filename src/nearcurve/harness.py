@@ -298,7 +298,8 @@ def _run_detect(cfg, curve, consts, theta, out, seed):
         all_ok = np.zeros(len(xs), dtype=bool)
         all_ok[found] = _verify(p[found], xs[found].tolist(), curve, params, consts)[5]
         verdict = np.where(found, np.where(all_ok, "yes", "no"), np.where(good, "error:" + error, ""))
-        witness = np.where(found[:, None], p.astype(str), "").T.tolist()
+        blank = ("",) * (m + 2)
+        witness = zip(*[w if f else blank for w, f in zip(p.tolist(), found.tolist())])
         rows = zip(xs.tolist(), delta.tolist(), np.where(good, "yes", "no").tolist(), *witness, verdict.tolist())
         n_good += int(good.sum())
         n_fail += int((good & ~all_ok).sum())
