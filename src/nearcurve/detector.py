@@ -263,15 +263,20 @@ def verify_witnesses(witnesses: Sequence[RationalWitness], curve: Curve, xs: Seq
     correctly.
     """
     p = np.array([(w.q, w.a, *w.b) for w in witnesses], dtype=object).reshape(len(witnesses), params.n + 1)
-    return [WitnessReport(*fields) for fields in zip(*_verify(p, xs, curve, params, consts))]
+    q_range, x_limit, q_range_ok, x_gap, gaps, all_ok, point = _verify(p, xs, curve, params, consts)
+    x_bounds = zip(x_gap.tolist(), [x_limit] * len(p))
+    f_bounds = zip(*(zip(gap.tolist(), [limit] * len(p)) for gap, limit in gaps))
+    return [WitnessReport(q, q_range, *fields) for q, *fields in
+            zip(p[:, 0].tolist(), q_range_ok.tolist(), x_bounds, f_bounds, all_ok.tolist(), point.tolist())]
 
 
 def _verify(p: np.ndarray, xs: Sequence[float], curve: Curve, params: ApproxParams, consts: DerivedConstants):
     """``verify_witnesses`` on the columns of witness rows p (N, n + 1) at their xs, in Python ints.
 
-    Returns the reports' fields in ``WitnessReport`` order, one list each.
+    Returns ``(q_range, x_limit, q_range_ok, x_gap, gaps, all_ok, point)``:
+    two constants, then columns, gaps as ``_near_curve`` gives them.
     """
-    n, N = params.n, len(p)
+    n = params.n
     q_range = (2.0 * (n + 1) * params.Q, 4.0 * (n + 1) * params.Q)
     x_limit, f_limit = (n + 1) / params.c * params.x_scale, consts.taming_factor() * params.psi
     xl_num, xl_den = x_limit.as_integer_ratio()
@@ -281,9 +286,7 @@ def _verify(p: np.ndarray, xs: Sequence[float], curve: Curve, params: ApproxPara
     x_top, x_bot = q * abs(x_num * D - P * x_den), x_den * D  # q |x - P/D|
     q_range_ok = (q_range[0] < q) & (q < q_range[1])
     all_ok = q_range_ok & (x_top * xl_den < xl_num * x_bot) & f_ok
-    f_bounds = zip(*(zip(gap.tolist(), [limit] * N) for gap, limit in gaps))
-    return (q.tolist(), [q_range] * N, q_range_ok.tolist(), list(zip((x_top / x_bot).tolist(), [x_limit] * N)),
-            list(f_bounds), all_ok.tolist(), (P / D).tolist())
+    return q_range, x_limit, q_range_ok, x_top / x_bot, gaps, all_ok, P / D
 
 
 def verify_witness(w: RationalWitness, curve: Curve, x: float, params: ApproxParams,

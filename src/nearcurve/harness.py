@@ -296,10 +296,9 @@ def _run_detect(cfg, curve, consts, theta, out, seed):
         delta, good, p, error = _detect(curve, xs, params, cfg.guard)
         found = error == ""  # a witness, at a good x
         all_ok = np.zeros(len(xs), dtype=bool)
-        all_ok[found] = _verify(p[found], xs[found].tolist(), curve, params, consts)[5]
+        all_ok[found] = _verify(p[found], xs[found].tolist(), curve, params, consts)[5]  # its all_ok
         verdict = np.where(found, np.where(all_ok, "yes", "no"), np.where(good, "error:" + error, ""))
-        blank = ("",) * (m + 2)
-        witness = zip(*[w if f else blank for w, f in zip(p.tolist(), found.tolist())])
+        witness = zip(*[w if f else ("",) * (m + 2) for w, f in zip(p.tolist(), found.tolist())])
         rows = zip(xs.tolist(), delta.tolist(), np.where(good, "yes", "no").tolist(), *witness, verdict.tolist())
         n_good += int(good.sum())
         n_fail += int((good & ~all_ok).sum())
