@@ -25,7 +25,7 @@ configs/scaling.cfg reports 30,171,993 triples at Q = 8192, psi = 0.6 against
 an exact 30,171,986.  An exact integer test is item 1 of ROADMAP.md.
 
 The collecting paths hold a bounded part of a cell at a time.  ``count`` writes
-its triples as ``_triples`` makes them, a block of pairs at a time, and
+its triples as ``_triples`` makes them, with slacks from ``_y``, and csvtext
 turns them into text ``_CSV_BLOCK`` rows at a time.  Coverage walks B in slabs
 of about ``_SLAB`` pairs (``_coverage``), split where the points reach a cut,
 so the slabs in order hand their sorted balls to one exact union kernel
@@ -36,6 +36,7 @@ double in any order of the balls and any number of slabs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -202,16 +203,6 @@ def _counted(total: float, curve: Curve, Q: int) -> int:
     return int(total)
 
 
-def _b_counts(ys: np.ndarray, s: float, count: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Per pair, its number of b with every |y_j - b_j| < s: the product of ``_window``'s counts.
-
-    ``_window`` writes the count and the floor of each ``ys[j]`` into ``count[j]`` and ``lo[j]``.
-    """
-    for y, n, floor in zip(ys, count, lo):
-        _window(y, s, n, floor)
-    return count[0] if len(ys) == 1 else count.prod(axis=0)
-
-
 def _kept(curve: Curve, Q: int, psi: float, theta: Shift, a_lo: np.ndarray,
           a_hi: np.ndarray) -> Iterator:
     """The pair kernel of R on ``_checked``'s ``(Q, theta)``: per block of pairs, its kept ones.
@@ -231,7 +222,9 @@ def _kept(curve: Curve, Q: int, psi: float, theta: Shift, a_lo: np.ndarray,
         k = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
         ys, inside, lo = ys_buf[:, :len(k)], inside_buf[:, :len(k)], lo_buf[:, :len(k)]
         q, a = _pair_ys(curve, k, ends, offset, q0, theta, ys)
-        counts = _b_counts(ys, psi - GUARD, inside, lo)
+        for y, n, floor in zip(ys, inside, lo):
+            _window(y, psi - GUARD, n, floor)
+        counts = inside[0] if len(ys) == 1 else inside.prod(axis=0)  # b per pair: the product
         _counted(counts.sum(), curve, Q)
         keep = np.flatnonzero(counts)
         yield q, a, ys, keep, counts[keep].astype(np.int64), inside, lo
@@ -612,36 +605,38 @@ def delta_coverage(witnesses, rho: float, B: tuple[float, float],
 # CSV emission
 
 
-def _csv_text(columns: Sequence[np.ndarray]) -> str:
-    """The CSV lines, each ending in LF, of equal-length int64 or float64 columns.
-
-    The bytes are ``csv.writer``'s: each int as ``str`` and each float as its
-    ``repr`` writes it, from one numpy text kernel per block
-    (``nearcurve.csvtext``).  The kernel is imported here, and only here, so
-    that no other path pays for compiling it.
-    """
-    from .csvtext import csv_text
-
-    return csv_text(columns)
-
-
 def _write_triples(path, curve: Curve, psi: float, theta: Shift, blocks: Iterable[np.ndarray]) -> None:
-    """The triples CSV of one cell from its blocks of rows (q, a, b_1..b_m): ``csvtext.write_triples``.
+    """Columns q,a,b1..bm,x_point,slack_f1..fm of the triples in ``blocks``, a header row, LF endings.
 
-    At least ``_CSV_BLOCK`` rows are turned into text at a time.  Imported here, as in ``_csv_text``.
+    The rows (q, a, b_1..b_m) come in blocks of any size, cut into runs of ``_CSV_BLOCK`` rows.
+    A run's x-points (a + lambda)/q and slacks psi - |y_j - b_j|, y_j from ``_y``, become text at
+    once in ``nearcurve.csvtext``, imported here and only here, so that no other path pays for
+    compiling it.  Blocks that stop with an error leave no file.
     """
-    from .csvtext import write_triples
+    from .csvtext import _runs, csv_text
 
-    write_triples(path, curve, psi, theta, blocks, _CSV_BLOCK)
+    m, (lam, gam) = curve.n - 1, theta
+    js = range(1, m + 1)
+    header = ["q", "a", *(f"b{j}" for j in js), "x_point", *(f"slack_f{j}" for j in js)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        try:
+            fh.write(",".join(header) + "\n")
+            for rows in _runs(blocks, _CSV_BLOCK):
+                q = rows[:, 0]
+                columns = [rows[:, k] for k in range(m + 2)] + [(rows[:, 1] + lam) / q]
+                for j in js:  # a slack column, in place of its own a + lambda
+                    y = np.add(rows[:, 1], lam)
+                    _y(curve, j, q, y, gam[j - 1], y)
+                    columns.append(np.subtract(psi, np.abs(np.subtract(y, rows[:, 1 + j], out=y), out=y), out=y))
+                fh.write(csv_text(columns))
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def write_triples_csv(path, curve: Curve, result: CountResult) -> None:
-    """Columns q,a,b1..bm,x_point,slack_f1..fm with LF endings and a header row.
-
-    The collected triples go to ``_write_triples`` ``_CSV_BLOCK`` rows at a time.
-    """
+    """Columns q,a,b1..bm,x_point,slack_f1..fm with LF endings and a header row: ``_write_triples``."""
     if result.triples is None:
         raise ValueError("enumeration ran with collect=False")
-    rows = result.triples
-    _write_triples(path, curve, result.psi, result.theta,
-                   (rows[start:start + _CSV_BLOCK] for start in range(0, len(rows), _CSV_BLOCK)))
+    _write_triples(path, curve, result.psi, result.theta, [result.triples])

@@ -4,7 +4,8 @@
 digits, a float as its ``repr``, the shortest decimal that reads back as the
 same double, of those the nearest to it, a tie going to the even last digit
 (Gay, *Correctly rounded binary-decimal and decimal-binary conversions*,
-1990).  ``csv_text`` writes the same text without a Python call per value.
+1990).  ``csv_text`` writes the same text without a Python call per value, and
+``_runs`` cuts rows into runs; ``counting._write_triples`` computes the numbers.
 
 Layout.  A field is a column of little-endian uint32 words, four characters
 each, a 0 byte for no character; a block is a matrix of words, a row per
@@ -45,7 +46,6 @@ are written directly.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -232,43 +232,15 @@ def csv_text(columns: Sequence[np.ndarray]) -> str:
 
 
 def _runs(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """The rows of the blocks, in order, in runs of ``size`` rows and then the rest."""
+    """The rows of the blocks, in order, in runs of ``size`` rows and then the rest; a lone block's as views."""
     held, rows = [], 0
     for block in blocks:
         held.append(block)
         rows += len(block)
         if rows >= size:
-            joined, cut = np.concatenate(held), rows - rows % size
+            joined, cut = np.concatenate(held) if len(held) > 1 else block, rows - rows % size
             yield from (joined[start:start + size] for start in range(0, cut, size))
             held, rows = [joined[cut:]], rows - cut
     if rows:
         yield np.concatenate(held)
 
-
-def write_triples(path, curve, psi: float, theta, blocks: Iterable[np.ndarray], size: int) -> None:
-    """Columns q,a,b1..bm,x_point,slack_f1..fm of the triples in ``blocks``, a header row, LF endings.
-
-    The rows (q, a, b_1..b_m) come in blocks of any size and are cut into runs of ``size``
-    rows: each run's x-points and slacks are taken from its triples, elementwise as
-    ``counting.CountResult.points`` does, and turned into text at once, so a write holds one
-    run of them.  Blocks that stop with an error leave no file.
-    """
-    m = curve.n - 1
-    lam, gam = theta
-    header = ["q", "a"] + [f"b{j}" for j in range(1, m + 1)] + ["x_point"] + [
-        f"slack_f{j}" for j in range(1, m + 1)
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        try:
-            fh.write(",".join(header) + "\n")
-            for rows in _runs(blocks, size):
-                pts = (rows[:, 1] + lam) / rows[:, 0]
-                columns = [rows[:, k] for k in range(m + 2)] + [pts]
-                for j in range(1, m + 1):
-                    y = rows[:, 0] * np.asarray(curve.coord_values(j, pts), dtype=float) - gam[j - 1]
-                    columns.append(psi - np.abs(y - rows[:, 1 + j]))
-                fh.write(csv_text(columns))
-        except BaseException:
-            fh.close()
-            os.remove(path)
-            raise

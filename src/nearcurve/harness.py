@@ -12,8 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -152,28 +151,18 @@ class ExperimentOutcome:
     summary: dict
 
 
-def _field(value):
-    """A str or int as it is, any other value as the repr of its float."""
-    return value if isinstance(value, (str, int)) else repr(float(value))
-
-
 def _tag(value: float) -> str:
     return str(value).replace(".", "p").replace("-", "m")
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """The header and the ``_field`` of every value, by ``csv.writer`` with LF line ends.
-
-    Rows of str, int and float values, which ``csv.writer`` writes as ``_field``
-    would, go to it as they are, with no Python call per value.
-    """
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The header and the rows by ``csv.writer``, LF line ends: a float, numpy's float64 too, as its ``repr``."""
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        plain = set(map(type, chain.from_iterable(rows))) <= {str, int, bool, float}
-        writer.writerows(rows if plain else ([_field(v) for v in row] for row in rows))
+        writer.writerows(rows)
 
 
 def _params(cfg: ExperimentConfig, curve: Curve, theta: Shift, Q: float, psi: float) -> ApproxParams:
@@ -303,7 +292,7 @@ def _run_detect(cfg, curve, consts, theta, out, seed):
         n_good += int(good.sum())
         n_fail += int((good & ~all_ok).sum())
         path = os.path.join(out, f"detect_Q{Q}_psi{_tag(psi)}.csv")
-        _write_csv(path, header, list(rows))
+        _write_csv(path, header, rows)
         files.append(path)
     return files, n_fail == 0, {"good_points": n_good, "failures": n_fail}
 

@@ -112,7 +112,7 @@ def kernel_basis_int(mat) -> list[list[int]]:
 
 
 def maximal_minors(mat) -> list[int]:
-    """All r x r minors of an N x r matrix, row combinations in lex order.
+    """All r x r minors of an N x r matrix, row combinations in lex order, from one ``det_stack``.
 
     These are the Grassmann coordinates of the wedge of the columns.
     """
@@ -122,10 +122,12 @@ def maximal_minors(mat) -> list[int]:
     n, r = len(a), len(a[0])
     if r > n:
         raise ValueError("more columns than rows")
-    out = []
-    for rows_idx in combinations(range(n), r):
-        out.append(det_int([a[i] for i in rows_idx]))
-    return out
+    try:
+        A = np.array(a, dtype=np.int64)
+    except OverflowError:  # entries past int64 stay Python ints
+        A = np.array(a, dtype=object)
+    choices = np.array(list(combinations(range(n), r)), dtype=np.intp)
+    return [int(d) for d in det_stack(A[choices])]
 
 
 def gcd_list(values: Iterable[int]) -> int:

@@ -9,6 +9,7 @@ import pytest
 
 import nearcurve as nc
 from nearcurve import counting, jets, lattice, union
+from nearcurve.csvtext import csv_text
 from nearcurve.counting import (
     count_R_psi_sweep,
     enumerate_R,
@@ -36,7 +37,10 @@ def _block_walk(curve, Q, psi, B, theta=None):
     count = wide = 0
     for _, _, ys, _, reps, *_ in counting._kept(curve, Q, psi, theta, *counting._q_rows(Q, B, theta[0])):
         count += int(reps.sum())
-        wide += int(counting._b_counts(ys, psi + counting.GUARD, *np.empty((2,) + ys.shape)).sum())
+        inside, lo = np.empty((2,) + ys.shape)
+        for y, n, floor in zip(ys, inside, lo):
+            counting._window(y, psi + counting.GUARD, n, floor)
+        wide += int(inside.prod(axis=0).sum())
     return count, wide - count
 
 
@@ -978,11 +982,11 @@ def test_csv_text_matches_csv_writer_on_crafted_values():
     ints = np.array([2**62 - 1, -(2**62), 2**62 + 12345, -(2**62) - 1, 0, -1], dtype=np.int64)
     floats = np.array([0.1, 1e-05, 1.5e+16, -0.0, 5e-324, 1e16], dtype=float)
     columns = [ints, floats, -floats, ints[::-1]]
-    text = counting._csv_text(columns)
+    text = csv_text(columns)
     assert text == _csv_writer_text(None, columns)
     assert text.splitlines()[4] == "0,5e-324,-5e-324,-4611686018427387904"
-    assert counting._csv_text([ints[:0], floats[:0]]) == ""
-    assert counting._csv_text([ints[:1], floats[:1]]) == _csv_writer_text(None, [ints[:1], floats[:1]])
+    assert csv_text([ints[:0], floats[:0]]) == ""
+    assert csv_text([ints[:1], floats[:1]]) == _csv_writer_text(None, [ints[:1], floats[:1]])
 
 
 def test_a_y_past_the_doubles_is_named():

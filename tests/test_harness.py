@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from nearcurve.cli import main
 from nearcurve.config import parse_config_text
 from nearcurve.curves import midpoint_grid
 from nearcurve.errors import ConfigError
-from nearcurve.harness import dim_exponent, divergence_partial_sum, run_experiment
+from nearcurve.harness import _write_csv, dim_exponent, divergence_partial_sum, run_experiment
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -422,3 +425,57 @@ def test_run_qnd(tmp_path):
     rows = Path(f"{tmp_path}/q/qnd.csv").read_text().splitlines()
     assert rows[0] == "eps,fraction,ratio"
     assert len(rows) == 4
+
+
+_LAZY_CSVTEXT = """
+import sys
+from nearcurve.config import parse_config_text
+from nearcurve.harness import run_experiment
+
+def run(mode, keys):
+    text = f"curve = parabola\\nB = 0.1,0.9\\n{keys}\\noutput_dir = {sys.argv[1]}/{mode}\\n"
+    run_experiment(parse_config_text(text), mode=mode)
+
+run("detect", "c = 0.01\\npsi_list = 0.3\\nQ_list = 1000\\ngrid.points = 40")
+run("qnd", "psi_list = 0.3\\nQ_list = 1000\\nqnd.samples = 100")
+run("scaling", "psi_list = 0.2,0.3,0.4\\nQ_list = 64,128,256")
+run("coverage", "psi_list = 0.3\\nQ_list = 64")
+print("nearcurve.csvtext" in sys.modules)
+run("count", "psi_list = 0.5\\nQ_list = 16")
+print("nearcurve.csvtext" in sys.modules)
+"""
+
+
+def test_only_count_with_triples_imports_csvtext(tmp_path):
+    # every import compiles its module in each fresh process, so the text kernel of the
+    # triples CSV stays out of the modes that do not write one
+    src = str(Path(nc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _LAZY_CSVTEXT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]
+    assert (tmp_path / "count" / "count_Q16_psi0p5.csv").exists()
+
+
+def test_write_csv_writes_float64_as_its_float_repr(tmp_path):
+    # goodset and identities hand _write_csv numpy float64 values; csv.writer writes their repr
+    text = (Path(__file__).resolve().parents[1] / "configs" / "detect.cfg").read_text(encoding="utf-8")
+    text = "\n".join(line for line in text.splitlines() if not line.startswith(("mode", "output_dir", "grid")))
+    floats = 0
+    for mode in ("goodset", "identities"):
+        outcome = run_experiment(_cfg(text + f"\ngrid.points = 40\nidentities.draws = 5\n"
+                                          f"output_dir = {tmp_path}/{mode}\n"), mode=mode)
+        for path in (f for f in outcome.files if f.endswith(".csv")):
+            for row in list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8"))))[1:]:
+                for field in row:
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        continue
+                    floats += 1
+                    assert field == repr(value), (path, field)
+    assert floats > 100
+    values = [0.1, 1 / 3, 1e16, 1e-05, -0.0, 5e-324, 1.5e300, -2.5, float("inf"), float("nan")]
+    _write_csv(str(tmp_path / "mixed.csv"), ["float64", "float"], [(np.float64(v), v) for v in values])
+    lines = (tmp_path / "mixed.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [f"{v!r},{v!r}" for v in values]
